@@ -85,6 +85,95 @@ let test_intern_reset_at_run_boundary () =
     (fun i (id, _) -> Alcotest.(check int) "dense id" i id)
     snap_b
 
+(* Byte-level pin on fat-tree runs under every scheme spelling the fuzz
+   runner accepts, rival sprayers included: data/retx/drops, completion
+   and tail FCT, the Themis-D totals and a digest of the event dump.  The
+   corpus spec is "fat tree, undersized ring, drops and dups". *)
+let ft_pin_spec =
+  "fz1;seed=12;shape=ft:4:100:1109;tr=sr;qf=25;ppcap=9216;jit=0;\
+   drop=2007;corr=0;dup=2260;dly=7496:12111;fmode=ecmp;dl=2000000000;\
+   schemes=ecmp+spray+ar+themis;flows=3>10:85542@18338,10>1:85542@33513,\
+   1>13:85542@16583,13>2:85542@95551,2>7:85542@4924,7>12:85542@63058,\
+   12>15:85542@22721,15>3:85542@46142;faults="
+
+let ft_pinned =
+  [
+    ( "ecmp",
+      "data=478 retx=14 drops=4 \
+       completed_us=1074.538 tail_fct_us=1054.6899999999998 \
+       themis=off events=ee6e38cec111718dbe0278772f270354" );
+    ( "spray",
+      "data=481 retx=17 drops=5 \
+       completed_us=4104.9939999999997 tail_fct_us=4071.4809999999998 \
+       themis=off events=2ccdcba302e74a69dc91240c2dc59e3e" );
+    ( "ar",
+      "data=482 retx=18 drops=6 \
+       completed_us=2072.5479999999998 tail_fct_us=2054.2099999999996 \
+       themis=off events=47781c8618011822854c9cdf7c25cb34" );
+    ( "psn-spray",
+      "data=479 retx=15 drops=5 \
+       completed_us=1091.0830000000001 tail_fct_us=1057.5700000000002 \
+       themis=off events=ea05779b4ec72f11c47dcc011374341d" );
+    ( "themis",
+      "data=476 retx=12 drops=4 \
+       completed_us=2092.9059999999999 tail_fct_us=2059.393 \
+       seen=14 blocked=13 valid=1 underflow=0 \
+       comp=10 cancel=3 overwr=422 events=c6de4a192341bec85eb565f1efdd112c" );
+    ( "themis-nocomp",
+      "data=474 retx=10 drops=5 \
+       completed_us=4091.2399999999998 tail_fct_us=4057.7269999999999 \
+       seen=14 blocked=12 valid=2 underflow=0 \
+       comp=0 cancel=0 overwr=419 events=4b40a4c5ca75a3fb14df2c10a96a5e07" );
+    ( "reps",
+      "data=489 retx=25 drops=6 \
+       completed_us=1133.8530000000001 tail_fct_us=1046.4379999999999 \
+       themis=off events=da336d77d591be5f67ab1159bb74972b" );
+    ( "prime",
+      "data=477 retx=13 drops=6 \
+       completed_us=1076.527 tail_fct_us=1047.1390000000001 \
+       themis=off events=0cee037681498259a49805fee785858e" );
+    ( "sprinklers",
+      "data=480 retx=16 drops=6 \
+       completed_us=1089.423 tail_fct_us=1055.9100000000001 \
+       themis=off events=8116c9d08bd99c000f57c1be0560e890" );
+    ( "spritz",
+      "data=478 retx=14 drops=5 \
+       completed_us=1091.6379999999999 tail_fct_us=1058.125 \
+       themis=off events=1f0bdd9b031c1945eed211ac9c52e165" );
+  ]
+
+let fingerprint (o : Fuzz_run.outcome) =
+  let themis =
+    match o.Fuzz_run.o_themis with
+    | None -> "themis=off"
+    | Some t ->
+        Printf.sprintf "seen=%d blocked=%d valid=%d underflow=%d comp=%d \
+                        cancel=%d overwr=%d"
+          t.Network.nacks_seen t.nacks_blocked t.nacks_forwarded_valid
+          t.nacks_forwarded_underflow t.compensation_sent
+          t.compensation_cancelled t.queue_overwrites
+  in
+  Printf.sprintf "data=%d retx=%d drops=%d completed_us=%.17g \
+                  tail_fct_us=%.17g %s events=%s"
+    o.Fuzz_run.o_data_packets o.o_retx_packets o.o_drops o.o_completed_us
+    o.o_tail_fct_us themis
+    (Digest.to_hex (Digest.string o.o_events_jsonl))
+
+let test_fat_tree_pinned () =
+  let spec =
+    match Fuzz_spec.of_string ft_pin_spec with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "pin spec: %s" e
+  in
+  List.iter
+    (fun scheme ->
+      let got = fingerprint (Fuzz_run.run_scheme spec ~scheme) in
+      match List.assoc_opt scheme ft_pinned with
+      | Some pinned -> Alcotest.(check string) scheme pinned got
+      | None -> Alcotest.failf "%s is not pinned" scheme)
+    [ "ecmp"; "spray"; "ar"; "psn-spray"; "themis"; "themis-nocomp"; "reps";
+      "prime"; "sprinklers"; "spritz" ]
+
 let () =
   Alcotest.run "fuzz_determinism"
     [
@@ -98,6 +187,8 @@ let () =
             (test_with is_ft ~name:"fat-tree");
           Alcotest.test_case "harness double-run check" `Quick
             test_harness_det_check;
+          Alcotest.test_case "fat tree pinned under every scheme" `Quick
+            test_fat_tree_pinned;
         ] );
       ( "interning",
         [
