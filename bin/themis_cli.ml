@@ -24,8 +24,9 @@ let motivation_cmd =
   let csv_dir =
     Arg.(
       value
-      & opt (some string) None
-      & info [ "csv-dir" ] ~doc:"Write fig1b.csv / fig1c.csv there.")
+      & opt (some dir) None
+      & info [ "csv-dir" ] ~docv:"DIR"
+          ~doc:"Write fig1b.csv / fig1c.csv to the existing directory $(docv).")
   in
   let telemetry =
     Arg.(

@@ -29,11 +29,7 @@ let run_scheme_auto spec ~scheme =
 (* Fresh global state per job: this is what makes the serial pool path
    bit-identical to a forked worker (see the .mli). *)
 let with_fresh_context f =
-  Packet.reset_uid_counter ();
-  Packet_pool.reset ();
-  Flow_id.reset_interner ();
-  Lb_state.reset_globals ();
-  Telemetry.disable ();
+  Fabric_core.reset_run_state ();
   ignore (Telemetry.enable ());
   Fun.protect ~finally:Telemetry.disable f
 
@@ -242,8 +238,9 @@ let ablation ~study ~seed =
         ~metrics:(ablation_metrics ~study ~seed))
 
 (* ------------------------------------------------------------------ *)
-(* Fuzz sweep: one generated spec, run under every scheme.  Fuzz_run
-   manages its own per-run state reset. *)
+(* Fuzz sweep: one generated spec, run under every scheme.  Every
+   Fuzz_run / Shard_run run starts with Fabric_core.reset_run_state
+   itself, so no with_fresh_context. *)
 
 let fuzz ~soak ~seed =
   let profile = if soak then Fuzz_spec.Soak else Fuzz_spec.Quick in
@@ -281,8 +278,8 @@ let fuzz ~soak ~seed =
 
 (* ------------------------------------------------------------------ *)
 (* Workload scenarios: one Workload_spec preset with its load factor and
-   seed overridden, under one scheme.  Workload_run resets the ambient
-   global state itself (like Fuzz_run), so no with_fresh_context. *)
+   seed overridden, under one scheme.  Workload_run starts with
+   Fabric_core.reset_run_state itself, so no with_fresh_context. *)
 
 let workload ~wname ~wscheme ~load ~wseed =
   let spec =
@@ -298,9 +295,9 @@ let workload ~wname ~wscheme ~load ~wseed =
     ~metrics:(Workload_run.metrics r)
 
 (* ------------------------------------------------------------------ *)
-(* LB-scheme arena: one Arena_scen scenario under one fuzz-runner
-   scheme.  Fuzz_run resets the ambient global state itself (packet
-   uids, pool, interner, Lb_state), so no with_fresh_context. *)
+(* LB-scheme arena: one Arena_scen scenario under one scheme.  The fuzz
+   runners start with Fabric_core.reset_run_state themselves, so no
+   with_fresh_context. *)
 
 let arena ~ascheme ~ascen ~aseed =
   let spec =

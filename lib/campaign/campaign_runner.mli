@@ -1,12 +1,13 @@
 (** Execute one campaign job in the current process.
 
-    Every run starts from a clean global state — packet-uid counter
-    reset, a fresh typed-telemetry context installed for the duration of
-    the job — so that executing a job in-process after other jobs (the
-    serial pool path) yields {e exactly} the same result record as
-    executing it in a freshly forked worker.  The periodic telemetry
-    sampler is deliberately left off: it would inject engine events and
-    perturb the simulation relative to the plain bench runs.
+    Every run starts from a clean global state —
+    {!Fabric_core.reset_run_state}, then a fresh typed-telemetry context
+    installed for the duration of the job — so that executing a job
+    in-process after other jobs (the serial pool path) yields {e exactly}
+    the same result record as executing it in a freshly forked worker.
+    The periodic telemetry sampler is deliberately left off: it would
+    inject engine events and perturb the simulation relative to the
+    plain bench runs.
 
     The typed entry points ([fig1], [fig5], [incast]) also return the
     rich experiment record so [bench/main.ml] can keep printing its

@@ -468,13 +468,7 @@ let validate t =
   | Arena ->
       let* () = nonempty "schemes" t.schemes in
       let* () = nonempty "scens" t.scens in
-      (* Arena schemes are fuzz-runner scheme names (they include the
-         ablations and the rival sprayers), not Network.scheme names. *)
-      let* () =
-        check_all "scheme" t.schemes (fun s ->
-            if List.mem s Fuzz_run.scheme_names then Ok s
-            else Error (Printf.sprintf "unknown arena scheme %S" s))
-      in
+      let* () = check_all "scheme" t.schemes Network.scheme_of_string in
       check_all "scen" t.scens (fun s -> Result.map (fun _ -> s)
           (Arena_scen.spec ~scen:s ~seed:0))
 

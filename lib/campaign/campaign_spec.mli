@@ -69,8 +69,8 @@ type job =
           overridden, run under one scheme by {!Workload_run}. *)
   | Arena_job of { ascheme : string; ascen : string; aseed : int }
       (** One cell of the LB-scheme arena: an {!Arena_scen} scenario run
-          under one fuzz-runner scheme name ([ascheme] ranges over
-          {!Fuzz_run.scheme_names}, so it includes the rival sprayers
+          under one scheme name ({!Network.scheme_of_string}, so it
+          includes the rival sprayers
           [reps]/[prime]/[sprinklers]/[spritz]). *)
 
 val jobs_of : t -> job list

@@ -1,4 +1,5 @@
-(* Conservative lockstep windows (YAWNS-style barrier PDES).
+(* Conservative lockstep windows (YAWNS-style barrier PDES), and the
+   drive loop serial and sharded runners share.
 
    Shards advance in windows no longer than the minimum cross-shard
    link latency L.  A packet that finishes serializing at time t on one
@@ -8,9 +9,10 @@
    receiver's future, and every shard processes exactly the events a
    serial engine would, in the same per-component order.
 
-   This module is only the per-domain advancement loop; ownership
-   partitioning, interlink lowering and result merging live in
-   lib/shard (Shard_part / Shard_net / Shard_run). *)
+   This module is only the per-domain advancement loop and the drive
+   loop on top of it; ownership partitioning, interlink lowering and
+   result merging live in lib/shard (Shard_part / Shard_net /
+   Shard_run). *)
 
 exception Aborted of int
 
@@ -29,3 +31,11 @@ let advance ?(abort_mask = 0) ~barrier ~lookahead ~run ~flags ~drain ~from
     t := horizon
   done;
   !combined
+
+let check_every = Sim_time.ms 5
+
+let drive engine ~step ~finished ~deadline ~settle =
+  while (not (finished ())) && Engine.now engine < deadline do
+    step ~until:(Sim_time.min deadline (Engine.now engine + check_every))
+  done;
+  if finished () then step ~until:(Engine.now engine + settle)

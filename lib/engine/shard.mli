@@ -41,3 +41,19 @@ val advance :
     combined flags intersect [abort_mask] (default 0: never).  Raises
     [Invalid_argument] when [lookahead <= 0] or [until_ < from]; a
     [from = until_] span runs no windows and returns 0. *)
+
+val drive :
+  Engine.t ->
+  step:(until:Sim_time.t -> unit) ->
+  finished:(unit -> bool) ->
+  deadline:Sim_time.t ->
+  settle:Sim_time.t ->
+  unit
+(** The scenario drive loop every runner shares, serial or sharded:
+    while [finished ()] is false and the engine's clock is short of
+    [deadline], [step] to the next 5 ms completion check (capped at
+    [deadline]); then, if [finished ()], [step] on for [settle] more so
+    in-flight control traffic lands before the run is judged.  Serial
+    runners pass [Engine.run ~until]; the sharded runner passes its
+    lockstep {!advance} (which jumps straight ahead at fleet-wide
+    quiescence), so both cut time at the same marks. *)

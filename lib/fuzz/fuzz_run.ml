@@ -14,80 +14,15 @@ type outcome = {
 
 exception Bad_spec of string
 
-let scheme_names =
-  Fuzz_spec.all_schemes
-  @ [ "psn-spray"; "themis-nocomp"; "reps"; "prime"; "sprinklers"; "spritz" ]
-
 let schemes_of (spec : Fuzz_spec.t) =
   match spec.Fuzz_spec.schemes with
   | [] -> Fuzz_spec.all_schemes
   | ss -> ss
 
-let ls_scheme = function
-  | "ecmp" -> Network.Ecmp
-  | "spray" -> Network.Random_spray
-  | "ar" -> Network.Adaptive
-  | "psn-spray" -> Network.Psn_spray_only
-  | "themis" -> Network.Themis { compensation = true }
-  | "themis-nocomp" -> Network.Themis { compensation = false }
-  | "reps" -> Network.Reps
-  | "prime" -> Network.Prime
-  | "sprinklers" -> Network.Sprinklers
-  | "spritz" -> Network.Spritz
-  | s -> raise (Bad_spec (Printf.sprintf "unknown scheme %S" s))
-
-(* Fat trees have no standalone Psn_spray_only scheme object; the
-   equivalent ablation is the Psn_spray policy at every tier. *)
-let ft_scheme = function
-  | "ecmp" -> (false, true, Lb_policy.Ecmp)
-  | "spray" -> (false, true, Lb_policy.Random_spray)
-  | "ar" -> (false, true, Lb_policy.Adaptive)
-  | "psn-spray" -> (false, true, Lb_policy.Psn_spray)
-  | "themis" -> (true, true, Lb_policy.Ecmp)
-  | "themis-nocomp" -> (true, false, Lb_policy.Ecmp)
-  | "reps" -> (false, true, Lb_policy.Reps)
-  | "prime" -> (false, true, Lb_policy.Prime)
-  | "sprinklers" -> (false, true, Lb_policy.Sprinklers)
-  | "spritz" -> (false, true, Lb_policy.Spritz)
-  | s -> raise (Bad_spec (Printf.sprintf "unknown scheme %S" s))
-
-type net = Net_ls of Network.t | Net_ft of Fat_tree_net.t
-
-let engine = function
-  | Net_ls n -> Network.engine n
-  | Net_ft n -> Fat_tree_net.engine n
-
-let iter_ports net f =
-  match net with
-  | Net_ls n -> Network.iter_ports n f
-  | Net_ft n -> Fat_tree_net.iter_ports n f
-
-let nics_list = function
-  | Net_ls n -> Network.nics_list n
-  | Net_ft n -> Fat_tree_net.nics_list n
-
-let switches_list = function
-  | Net_ls n -> Network.switches_list n
-  | Net_ft n -> Fat_tree_net.switches_list n
-
-let themis_totals = function
-  | Net_ls n -> Network.themis_totals n
-  | Net_ft n -> Fat_tree_net.themis_totals n
-
-let nic net ~host =
-  match net with
-  | Net_ls n -> Network.nic n ~host
-  | Net_ft n -> Fat_tree_net.nic n ~host
-
-let connect net ~src ~dst =
-  match net with
-  | Net_ls n -> Network.connect n ~src ~dst
-  | Net_ft n -> Fat_tree_net.connect n ~src ~dst
-
-let drive net ?until () =
-  match net with
-  | Net_ls n -> Network.run ?until n
-  | Net_ft n -> Fat_tree_net.run ?until n
+let scheme_of name =
+  match Network.scheme_of_string name with
+  | Ok s -> s
+  | Error e -> raise (Bad_spec e)
 
 let validate (spec : Fuzz_spec.t) =
   let n = Fuzz_spec.n_hosts_of_shape spec.Fuzz_spec.shape in
@@ -133,13 +68,13 @@ let validate (spec : Fuzz_spec.t) =
                                lf.Fuzz_spec.fault_link)))
         spec.Fuzz_spec.link_faults
 
-(* One source of truth for the leaf-spine build: the sharded runner
-   (Shard_run) constructs its per-domain replicas from exactly these
-   params, so serial and sharded fabrics are byte-identical. *)
-let ls_network_params (spec : Fuzz_spec.t) ~scheme =
+(* The fabric plus, on leaf-spine shapes, the Network.t behind it for the
+   leaf-spine-only hooks: link faults, slow spines, the Spritz check. *)
+let build ?owned (spec : Fuzz_spec.t) ~scheme =
+  let transport = if spec.Fuzz_spec.gbn then `Gbn else `Sr in
+  let per_port_cap = spec.Fuzz_spec.per_port_kb * 1024 in
+  let queue_factor = float_of_int spec.Fuzz_spec.queue_factor_pct /. 100. in
   match spec.Fuzz_spec.shape with
-  | Fuzz_spec.Ft _ ->
-      raise (Bad_spec "ls_network_params: leaf-spine shapes only")
   | Fuzz_spec.Ls
       { n_leaves; n_spines; hosts_per_leaf; host_gbps; fabric_gbps;
         link_delay_ns } ->
@@ -153,81 +88,63 @@ let ls_network_params (spec : Fuzz_spec.t) ~scheme =
           link_delay = link_delay_ns;
         }
       in
-      let p0 = Network.default_params ~fabric ~scheme:(ls_scheme scheme) in
-      let nic_cfg =
-        {
-          p0.Network.nic with
-          Rnic.transport = (if spec.Fuzz_spec.gbn then `Gbn else `Sr);
-        }
+      let p0 = Network.default_params ~fabric ~scheme in
+      let n =
+        Network.build ?owned
+          {
+            p0 with
+            Network.nic = { p0.Network.nic with Rnic.transport };
+            per_port_cap;
+            queue_factor;
+            last_hop_jitter = spec.Fuzz_spec.jitter_ns;
+            seed = spec.Fuzz_spec.seed;
+            telemetry = true;
+            telemetry_interval = Sim_time.us 200;
+          }
       in
-      {
-        p0 with
-        Network.nic = nic_cfg;
-        per_port_cap = spec.Fuzz_spec.per_port_kb * 1024;
-        queue_factor = float_of_int spec.Fuzz_spec.queue_factor_pct /. 100.;
-        last_hop_jitter = spec.Fuzz_spec.jitter_ns;
-        seed = spec.Fuzz_spec.seed;
-        telemetry = true;
-        telemetry_interval = Sim_time.us 200;
-      }
-
-let build (spec : Fuzz_spec.t) ~scheme =
-  match spec.Fuzz_spec.shape with
-  | Fuzz_spec.Ls _ ->
-      let n = Network.build (ls_network_params spec ~scheme) in
       (match spec.Fuzz_spec.slow_spine with
       | None -> ()
       | Some (spine, gbps) -> Network.set_spine_rate n ~spine ~gbps);
-      Net_ls n
+      (Network.core n, Some n)
   | Fuzz_spec.Ft { k; gbps; link_delay_ns } ->
-      let themis, compensation, lb = ft_scheme scheme in
       let bw = Rate.gbps (float_of_int gbps) in
-      let p0 = Fat_tree_net.default_params ~k ~themis () in
-      let nic_cfg =
-        {
-          (Rnic.default_config ~line_rate:bw) with
-          Rnic.transport = (if spec.Fuzz_spec.gbn then `Gbn else `Sr);
-        }
-      in
       let params =
         {
-          p0 with
+          (Fat_tree_net.default_params ~k ~themis:false ()) with
           Fat_tree_net.host_bw = bw;
           fabric_bw = bw;
           link_delay = link_delay_ns;
-          nic = nic_cfg;
-          compensation;
-          per_port_cap = spec.Fuzz_spec.per_port_kb * 1024;
-          queue_factor = float_of_int spec.Fuzz_spec.queue_factor_pct /. 100.;
+          nic = { (Rnic.default_config ~line_rate:bw) with Rnic.transport };
+          scheme;
+          per_port_cap;
+          queue_factor;
           ft_seed = spec.Fuzz_spec.seed;
-          ft_lb = lb;
         }
       in
       (* Network.build installs the telemetry context itself;
          Fat_tree_net has no telemetry knob, so enable one here, before
          any traffic, to the same effect. *)
       ignore (Telemetry.enable ());
-      Net_ft (Fat_tree_net.build params)
+      (Fat_tree_net.core (Fat_tree_net.build params), None)
 
-let run_scheme (spec : Fuzz_spec.t) ~scheme : outcome =
-  validate spec;
-  (* Global state hygiene: both make a (spec, scheme) run a pure
-     function, so the determinism oracle can demand bit-equality. *)
-  Packet.reset_uid_counter ();
-  Packet_pool.reset ();
-  Flow_id.reset_interner ();
-  Lb_state.reset_globals ();
-  Telemetry.disable ();
-  let net = build spec ~scheme in
-  let eng = engine net in
+type scenario = {
+  core : Fabric_core.t;
+  ls : Network.t option;
+  fault : Fuzz_fault.counters;
+  flows : Fuzz_oracle.flow_probe list;
+}
+
+let setup ?(owned = fun (_ : int) -> true) (spec : Fuzz_spec.t) ~scheme =
+  let core, ls = build ~owned spec ~scheme in
+  let eng = Fabric_core.engine core in
   let fault_rng = Rng.create ~seed:(spec.Fuzz_spec.seed lxor 0xfa017) in
   let fault =
     Fuzz_fault.install ~engine:eng ~rng:fault_rng ~spec
-      ~iter_ports:(iter_ports net) ()
+      ~iter_ports:(Fabric_core.iter_ports core) ()
   in
-  (match net with
-  | Net_ft _ -> ()
-  | Net_ls n ->
+  (match ls with
+  | None -> ()
+  | Some n ->
       let mode =
         if spec.Fuzz_spec.shrink_pathset then `Shrink_pathset else `Fallback_ecmp
       in
@@ -244,47 +161,37 @@ let run_scheme (spec : Fuzz_spec.t) ~scheme : outcome =
   let flows =
     List.mapi
       (fun i (tr : Fuzz_spec.transfer) ->
-        let qp = connect net ~src:tr.Fuzz_spec.src ~dst:tr.Fuzz_spec.dst in
+        let qp =
+          Fabric_core.connect core ~src:tr.Fuzz_spec.src ~dst:tr.Fuzz_spec.dst
+        in
         let fp =
           {
             Fuzz_oracle.fp_index = i;
             fp_transfer = tr;
             fp_conn = Rnic.qp_conn qp;
             fp_packets = Fuzz_spec.packets_of_bytes spec tr.Fuzz_spec.bytes;
-            fp_dst_nic = nic net ~host:tr.Fuzz_spec.dst;
+            fp_dst_nic = Fabric_core.nic core ~host:tr.Fuzz_spec.dst;
             fp_done = None;
           }
         in
-        ignore
-          (Engine.schedule_at eng ~time:tr.Fuzz_spec.start_ns (fun () ->
-               Rnic.post_send qp ~bytes:tr.Fuzz_spec.bytes
-                 ~on_complete:(fun t -> fp.Fuzz_oracle.fp_done <- Some t)));
+        if owned tr.Fuzz_spec.src then
+          ignore
+            (Engine.schedule_at eng ~time:tr.Fuzz_spec.start_ns (fun () ->
+                 Rnic.post_send qp ~bytes:tr.Fuzz_spec.bytes
+                   ~on_complete:(fun t -> fp.Fuzz_oracle.fp_done <- Some t)));
         fp)
       spec.Fuzz_spec.transfers
   in
-  let port_data_drops () =
-    let acc = ref 0 in
-    iter_ports net (fun p -> acc := !acc + Port.dropped_data_packets p);
-    !acc
-  in
-  let switch_data_drops () =
-    List.fold_left
-      (fun acc sw -> acc + Switch.dropped_data_packets sw)
-      0 (switches_list net)
-  in
-  let switch_total_drops () =
-    List.fold_left
-      (fun acc sw ->
-        acc + Switch.dropped_buffer sw + Switch.dropped_unreachable sw)
-      0 (switches_list net)
-  in
+  { core; ls; fault; flows }
+
+let view (spec : Fuzz_spec.t) ~scheme ~cores ~nics ~ls ~lb ~fault ~flows =
+  let sum f = List.fold_left (fun acc c -> acc + f c) 0 cores in
   let total_ooo () =
-    List.fold_left (fun a n -> a + Rnic.ooo_arrivals n) 0 (nics_list net)
+    List.fold_left (fun a n -> a + Rnic.ooo_arrivals n) 0 nics
   in
-  (* Scheme-specific behavioural invariants (satellite oracles of the
-     LB-scheme arena).  Sprinklers' no-overtake claim only holds when
-     nothing else can reorder packets, so that probe is gated on a
-     clean, symmetric, fault-free spec. *)
+  (* Sprinklers' no-overtake claim only holds when nothing else can
+     reorder packets, so that probe is gated on a clean, symmetric,
+     fault-free spec. *)
   let clean_symmetric =
     spec.Fuzz_spec.link_faults = []
     && spec.Fuzz_spec.slow_spine = None
@@ -295,16 +202,13 @@ let run_scheme (spec : Fuzz_spec.t) ~scheme : outcome =
     && spec.Fuzz_spec.jitter_ns = 0
   in
   let v_policy () =
-    match scheme with
-    | "reps" -> (
-        match List.assoc_opt "reps_tainted_recycled" (Lb_state.counters ()) with
+    match (scheme : Network.scheme) with
+    | Reps -> (
+        match List.assoc_opt "reps_tainted_recycled" (lb ()) with
         | Some n when n > 0 ->
-            [
-              ( "policy-reps",
-                Printf.sprintf "%d tainted entropies recycled" n );
-            ]
+            [ ("policy-reps", Printf.sprintf "%d tainted entropies recycled" n) ]
         | _ -> [])
-    | "sprinklers" when clean_symmetric ->
+    | Sprinklers when clean_symmetric ->
         let ooo = total_ooo () in
         if ooo > 0 then
           [
@@ -313,10 +217,10 @@ let run_scheme (spec : Fuzz_spec.t) ~scheme : outcome =
                 "%d out-of-order arrivals on a clean symmetric fabric" ooo );
           ]
         else []
-    | "spritz" -> (
-        match net with
-        | Net_ft _ -> []
-        | Net_ls n ->
+    | Spritz -> (
+        match ls with
+        | None -> []
+        | Some n ->
             let routing = Network.routing n and fab = Network.fabric n in
             List.concat_map
               (fun (tr : Fuzz_spec.transfer) ->
@@ -340,37 +244,38 @@ let run_scheme (spec : Fuzz_spec.t) ~scheme : outcome =
               spec.Fuzz_spec.transfers)
     | _ -> []
   in
-  let view =
-    {
-      Fuzz_oracle.v_nics = nics_list net;
-      v_port_data_drops = port_data_drops;
-      v_switch_data_drops = switch_data_drops;
-      v_switch_total_drops = switch_total_drops;
-      v_themis = (fun () -> themis_totals net);
-      v_fault = fault;
-      v_flows = flows;
-      v_policy;
-    }
-  in
-  let deadline = spec.Fuzz_spec.deadline_ns in
-  let step = Sim_time.ms 5 in
-  let rec loop () =
-    if (not (Fuzz_oracle.all_done view)) && Engine.now eng < deadline then begin
-      drive net ~until:(min deadline (Engine.now eng + step)) ();
-      loop ()
-    end
-  in
-  loop ();
-  (if Fuzz_oracle.all_done view then
-     (* Let in-flight duplicates, delayed deliveries and post-completion
-        compensation NACKs (plus the retransmissions they trigger)
-        settle before judging quiescence and conservation. *)
-     let drain =
-       Sim_time.ms 3
-       + (8 * spec.Fuzz_spec.delay_max_ns)
-       + (4 * spec.Fuzz_spec.jitter_ns)
-     in
-     drive net ~until:(Engine.now eng + drain) ());
+  {
+    Fuzz_oracle.v_nics = nics;
+    v_port_data_drops =
+      (fun () ->
+        sum (fun c ->
+            let acc = ref 0 in
+            Fabric_core.iter_ports c (fun p ->
+                acc := !acc + Port.dropped_data_packets p);
+            !acc));
+    v_switch_data_drops =
+      (fun () ->
+        sum (fun c -> Fabric_core.sum_switches c Switch.dropped_data_packets));
+    v_switch_total_drops =
+      (fun () ->
+        sum (fun c ->
+            Fabric_core.sum_switches c (fun sw ->
+                Switch.dropped_buffer sw + Switch.dropped_unreachable sw)));
+    v_themis = (fun () -> Fabric_core.themis_totals cores);
+    v_fault = fault;
+    v_flows = flows;
+    v_policy;
+  }
+
+(* Let in-flight duplicates, delayed deliveries and post-completion
+   compensation NACKs (plus the retransmissions they trigger) settle
+   before judging quiescence and conservation. *)
+let settle_time (spec : Fuzz_spec.t) =
+  Sim_time.ms 3
+  + (8 * spec.Fuzz_spec.delay_max_ns)
+  + (4 * spec.Fuzz_spec.jitter_ns)
+
+let judge (spec : Fuzz_spec.t) ~scheme (view : Fuzz_oracle.view) =
   let summary = Experiment.telemetry_summary () in
   let events_jsonl =
     match Telemetry.ctx () with
@@ -378,6 +283,8 @@ let run_scheme (spec : Fuzz_spec.t) ~scheme : outcome =
     | None -> ""
   in
   let violations = Fuzz_oracle.check view ~summary in
+  let deadline = spec.Fuzz_spec.deadline_ns in
+  let flows = view.Fuzz_oracle.v_flows and nics = view.Fuzz_oracle.v_nics in
   let completed_us =
     List.fold_left
       (fun acc fp ->
@@ -400,6 +307,7 @@ let run_scheme (spec : Fuzz_spec.t) ~scheme : outcome =
         Stdlib.max acc (fin -. Sim_time.to_us start))
       0. flows
   in
+  let fault = view.Fuzz_oracle.v_fault in
   {
     o_scheme = scheme;
     o_violations = violations;
@@ -407,17 +315,49 @@ let run_scheme (spec : Fuzz_spec.t) ~scheme : outcome =
     o_events_jsonl = events_jsonl;
     o_completed_us = completed_us;
     o_data_packets =
-      List.fold_left (fun a n -> a + Rnic.data_packets_sent n) 0
-        (nics_list net);
+      List.fold_left (fun a n -> a + Rnic.data_packets_sent n) 0 nics;
     o_retx_packets =
-      List.fold_left (fun a n -> a + Rnic.retx_packets_sent n) 0
-        (nics_list net);
+      List.fold_left (fun a n -> a + Rnic.retx_packets_sent n) 0 nics;
     o_drops =
-      port_data_drops () + switch_data_drops () + fault.Fuzz_fault.drops_data
-      + fault.Fuzz_fault.corrupts_data;
-    o_ooo = total_ooo ();
+      view.Fuzz_oracle.v_port_data_drops ()
+      + view.Fuzz_oracle.v_switch_data_drops ()
+      + fault.Fuzz_fault.drops_data + fault.Fuzz_fault.corrupts_data;
+    o_ooo = List.fold_left (fun a n -> a + Rnic.ooo_arrivals n) 0 nics;
     o_tail_fct_us = tail_fct_us;
-    o_themis = themis_totals net;
+    o_themis = view.Fuzz_oracle.v_themis ();
+  }
+
+let run_scheme (spec : Fuzz_spec.t) ~scheme : outcome =
+  validate spec;
+  let scheme_v = scheme_of scheme in
+  Fabric_core.reset_run_state ();
+  let sc = setup spec ~scheme:scheme_v in
+  let view =
+    view spec ~scheme:scheme_v ~cores:[ sc.core ]
+      ~nics:(Fabric_core.nics_list sc.core) ~ls:sc.ls ~lb:Lb_state.counters
+      ~fault:sc.fault ~flows:sc.flows
+  in
+  let eng = Fabric_core.engine sc.core in
+  Shard.drive eng
+    ~step:(fun ~until -> Engine.run ~until eng)
+    ~finished:(fun () -> Fuzz_oracle.all_done view)
+    ~deadline:spec.Fuzz_spec.deadline_ns ~settle:(settle_time spec);
+  judge spec ~scheme view
+
+let crashed ~scheme exn =
+  {
+    o_scheme = scheme;
+    o_violations =
+      [ { Fuzz_oracle.oracle = "crash"; detail = Printexc.to_string exn } ];
+    o_summary = None;
+    o_events_jsonl = "";
+    o_completed_us = 0.;
+    o_data_packets = 0;
+    o_retx_packets = 0;
+    o_drops = 0;
+    o_ooo = 0;
+    o_tail_fct_us = 0.;
+    o_themis = None;
   }
 
 (* An engine callback that raises (a simulator bug) must count as a
@@ -427,27 +367,7 @@ let run_scheme_safe spec ~scheme =
   match run_scheme spec ~scheme with
   | outcome -> outcome
   | exception (Bad_spec _ as e) -> raise e
-  | exception exn ->
-      {
-        o_scheme = scheme;
-        o_violations =
-          [
-            {
-              Fuzz_oracle.oracle = "crash";
-              detail = Printexc.to_string exn;
-            };
-          ];
-        o_summary = None;
-        o_events_jsonl = "";
-        o_completed_us = 0.;
-        o_data_packets = 0;
-        o_retx_packets = 0;
-        o_drops = 0;
-        o_ooo = 0;
-        o_tail_fct_us = 0.;
-        o_themis = None;
-      }
-
+  | exception exn -> crashed ~scheme exn
 let run spec =
   List.map (fun scheme -> run_scheme_safe spec ~scheme) (schemes_of spec)
 

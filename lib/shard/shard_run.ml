@@ -5,9 +5,9 @@
    propagation crosses through the canonical ring machinery
    (Shard_net), so results are invariant in the shard count.
 
-   The drive loop mirrors Fuzz_run.run_scheme exactly — 5 ms completion
-   checks, deadline, post-completion drain — with each 5 ms span cut
-   into conservative lookahead windows. *)
+   The set-up, the oracle view, the judging and the drive loop are
+   Fuzz_run's and Shard.drive's; only the step differs: each 5 ms span
+   is cut into conservative lookahead windows. *)
 
 type stats = { st_events : int; st_spilled : int }
 
@@ -20,9 +20,8 @@ let bit_running = 2 (* some owned transfer not yet complete *)
 let bit_crash = 4 (* a shard died; peers abort at the same phase *)
 
 type shard_out = {
-  so_net : Network.t;
+  so_sc : Fuzz_run.scenario;
   so_ctx : Telemetry.t option;
-  so_flows : Fuzz_oracle.flow_probe list;
   so_lb : (string * int) list;
   so_events : int;
 }
@@ -33,70 +32,23 @@ let sim_phase (spec : Fuzz_spec.t) ~scheme ~part ~rings sid =
   (* Spawned domains start with fresh domain-local state; shard 0 runs
      on the calling domain and must reset exactly as the serial runner
      does. *)
-  if sid = 0 then begin
-    Packet.reset_uid_counter ();
-    Packet_pool.reset ();
-    Flow_id.reset_interner ();
-    Lb_state.reset_globals ();
-    Telemetry.disable ()
-  end;
-  let params = Fuzz_run.ls_network_params spec ~scheme in
-  let net = Network.build ~owned:(Shard_part.owned part sid) params in
-  Network.set_quiet_control net (sid <> 0);
-  (match spec.Fuzz_spec.slow_spine with
-  | None -> ()
-  | Some (spine, gbps) -> Network.set_spine_rate net ~spine ~gbps);
-  let sh = Shard_net.wrap rings ~sid net in
-  let eng = Network.engine net in
-  let barrier = Shard_net.barrier rings in
+  if sid = 0 then Fabric_core.reset_run_state ();
+  let owned = Shard_part.owned part sid in
+  let sc = Fuzz_run.setup ~owned spec ~scheme in
   (* Control-plane events are replicated: every shard applies the same
      state change to its replica at the same simulated time (telemetry
      for them is gated to shard 0 via quiet_control). *)
-  let mode =
-    if spec.Fuzz_spec.shrink_pathset then `Shrink_pathset else `Fallback_ecmp
-  in
-  List.iter
-    (fun (lf : Fuzz_spec.link_fault) ->
-      ignore
-        (Engine.schedule_at eng ~time:lf.Fuzz_spec.down_ns (fun () ->
-             Network.fail_link ~mode net ~link_id:lf.Fuzz_spec.fault_link));
-      if lf.Fuzz_spec.up_ns > lf.Fuzz_spec.down_ns then
-        ignore
-          (Engine.schedule_at eng ~time:lf.Fuzz_spec.up_ns (fun () ->
-               Network.restore_link net ~link_id:lf.Fuzz_spec.fault_link)))
-    spec.Fuzz_spec.link_faults;
-  (* Connections are replicated (per-NIC QPN counters and Themis-D flow
-     tables must match the serial build on every shard); the send itself
-     is posted only on the shard owning the source host. *)
-  let flows =
-    List.mapi
-      (fun i (tr : Fuzz_spec.transfer) ->
-        let qp = Network.connect net ~src:tr.Fuzz_spec.src ~dst:tr.Fuzz_spec.dst in
-        let fp =
-          {
-            Fuzz_oracle.fp_index = i;
-            fp_transfer = tr;
-            fp_conn = Rnic.qp_conn qp;
-            fp_packets = Fuzz_spec.packets_of_bytes spec tr.Fuzz_spec.bytes;
-            fp_dst_nic = Network.nic net ~host:tr.Fuzz_spec.dst;
-            fp_done = None;
-          }
-        in
-        if Shard_part.shard_of part tr.Fuzz_spec.src = sid then
-          ignore
-            (Engine.schedule_at eng ~time:tr.Fuzz_spec.start_ns (fun () ->
-                 Rnic.post_send qp ~bytes:tr.Fuzz_spec.bytes
-                   ~on_complete:(fun t -> fp.Fuzz_oracle.fp_done <- Some t)));
-        fp)
-      spec.Fuzz_spec.transfers
-  in
+  let net = Option.get sc.Fuzz_run.ls in
+  Network.set_quiet_control net (sid <> 0);
+  let sh = Shard_net.wrap rings ~sid net in
+  let eng = Network.engine net in
+  let barrier = Shard_net.barrier rings in
   let owned_pending () =
     List.exists
       (fun (fp : Fuzz_oracle.flow_probe) ->
         fp.Fuzz_oracle.fp_done = None
-        && Shard_part.shard_of part fp.Fuzz_oracle.fp_transfer.Fuzz_spec.src
-           = sid)
-      flows
+        && owned fp.Fuzz_oracle.fp_transfer.Fuzz_spec.src)
+      sc.Fuzz_run.flows
   in
   let my_flags () =
     Shard_net.activity_flag sh
@@ -105,55 +57,45 @@ let sim_phase (spec : Fuzz_spec.t) ~scheme ~part ~rings sid =
   let lookahead = Shard_part.lookahead part in
   let run ~until = Engine.run ~until eng in
   let drain ~upto = Shard_net.drain sh ~upto in
-  let advance until_ =
-    Shard.advance ~abort_mask:bit_crash ~barrier ~lookahead ~run
-      ~flags:my_flags ~drain ~from:(Engine.now eng) ~until_ ()
-  in
   let await_status () =
     let c = Domain_barrier.await barrier ~flags:(my_flags ()) in
     if c land bit_crash <> 0 then raise (Shard.Aborted c);
     c
   in
-  let deadline = spec.Fuzz_spec.deadline_ns in
-  let step = Sim_time.ms 5 in
   (* Status barrier before the first decision, so every shard agrees on
      loop entry (mirrors the serial all_done check at time 0). *)
   let combined = ref (await_status ()) in
-  while !combined land bit_running <> 0 && Engine.now eng < deadline do
-    if !combined land bit_active = 0 then begin
-      (* Fleet-wide quiescence with transfers incomplete: no shard holds
-         an event and every ring is empty, so nothing can ever happen
-         again — jump to the deadline like the serial engine's
-         empty-queue drive.  All shards take this branch together (the
-         decision reads the shared combined flags). *)
-      Engine.run ~until:deadline eng;
-      combined := await_status ()
-    end
-    else combined := advance (Sim_time.min deadline (Engine.now eng + step))
-  done;
-  (if !combined land bit_running = 0 then
-     (* Post-completion drain, replicated from the serial runner. *)
-     let dr =
-       Sim_time.ms 3
-       + (8 * spec.Fuzz_spec.delay_max_ns)
-       + (4 * spec.Fuzz_spec.jitter_ns)
-     in
-     ignore (advance (Engine.now eng + dr)));
-  (net, flows)
+  let step ~until =
+    combined :=
+      if !combined land bit_active = 0 then begin
+        (* Fleet-wide quiescence: no shard holds an event and every ring
+           is empty, so nothing can happen before [until] — jump there
+           like the serial engine's empty-queue run.  All shards take
+           this branch together (the decision reads the shared combined
+           flags). *)
+        Engine.run ~until eng;
+        await_status ()
+      end
+      else
+        Shard.advance ~abort_mask:bit_crash ~barrier ~lookahead ~run
+          ~flags:my_flags ~drain ~from:(Engine.now eng) ~until_:until ()
+  in
+  Shard.drive eng ~step
+    ~finished:(fun () -> !combined land bit_running = 0)
+    ~deadline:spec.Fuzz_spec.deadline_ns ~settle:(Fuzz_run.settle_time spec);
+  sc
 
-let extract (net, flows) =
+let extract sc =
   {
-    so_net = net;
+    so_sc = sc;
     so_ctx = Telemetry.ctx ();
-    so_flows = flows;
     so_lb = Lb_state.counters ();
-    so_events = Engine.events_processed (Network.engine net);
+    so_events = Engine.events_processed (Fabric_core.engine sc.Fuzz_run.core);
   }
 
 let domain_main spec ~scheme ~part ~rings sid =
   match sim_phase spec ~scheme ~part ~rings sid with
-  | state -> (
-      try Ok (extract state) with exn -> Error (Printexc.to_string exn))
+  | sc -> ( try Ok (extract sc) with exn -> Error (Printexc.to_string exn))
   | exception Shard.Aborted _ -> Error peer_crash_msg
   | exception exn ->
       let msg = Printexc.to_string exn in
@@ -165,21 +107,6 @@ let domain_main spec ~scheme ~part ~rings sid =
         (Domain_barrier.await (Shard_net.barrier rings) ~flags:bit_crash);
       Error msg
 
-let add_themis (a : Network.themis_totals) (b : Network.themis_totals) =
-  {
-    Network.nacks_seen = a.Network.nacks_seen + b.Network.nacks_seen;
-    nacks_blocked = a.Network.nacks_blocked + b.Network.nacks_blocked;
-    nacks_forwarded_valid =
-      a.Network.nacks_forwarded_valid + b.Network.nacks_forwarded_valid;
-    nacks_forwarded_underflow =
-      a.Network.nacks_forwarded_underflow + b.Network.nacks_forwarded_underflow;
-    compensation_sent =
-      a.Network.compensation_sent + b.Network.compensation_sent;
-    compensation_cancelled =
-      a.Network.compensation_cancelled + b.Network.compensation_cancelled;
-    queue_overwrites = a.Network.queue_overwrites + b.Network.queue_overwrites;
-  }
-
 let run_scheme_full (spec : Fuzz_spec.t) ~scheme ~shards :
     Fuzz_run.outcome * stats =
   (match Shard_part.supported spec ~shards with
@@ -189,6 +116,7 @@ let run_scheme_full (spec : Fuzz_spec.t) ~scheme ~shards :
   | Ok () -> ()
   | Error m -> raise (Unsupported m));
   Fuzz_run.validate spec;
+  let scheme_v = Fuzz_run.scheme_of scheme in
   let part =
     match Shard_part.of_shape spec.Fuzz_spec.shape ~shards with
     | Ok p -> p
@@ -197,9 +125,10 @@ let run_scheme_full (spec : Fuzz_spec.t) ~scheme ~shards :
   let rings = Shard_net.make_rings ~part in
   let others =
     Array.init (shards - 1) (fun i ->
-        Domain.spawn (fun () -> domain_main spec ~scheme ~part ~rings (i + 1)))
+        Domain.spawn (fun () ->
+            domain_main spec ~scheme:scheme_v ~part ~rings (i + 1)))
   in
-  let r0 = domain_main spec ~scheme ~part ~rings 0 in
+  let r0 = domain_main spec ~scheme:scheme_v ~part ~rings 0 in
   let results = Array.append [| r0 |] (Array.map Domain.join others) in
   let errs =
     Array.to_list results
@@ -215,58 +144,23 @@ let run_scheme_full (spec : Fuzz_spec.t) ~scheme ~shards :
   let sos =
     Array.map (function Ok so -> so | Error _ -> assert false) results
   in
-  let nets = Array.map (fun so -> so.so_net) sos in
-  let owner_net node = nets.(Shard_part.shard_of part node) in
+  let owner node = sos.(Shard_part.shard_of part node).so_sc in
   let n_hosts = Fuzz_spec.n_hosts_of_shape spec.Fuzz_spec.shape in
-  (* Per-host state (NIC counters, receive contexts) lives on the owner
-     shard's instance; drop counters are summed over EVERY replica,
-     because a cross-shard in-flight link-down drop is booked on the
-     consumer's replica of the transmitting port. *)
-  let v_nics = List.init n_hosts (fun h -> Network.nic (owner_net h) ~host:h) in
+  (* Per-host state (NIC counters, receive contexts, completion times)
+     lives on the owner shard's instance; drop counters are summed over
+     EVERY replica, because a cross-shard in-flight link-down drop is
+     booked on the consumer's replica of the transmitting port. *)
+  let nics =
+    List.init n_hosts (fun h -> Fabric_core.nic (owner h).Fuzz_run.core ~host:h)
+  in
   let flows =
     List.mapi
       (fun i (tr : Fuzz_spec.transfer) ->
-        let p =
-          List.nth sos.(Shard_part.shard_of part tr.Fuzz_spec.src).so_flows i
-        in
         {
-          p with
-          Fuzz_oracle.fp_dst_nic =
-            Network.nic (owner_net tr.Fuzz_spec.dst) ~host:tr.Fuzz_spec.dst;
+          (List.nth (owner tr.Fuzz_spec.src).Fuzz_run.flows i) with
+          Fuzz_oracle.fp_dst_nic = List.nth nics tr.Fuzz_spec.dst;
         })
       spec.Fuzz_spec.transfers
-  in
-  let sum_nets f = Array.fold_left (fun acc n -> acc + f n) 0 nets in
-  let port_data_drops () =
-    sum_nets (fun n ->
-        let acc = ref 0 in
-        Network.iter_ports n (fun p -> acc := !acc + Port.dropped_data_packets p);
-        !acc)
-  in
-  let switch_data_drops () =
-    sum_nets (fun n ->
-        List.fold_left
-          (fun acc sw -> acc + Switch.dropped_data_packets sw)
-          0 (Network.switches_list n))
-  in
-  let switch_total_drops () =
-    sum_nets (fun n ->
-        List.fold_left
-          (fun acc sw ->
-            acc + Switch.dropped_buffer sw + Switch.dropped_unreachable sw)
-          0 (Network.switches_list n))
-  in
-  let themis_merged () =
-    Array.fold_left
-      (fun acc n ->
-        match (Network.themis_totals n, acc) with
-        | None, acc -> acc
-        | Some t, None -> Some t
-        | Some t, Some a -> Some (add_themis a t))
-      None nets
-  in
-  let total_ooo () =
-    List.fold_left (fun a n -> a + Rnic.ooo_arrivals n) 0 v_nics
   in
   (* Per-domain LB policy counters, merged in shard-id order. *)
   let merged_lb =
@@ -280,81 +174,16 @@ let run_scheme_full (spec : Fuzz_spec.t) ~scheme ~shards :
           acc so.so_lb)
       [] sos
   in
-  let clean_symmetric =
-    spec.Fuzz_spec.link_faults = []
-    && spec.Fuzz_spec.slow_spine = None
-    && spec.Fuzz_spec.drop_ppm = 0
-    && spec.Fuzz_spec.corrupt_ppm = 0
-    && spec.Fuzz_spec.dup_ppm = 0
-    && spec.Fuzz_spec.delay_ppm = 0
-    && spec.Fuzz_spec.jitter_ns = 0
-  in
-  let v_policy () =
-    match scheme with
-    | "reps" -> (
-        match List.assoc_opt "reps_tainted_recycled" merged_lb with
-        | Some n when n > 0 ->
-            [ ("policy-reps", Printf.sprintf "%d tainted entropies recycled" n) ]
-        | _ -> [])
-    | "sprinklers" when clean_symmetric ->
-        let ooo = total_ooo () in
-        if ooo > 0 then
-          [
-            ( "policy-sprinklers",
-              Printf.sprintf
-                "%d out-of-order arrivals on a clean symmetric fabric" ooo );
-          ]
-        else []
-    | "spritz" ->
-        (* Routing and compiled weights are replica-identical; evaluate
-           on shard 0's instance. *)
-        let n = nets.(0) in
-        let routing = Network.routing n and fab = Network.fabric n in
-        List.concat_map
-          (fun (tr : Fuzz_spec.transfer) ->
-            let tor = Leaf_spine.tor_of_host fab tr.Fuzz_spec.src in
-            let dst = tr.Fuzz_spec.dst in
-            if Leaf_spine.tor_of_host fab dst = tor then []
-            else
-              let sw = Network.switch n ~node:tor in
-              let w = Switch.compiled_path_weights sw ~dst in
-              let sum = Array.fold_left ( + ) 0 w in
-              let expect = Routing.path_count routing ~src:tor ~dst in
-              if sum <> expect then
-                [
-                  ( "policy-spritz",
-                    Printf.sprintf
-                      "ToR %d weights toward host %d sum to %d, path count %d"
-                      tor dst sum expect );
-                ]
-              else [])
-          spec.Fuzz_spec.transfers
-    | _ -> []
-  in
-  (* Supported specs carry no ppm faults, so the fault layer was never
-     installed; its counters are identically zero. *)
-  let zero_fault =
-    {
-      Fuzz_fault.drops_data = 0;
-      drops_ctrl = 0;
-      corrupts_data = 0;
-      corrupts_ctrl = 0;
-      dups_data = 0;
-      dups_ctrl = 0;
-      delays = 0;
-    }
-  in
+  (* Routing and compiled weights are replica-identical, so shard 0's
+     network answers the Spritz check.  Sharded specs carry no ppm
+     knobs (Shard_part.supported), so every fault layer is inert. *)
+  let sc0 = sos.(0).so_sc in
   let view =
-    {
-      Fuzz_oracle.v_nics;
-      v_port_data_drops = port_data_drops;
-      v_switch_data_drops = switch_data_drops;
-      v_switch_total_drops = switch_total_drops;
-      v_themis = themis_merged;
-      v_fault = zero_fault;
-      v_flows = flows;
-      v_policy;
-    }
+    Fuzz_run.view spec ~scheme:scheme_v
+      ~cores:(Array.to_list (Array.map (fun so -> so.so_sc.Fuzz_run.core) sos))
+      ~nics ~ls:sc0.Fuzz_run.ls
+      ~lb:(fun () -> merged_lb)
+      ~fault:sc0.Fuzz_run.fault ~flows
   in
   (* Merge the per-domain telemetry contexts (deterministic shard-id
      order) and install the result, mirroring the serial post-run state
@@ -364,52 +193,7 @@ let run_scheme_full (spec : Fuzz_spec.t) ~scheme ~shards :
    with
   | [] -> Telemetry.disable ()
   | ctxs -> Telemetry.use (Telemetry.merge ctxs));
-  let summary = Experiment.telemetry_summary () in
-  let events_jsonl =
-    match Telemetry.ctx () with
-    | Some ctx -> Export.events_to_jsonl ctx
-    | None -> ""
-  in
-  let violations = Fuzz_oracle.check view ~summary in
-  let deadline = spec.Fuzz_spec.deadline_ns in
-  let completed_us =
-    List.fold_left
-      (fun acc fp ->
-        match fp.Fuzz_oracle.fp_done with
-        | Some t -> Stdlib.max acc (Sim_time.to_us t)
-        | None -> Sim_time.to_us deadline)
-      0. flows
-  in
-  let tail_fct_us =
-    List.fold_left
-      (fun acc fp ->
-        let start = fp.Fuzz_oracle.fp_transfer.Fuzz_spec.start_ns in
-        let fin =
-          match fp.Fuzz_oracle.fp_done with
-          | Some t -> Sim_time.to_us t
-          | None -> Sim_time.to_us deadline
-        in
-        Stdlib.max acc (fin -. Sim_time.to_us start))
-      0. flows
-  in
-  let outcome =
-    {
-      Fuzz_run.o_scheme = scheme;
-      o_violations = violations;
-      o_summary = summary;
-      o_events_jsonl = events_jsonl;
-      o_completed_us = completed_us;
-      o_data_packets =
-        List.fold_left (fun a n -> a + Rnic.data_packets_sent n) 0 v_nics;
-      o_retx_packets =
-        List.fold_left (fun a n -> a + Rnic.retx_packets_sent n) 0 v_nics;
-      o_drops = port_data_drops () + switch_data_drops ();
-      o_ooo = total_ooo ();
-      o_tail_fct_us = tail_fct_us;
-      o_themis = themis_merged ();
-    }
-  in
-  ( outcome,
+  ( Fuzz_run.judge spec ~scheme view,
     {
       st_events = Array.fold_left (fun a so -> a + so.so_events) 0 sos;
       st_spilled = Shard_net.spilled rings;
@@ -422,21 +206,7 @@ let run_scheme_safe spec ~scheme ~shards =
   | outcome -> outcome
   | exception (Fuzz_run.Bad_spec _ as e) -> raise e
   | exception (Unsupported _ as e) -> raise e
-  | exception exn ->
-      {
-        Fuzz_run.o_scheme = scheme;
-        o_violations =
-          [ { Fuzz_oracle.oracle = "crash"; detail = Printexc.to_string exn } ];
-        o_summary = None;
-        o_events_jsonl = "";
-        o_completed_us = 0.;
-        o_data_packets = 0;
-        o_retx_packets = 0;
-        o_drops = 0;
-        o_ooo = 0;
-        o_tail_fct_us = 0.;
-        o_themis = None;
-      }
+  | exception exn -> Fuzz_run.crashed ~scheme exn
 
 (* Canonicalization for serial-vs-sharded comparison: the merged event
    stream interleaves same-tick events from different domains in

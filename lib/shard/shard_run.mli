@@ -5,10 +5,11 @@
     code path (replica builds); ownership only gates who posts sends,
     who samples which probe, and who logs control-plane telemetry.
     Every fabric propagation is routed through the canonical ring
-    machinery ({!Shard_net}), and the drive loop mirrors
-    {!Fuzz_run.run_scheme} — 5 ms completion marks, deadline,
-    post-completion drain — with each span cut into conservative
-    lookahead windows ({!Shard.advance}).
+    machinery ({!Shard_net}).  Everything else is the serial runner's:
+    each shard arms its replica with {!Fuzz_run.setup} and runs the same
+    {!Shard.drive} loop, whose step here cuts each span into
+    conservative lookahead windows ({!Shard.advance}); the merged
+    replicas are judged by {!Fuzz_run.view} and {!Fuzz_run.judge}.
 
     The returned {!Fuzz_run.outcome} is invariant in [shards]; it equals
     the plain serial outcome (canonicalized, see

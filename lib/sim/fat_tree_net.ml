@@ -4,17 +4,12 @@ type params = {
   fabric_bw : Rate.t;
   link_delay : Sim_time.t;
   nic : Rnic.config;
-  themis : bool;
-  compensation : bool;
+  scheme : Network.scheme;
   buffer_capacity : int;
   per_port_cap : int;
   ecn_enabled : bool;
   queue_factor : float;
   ft_seed : int;
-  ft_lb : Lb_policy.t;
-      (* Load balancing when [themis] is off (spray / adaptive baselines
-         in the multi-tier fabric).  Forced to ECMP when [themis] is on:
-         sport-rewrite steering requires hash-based next-hop choice. *)
 }
 
 let default_params ?(k = 4) ~themis () =
@@ -25,27 +20,16 @@ let default_params ?(k = 4) ~themis () =
     fabric_bw = Rate.gbps 100.;
     link_delay = Sim_time.us 1;
     nic = Rnic.default_config ~line_rate:host_bw;
-    themis;
-    compensation = true;
+    scheme =
+      (if themis then Network.Themis { compensation = true } else Network.Ecmp);
     buffer_capacity = 64 * 1024 * 1024;
     per_port_cap = 9 * 1024 * 1024;
     ecn_enabled = true;
     queue_factor = 1.5;
     ft_seed = 42;
-    ft_lb = Lb_policy.Ecmp;
   }
 
-type t = {
-  engine : Engine.t;
-  params : params;
-  ft : Fat_tree.t;
-  routing : Routing.t;
-  switches : (int, Switch.t) Hashtbl.t;
-  nics : Rnic.t array;
-  link_ports : (int, Port.t * Port.t) Hashtbl.t;
-  mutable themis_ds : Themis_d.t list;
-  mutable themis_ss : Themis_s.t list;
-}
+type t = { core : Fabric_core.t; params : params; ft : Fat_tree.t }
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
@@ -72,14 +56,18 @@ let build (params : params) =
       (fun host -> Rnic.create ~engine ~node:host ~config:params.nic)
   in
   let root_rng = Rng.create ~seed:params.ft_seed in
-  let switches = Hashtbl.create 64 in
+  let core =
+    Fabric_core.create ~engine ~topo ~routing ~nics
+      ~tor_of_host:(Fat_tree.tor_of_host ft) ()
+  in
   (* Edge and core consume the low hash window; aggregation switches the
      next one, so the PathMap's 2*tier_bits of entropy pick (agg, core)
-     independently. *)
+     independently.  Under Themis the policy is ECMP (Network.lb_of_scheme):
+     sport-rewrite steering requires hash-based next-hop choice. *)
   let add_switch ~shift node =
-    let cfg =
+    Fabric_core.add_switch core ~rng:root_rng ~node
       {
-        Switch.lb = (if params.themis then Lb_policy.Ecmp else params.ft_lb);
+        Switch.lb = Network.lb_of_scheme params.scheme;
         ecn =
           (if params.ecn_enabled then Some (Ecn.scaled_to params.fabric_bw)
            else None);
@@ -89,168 +77,35 @@ let build (params : params) =
         pfc = None;
         ecmp_shift = shift;
       }
-    in
-    Hashtbl.replace switches node
-      (Switch.create ~engine ~topo ~routing ~node ~config:cfg
-         ~rng:(Rng.split root_rng))
   in
   Array.iter (add_switch ~shift:0) ft.Fat_tree.edges;
   Array.iter (add_switch ~shift:tier_bits) ft.Fat_tree.aggs;
   Array.iter (add_switch ~shift:0) ft.Fat_tree.cores;
-  let t =
-    {
-      engine;
-      params;
-      ft;
-      routing;
-      switches;
-      nics;
-      link_ports = Hashtbl.create 64;
-      themis_ds = [];
-      themis_ss = [];
-    }
-  in
-  if params.themis then begin
-    let queue_capacity =
-      Psn_queue.capacity_for ~bw:params.host_bw
-        ~rtt:
-          ((2 * params.link_delay)
-          + Rate.tx_time params.host_bw
-              ~bytes_:(params.nic.Rnic.mtu + Headers.data_overhead)
-          + Rate.tx_time params.host_bw ~bytes_:Headers.ack_bytes)
-        ~mtu:(params.nic.Rnic.mtu + Headers.data_overhead)
-        ~factor:params.queue_factor
-    in
-    let map = Path_map.build ~paths:n_paths in
-    Array.iter
-      (fun edge ->
-        let sw = Hashtbl.find switches edge in
-        let themis_s =
-          Themis_s.create ~paths:n_paths ~mode:(Themis_s.Sport_rewrite map)
-        in
-        let themis_d =
-          Themis_d.create ~paths:n_paths ~queue_capacity
-            ~compensation:params.compensation
-            ~inject_nack:(fun ~conn ~conn_id ~sport ~epsn ->
-              Switch.inject sw
-                (Packet_pool.nack ~conn ~conn_id ~sport ~epsn
-                   ~birth:(Engine.now engine)))
-            ()
-        in
-        t.themis_ss <- themis_s :: t.themis_ss;
-        t.themis_ds <- themis_d :: t.themis_ds;
-        Switch.set_themis sw ~s:(Some themis_s) ~d:(Some themis_d))
-      ft.Fat_tree.edges
-  end;
-  (* Wiring.  Delivery targets resolve once per port, not per packet. *)
-  let deliver_to node =
-    if Topology.is_host topo node then begin
-      let nic = nics.(node) in
-      fun pkt -> Rnic.receive nic pkt
-    end
-    else begin
-      let sw = Hashtbl.find switches node in
-      fun pkt -> Switch.receive sw pkt
-    end
-  in
-  for link_id = 0 to Topology.link_count topo - 1 do
-    let link = Topology.link topo link_id in
-    let dir src dst =
-      let port =
-        Port.create ~engine ~bandwidth:link.Topology.bandwidth
-          ~delay:link.Topology.delay ~label:(Printf.sprintf "%d->%d" src dst)
-      in
-      Port.set_deliver port (deliver_to dst);
-      (if Topology.is_host topo src then Rnic.set_port nics.(src) port
-       else
-         Switch.attach_port (Hashtbl.find switches src) ~link_id ~peer:dst port);
-      port
-    in
-    let pab = dir link.Topology.a link.Topology.b in
-    let pba = dir link.Topology.b link.Topology.a in
-    Hashtbl.replace t.link_ports link_id (pab, pba)
-  done;
-  t
+  (match params.scheme with
+  | Network.Themis { compensation } ->
+      Fabric_core.install_themis core ~tors:ft.Fat_tree.edges ~paths:n_paths
+        ~mode:(Themis_s.Sport_rewrite (Path_map.build ~paths:n_paths))
+        ~compensation ~bw:params.host_bw ~link_delay:params.link_delay
+        ~mtu:params.nic.Rnic.mtu ~factor:params.queue_factor ~stamped:false
+  | Network.Ecmp | Adaptive | Random_spray | Psn_spray_only | Reps | Prime
+  | Sprinklers | Spritz ->
+      ());
+  Fabric_core.wire core;
+  { core; params; ft }
 
-let engine t = t.engine
+let core t = t.core
+let engine t = Fabric_core.engine t.core
 let fat_tree t = t.ft
 
 let n_paths t =
   let half = t.params.k / 2 in
   half * half
 
-let nic t ~host = t.nics.(host)
-let switch t ~node = Hashtbl.find t.switches node
-let n_hosts t = Array.length t.nics
-let nics_list t = Array.to_list t.nics
-
-let switches_list t =
-  Hashtbl.fold (fun node sw acc -> (node, sw) :: acc) t.switches []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.map snd
-
-let iter_ports t f =
-  for link_id = 0 to Topology.link_count t.ft.Fat_tree.topo - 1 do
-    match Hashtbl.find_opt t.link_ports link_id with
-    | None -> ()
-    | Some (pab, pba) ->
-        f pab;
-        f pba
-  done
-
-let connect t ~src ~dst =
-  let qp = Rnic.connect t.nics.(src) ~dst:t.nics.(dst) () in
-  let dst_tor = Fat_tree.tor_of_host t.ft dst in
-  (match Switch.themis_d (Hashtbl.find t.switches dst_tor) with
-  | Some d -> Themis_d.register_flow d (Rnic.qp_conn qp)
-  | None -> ());
-  qp
-
-let run ?until t = Engine.run ?until t.engine
-
-let sum_nics t f = Array.fold_left (fun acc nic -> acc + f nic) 0 t.nics
-let total_data_packets t = sum_nics t Rnic.data_packets_sent
-let total_retx_packets t = sum_nics t Rnic.retx_packets_sent
-let total_nacks_generated t = sum_nics t Rnic.nacks_sent
-let total_nacks_delivered t = sum_nics t Rnic.nacks_received
-
-let themis_totals t =
-  match t.themis_ds with
-  | [] -> None
-  | ds ->
-      let z =
-        {
-          Network.nacks_seen = 0;
-          nacks_blocked = 0;
-          nacks_forwarded_valid = 0;
-          nacks_forwarded_underflow = 0;
-          compensation_sent = 0;
-          compensation_cancelled = 0;
-          queue_overwrites = 0;
-        }
-      in
-      Some
-        (List.fold_left
-           (fun (acc : Network.themis_totals) d ->
-             let s = Themis_d.stats d in
-             {
-               Network.nacks_seen = acc.Network.nacks_seen + s.Themis_d.nacks_seen;
-               nacks_blocked = acc.Network.nacks_blocked + s.Themis_d.nacks_blocked;
-               nacks_forwarded_valid =
-                 acc.Network.nacks_forwarded_valid
-                 + s.Themis_d.nacks_forwarded_valid;
-               nacks_forwarded_underflow =
-                 acc.Network.nacks_forwarded_underflow
-                 + s.Themis_d.nacks_forwarded_underflow;
-               compensation_sent =
-                 acc.Network.compensation_sent + s.Themis_d.compensation_sent;
-               compensation_cancelled =
-                 acc.Network.compensation_cancelled
-                 + s.Themis_d.compensation_cancelled;
-               queue_overwrites =
-                 acc.Network.queue_overwrites + Themis_d.queue_overwrites d;
-             })
-           z ds)
-
-let sprayed_packets t =
-  List.fold_left (fun acc s -> acc + Themis_s.sprayed_packets s) 0 t.themis_ss
+let nic t = Fabric_core.nic t.core
+let switch t = Fabric_core.switch t.core
+let connect t = Fabric_core.connect t.core
+let run ?until t = Engine.run ?until (engine t)
+let total_retx_packets t = Fabric_core.sum_nics t.core Rnic.retx_packets_sent
+let total_nacks_delivered t = Fabric_core.sum_nics t.core Rnic.nacks_received
+let themis_totals t = Fabric_core.themis_totals [ t.core ]
+let sprayed_packets t = Fabric_core.sprayed_packets t.core

@@ -26,26 +26,27 @@ type params = {
   fabric_bw : Rate.t;
   link_delay : Sim_time.t;
   nic : Rnic.config;
-  themis : bool;  (** Sport-rewrite Themis on every edge switch. *)
-  compensation : bool;
+  scheme : Network.scheme;
+      (** [Themis _] puts sport-rewrite Themis on every edge switch (and
+          ECMP below it, since sport-rewrite steering requires hash-based
+          next-hop choice); any other scheme is its
+          {!Network.lb_of_scheme} policy at every tier. *)
   buffer_capacity : int;
   per_port_cap : int;
   ecn_enabled : bool;
   queue_factor : float;
   ft_seed : int;
-  ft_lb : Lb_policy.t;
-      (** Load balancing when [themis] is off (spray / adaptive baselines
-          in the multi-tier fabric).  Ignored — forced to ECMP — when
-          [themis] is on, since sport-rewrite steering requires
-          hash-based next-hop choice. *)
 }
 
 val default_params : ?k:int -> themis:bool -> unit -> params
-(** k = 4 (16 hosts) at 100 Gbps, 1 us links. *)
+(** k = 4 (16 hosts) at 100 Gbps, 1 us links; full Themis or ECMP. *)
 
 type t
 
 val build : params -> t
+
+val core : t -> Fabric_core.t
+(** The topology-independent part: switches, NICs, ports, Themis. *)
 
 val engine : t -> Engine.t
 val fat_tree : t -> Fat_tree.t
@@ -54,22 +55,9 @@ val n_paths : t -> int
 
 val nic : t -> host:int -> Rnic.t
 val switch : t -> node:int -> Switch.t
-val n_hosts : t -> int
-val nics_list : t -> Rnic.t list
-
-val switches_list : t -> Switch.t list
-(** All switches, ascending node id (deterministic sweep order). *)
-
-val iter_ports : t -> (Port.t -> unit) -> unit
-(** Every directional port in ascending link-id order — fault-injection
-    and drop-accounting hook, mirroring {!Network.iter_ports}. *)
-
 val connect : t -> src:int -> dst:int -> Rnic.qp
 val run : ?until:Sim_time.t -> t -> unit
-
-val total_data_packets : t -> int
 val total_retx_packets : t -> int
-val total_nacks_generated : t -> int
 val total_nacks_delivered : t -> int
 val themis_totals : t -> Network.themis_totals option
 val sprayed_packets : t -> int

@@ -25,7 +25,7 @@ let scheme_of_string = function
   | "ecmp" -> Ok Ecmp
   | "adaptive" | "ar" -> Ok Adaptive
   | "random-spray" | "spray" -> Ok Random_spray
-  | "psn-spray-only" -> Ok Psn_spray_only
+  | "psn-spray-only" | "psn-spray" -> Ok Psn_spray_only
   | "themis" -> Ok (Themis { compensation = true })
   | "themis-nocomp" -> Ok (Themis { compensation = false })
   | "reps" -> Ok Reps
@@ -68,22 +68,9 @@ let default_params ~fabric ~scheme =
   }
 
 type t = {
-  engine : Engine.t;
-  params : params;
+  core : Fabric_core.t;
   fabric : Leaf_spine.t;
-  routing : Routing.t;
-  switches : (int, Switch.t) Hashtbl.t;
-  nics : Rnic.t array;  (* indexed by host node id (hosts are numbered first) *)
-  link_ports : (int, Port.t * Port.t) Hashtbl.t;
-  mutable themis_ds : Themis_d.t list;
-  mutable themis_ss : Themis_s.t list;
   mutable themis_active : bool;
-  sampler : Sampler.t option;
-  owned : int -> bool;
-      (* Shard-replica builds: which node ids this instance drives.
-         Affects only observers (sampler probes); the simulated objects
-         themselves are always all built so replica state stays
-         byte-identical across shards. *)
   mutable quiet_control : bool;
       (* Replica shards apply control events (fail_link etc.) without
          recording telemetry for them, so the fleet logs each exactly
@@ -104,17 +91,11 @@ let lb_of_scheme = function
   | Sprinklers -> Lb_policy.Sprinklers
   | Spritz -> Lb_policy.Spritz
 
-(* Last-hop RTT bound for sizing the Themis-D ring: two propagation
-   delays plus a data and a control serialization time (control packets
-   ride the priority lane, so no data-queueing term enters). *)
 let last_hop_rtt (p : params) =
-  let bw = p.fabric.Leaf_spine.host_bw in
-  let mtu_wire = p.nic.Rnic.mtu + Headers.data_overhead in
-  (2 * p.fabric.Leaf_spine.link_delay)
-  + Rate.tx_time bw ~bytes_:mtu_wire
-  + Rate.tx_time bw ~bytes_:Headers.ack_bytes
+  Fabric_core.last_hop_rtt ~bw:p.fabric.Leaf_spine.host_bw
+    ~link_delay:p.fabric.Leaf_spine.link_delay ~mtu:p.nic.Rnic.mtu
 
-let build ?(owned = fun (_ : int) -> true) (params : params) =
+let build ?owned (params : params) =
   let engine = Engine.create () in
   if params.telemetry then ignore (Telemetry.enable ());
   let fabric = Leaf_spine.build params.fabric in
@@ -126,24 +107,27 @@ let build ?(owned = fun (_ : int) -> true) (params : params) =
     Array.init n_hosts (fun host ->
         Rnic.create ~engine ~node:host ~config:params.nic)
   in
-  let switches = Hashtbl.create 64 in
-  let switch_cfg ~bw =
-    {
-      Switch.lb = lb_of_scheme params.scheme;
-      ecn = (if params.ecn_enabled then Some (Ecn.scaled_to bw) else None);
-      buffer_capacity = params.buffer_capacity;
-      per_port_cap = params.per_port_cap;
-      fwd_delay = Sim_time.zero;
-      pfc = params.pfc;
-      ecmp_shift = 0;
-    }
+  let sampler =
+    if params.telemetry then
+      Some (Sampler.create ~engine ~interval:params.telemetry_interval)
+    else None
+  in
+  let core =
+    Fabric_core.create ~engine ~topo ~routing ~nics
+      ~tor_of_host:(Leaf_spine.tor_of_host fabric)
+      ?sampler ?owned ()
   in
   let add_switch node ~bw =
-    let sw =
-      Switch.create ~engine ~topo ~routing ~node ~config:(switch_cfg ~bw)
-        ~rng:(Rng.split root_rng)
-    in
-    Hashtbl.replace switches node sw
+    Fabric_core.add_switch core ~rng:root_rng ~node
+      {
+        Switch.lb = lb_of_scheme params.scheme;
+        ecn = (if params.ecn_enabled then Some (Ecn.scaled_to bw) else None);
+        buffer_capacity = params.buffer_capacity;
+        per_port_cap = params.per_port_cap;
+        fwd_delay = Sim_time.zero;
+        pfc = params.pfc;
+        ecmp_shift = 0;
+      }
   in
   Array.iter
     (fun leaf -> add_switch leaf ~bw:params.fabric.Leaf_spine.host_bw)
@@ -151,195 +135,44 @@ let build ?(owned = fun (_ : int) -> true) (params : params) =
   Array.iter
     (fun spine -> add_switch spine ~bw:params.fabric.Leaf_spine.fabric_bw)
     fabric.Leaf_spine.spines;
-  let link_ports = Hashtbl.create 64 in
-  let t =
-    {
-      engine;
-      params;
-      fabric;
-      routing;
-      switches;
-      nics;
-      link_ports;
-      themis_ds = [];
-      themis_ss = [];
-      themis_active = false;
-      sampler =
-        (if params.telemetry then
-           Some (Sampler.create ~engine ~interval:params.telemetry_interval)
-         else None);
-      owned;
-      quiet_control = false;
-    }
+  let themis_active =
+    match params.scheme with
+    | Themis { compensation } ->
+        Fabric_core.install_themis core ~tors:fabric.Leaf_spine.leaves
+          ~paths:(Leaf_spine.n_paths fabric) ~mode:Themis_s.Direct_egress
+          ~compensation ~bw:params.fabric.Leaf_spine.host_bw
+          ~link_delay:params.fabric.Leaf_spine.link_delay
+          ~mtu:params.nic.Rnic.mtu ~factor:params.queue_factor ~stamped:true;
+        true
+    | Ecmp | Adaptive | Random_spray | Psn_spray_only | Reps | Prime
+    | Sprinklers | Spritz ->
+        false
   in
-  (* Themis middleware on every ToR. *)
-  (match params.scheme with
-  | Themis { compensation } ->
-      let paths = Leaf_spine.n_paths fabric in
-      let queue_capacity =
-        Psn_queue.capacity_for ~bw:params.fabric.Leaf_spine.host_bw
-          ~rtt:(last_hop_rtt params)
-          ~mtu:(params.nic.Rnic.mtu + Headers.data_overhead)
-          ~factor:params.queue_factor
-      in
-      Array.iter
-        (fun leaf ->
-          let sw = Hashtbl.find switches leaf in
-          let themis_s =
-            Themis_s.create ~paths ~mode:Themis_s.Direct_egress
-          in
-          let themis_d =
-            Themis_d.create ~paths ~queue_capacity ~compensation ~node:leaf
-              ~clock:(fun () -> Engine.now engine)
-              ~inject_nack:(fun ~conn ~conn_id ~sport ~epsn ->
-                let pkt =
-                  Packet_pool.nack ~conn ~conn_id ~sport ~epsn
-                    ~birth:(Engine.now engine)
-                in
-                Switch.inject sw pkt)
-              ()
-          in
-          t.themis_ds <- themis_d :: t.themis_ds;
-          t.themis_ss <- themis_s :: t.themis_ss;
-          Switch.set_themis sw ~s:(Some themis_s) ~d:(Some themis_d))
-        fabric.Leaf_spine.leaves;
-      t.themis_active <- true
-  | Ecmp | Adaptive | Random_spray | Psn_spray_only | Reps | Prime
-  | Sprinklers | Spritz ->
-      ());
-  (* Wiring: one Port per link direction.  The delivery target is
-     resolved here, once per port, so per-packet delivery is a direct
-     call instead of a hashtable lookup per hop. *)
-  let deliver_to node =
-    if Topology.is_host topo node then begin
-      let nic = nics.(node) in
-      fun pkt -> Rnic.receive nic pkt
-    end
-    else begin
-      let sw = Hashtbl.find switches node in
-      fun pkt -> Switch.receive sw pkt
-    end
-  in
-  let inbound_ports = Hashtbl.create 64 in
-  (* switch node -> ports transmitting towards it (for PFC) *)
-  let note_inbound node port =
-    if not (Topology.is_host topo node) then
-      Hashtbl.replace inbound_ports node
-        (port :: (Option.value ~default:[] (Hashtbl.find_opt inbound_ports node)))
-  in
-  for link_id = 0 to Topology.link_count topo - 1 do
-    let link = Topology.link topo link_id in
-    let make_dir src dst =
-      let port =
-        Port.create ~engine ~bandwidth:link.Topology.bandwidth
-          ~delay:link.Topology.delay
-          ~label:(Printf.sprintf "%d->%d" src dst)
-      in
-      Port.set_deliver port (deliver_to dst);
-      note_inbound dst port;
-      (if Topology.is_host topo src then begin
-         Rnic.set_port nics.(src) port;
-         if params.last_hop_jitter > 0 then
-           Port.set_jitter port ~rng:(Rng.split root_rng)
-             ~max:params.last_hop_jitter
-       end
-       else Switch.attach_port (Hashtbl.find switches src) ~link_id ~peer:dst port);
-      port
-    in
-    let pab = make_dir link.Topology.a link.Topology.b in
-    let pba = make_dir link.Topology.b link.Topology.a in
-    Hashtbl.replace link_ports link_id (pab, pba)
-  done;
-  Hashtbl.iter
-    (fun node sw ->
-      match Hashtbl.find_opt inbound_ports node with
-      | Some ports -> Switch.set_upstream_ports sw ports
-      | None -> ())
-    switches;
-  (match t.sampler with
-  | None -> ()
-  | Some s ->
-      (* Probe registration order feeds the engine's event stream:
-         iterate links in id order, not hashtable order, so two builds
-         of the same params schedule byte-identical runs. *)
-      for link_id = 0 to Topology.link_count topo - 1 do
-        match Hashtbl.find_opt link_ports link_id with
-        | None -> ()
-        | Some (pab, pba) ->
-            (* A port belongs to the shard that owns its transmitting
-               node; replica builds probe only their own ports, so each
-               port is sampled exactly once fleet-wide. *)
-            let link = Topology.link topo link_id in
-            List.iter
-              (fun (src, p) ->
-                if owned src then
-                  Sampler.add_probe s ~name:"port_queue_bytes"
-                    ~labels:[ ("port", Port.label p) ]
-                    ~histogram:"port_queue_bytes_dist" (fun () ->
-                      float_of_int (Port.queue_bytes p)))
-              [ (link.Topology.a, pab); (link.Topology.b, pba) ]
-      done;
-      Sampler.start s);
-  t
+  Fabric_core.wire core
+    ?jitter:
+      (if params.last_hop_jitter > 0 then Some (root_rng, params.last_hop_jitter)
+       else None);
+  { core; fabric; themis_active; quiet_control = false }
 
-let engine t = t.engine
-let params t = t.params
-let owned t node = t.owned node
+let core t = t.core
+let engine t = Fabric_core.engine t.core
 let set_quiet_control t q = t.quiet_control <- q
-
-let link_ports_pair t ~link_id = Hashtbl.find_opt t.link_ports link_id
-let sampler t = t.sampler
+let link_ports_pair t = Fabric_core.link_ports_pair t.core
 let fabric t = t.fabric
-let routing t = t.routing
-let nic t ~host = t.nics.(host)
-let switch t ~node = Hashtbl.find t.switches node
+let routing t = Fabric_core.routing t.core
+let nic t = Fabric_core.nic t.core
+let switch t = Fabric_core.switch t.core
 
 let tor_switches t =
   Array.to_list
-    (Array.map (fun leaf -> Hashtbl.find t.switches leaf) t.fabric.Leaf_spine.leaves)
+    (Array.map (fun leaf -> switch t ~node:leaf) t.fabric.Leaf_spine.leaves)
 
-(* All switches, by ascending node id — a deterministic order for
-   oracle sweeps. *)
-let switches_list t =
-  Hashtbl.fold (fun node sw acc -> (node, sw) :: acc) t.switches []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.map snd
-
-let iter_ports t f =
-  for link_id = 0 to Topology.link_count t.fabric.Leaf_spine.topo - 1 do
-    match Hashtbl.find_opt t.link_ports link_id with
-    | None -> ()
-    | Some (pab, pba) ->
-        f pab;
-        f pba
-  done
-
-let nics_list t = Array.to_list t.nics
-
+let switches_list t = Fabric_core.switches_list t.core
+let iter_ports t = Fabric_core.iter_ports t.core
 let n_paths t = Leaf_spine.n_paths t.fabric
-
-let connect t ~src ~dst =
-  let qp = Rnic.connect t.nics.(src) ~dst:t.nics.(dst) () in
-  (* Handshake interception: the destination ToR learns the QP. *)
-  let dst_tor = Leaf_spine.tor_of_host t.fabric dst in
-  (match Switch.themis_d (Hashtbl.find t.switches dst_tor) with
-  | Some d -> Themis_d.register_flow d (Rnic.qp_conn qp)
-  | None -> ());
-  (match t.sampler with
-  | None -> ()
-  | Some s when not (t.owned src) -> ignore s
-  | Some s ->
-      let sender = Rnic.qp_sender qp in
-      let mtu = t.params.nic.Rnic.mtu in
-      Sampler.add_probe s ~name:"qp_inflight_bytes"
-        ~labels:
-          [ ("conn", Format.asprintf "%a" Flow_id.pp (Rnic.qp_conn qp)) ]
-        ~histogram:"qp_inflight_bytes_dist" (fun () ->
-          float_of_int (Sender.outstanding sender * mtu)));
-  qp
-
-let run ?until t = Engine.run ?until t.engine
-let now t = Engine.now t.engine
+let connect t = Fabric_core.connect t.core
+let run ?until t = Engine.run ?until (engine t)
+let now t = Engine.now (engine t)
 
 (* Count spines that still have every ToR link alive; the shrink-pathset
    mode can keep spraying only over fully symmetric survivors. *)
@@ -362,15 +195,15 @@ let fail_link ?(mode = `Fallback_ecmp) t ~link_id =
   Topology.set_link_up t.fabric.Leaf_spine.topo ~link_id false;
   if (not t.quiet_control) && Telemetry.enabled () then begin
     Telemetry.incr_counter "link_failures";
-    Telemetry.record ~time:(Engine.now t.engine)
+    Telemetry.record ~time:(now t)
       (Event.Link_failure { link_id })
   end;
-  (match Hashtbl.find_opt t.link_ports link_id with
+  (match link_ports_pair t ~link_id with
   | Some (pab, pba) ->
       Port.set_up pab false;
       Port.set_up pba false
   | None -> ());
-  Routing.recompute t.routing;
+  Routing.recompute (routing t);
   if t.themis_active then
     match mode with
     | `Fallback_ecmp ->
@@ -392,10 +225,7 @@ let fail_link ?(mode = `Fallback_ecmp) t ~link_id =
               Switch.set_lb sw Lb_policy.Ecmp)
             (tor_switches t)
         end
-        else begin
-          List.iter (fun s -> Themis_s.set_paths s live) t.themis_ss;
-          List.iter (fun d -> Themis_d.set_paths d live) t.themis_ds
-        end
+        else Fabric_core.set_themis_paths t.core live
 
 let themis_active t = t.themis_active
 
@@ -414,7 +244,7 @@ let set_spine_rate t ~spine ~gbps =
       match Topology.link_between topo leaf spine_node with
       | None -> ()
       | Some link_id -> (
-          match Hashtbl.find_opt t.link_ports link_id with
+          match link_ports_pair t ~link_id with
           | Some (pab, pba) ->
               Port.set_bandwidth pab rate;
               Port.set_bandwidth pba rate
@@ -427,14 +257,14 @@ let set_spine_rate t ~spine ~gbps =
    use the link again. *)
 let restore_link t ~link_id =
   Topology.set_link_up t.fabric.Leaf_spine.topo ~link_id true;
-  (match Hashtbl.find_opt t.link_ports link_id with
+  (match link_ports_pair t ~link_id with
   | Some (pab, pba) ->
       Port.set_up pab true;
       Port.set_up pba true
   | None -> ());
-  Routing.recompute t.routing
+  Routing.recompute (routing t)
 
-type themis_totals = {
+type themis_totals = Fabric_core.themis_totals = {
   nacks_seen : int;
   nacks_blocked : int;
   nacks_forwarded_valid : int;
@@ -444,52 +274,13 @@ type themis_totals = {
   queue_overwrites : int;
 }
 
-let themis_totals t =
-  match t.themis_ds with
-  | [] -> None
-  | ds ->
-      let z =
-        {
-          nacks_seen = 0;
-          nacks_blocked = 0;
-          nacks_forwarded_valid = 0;
-          nacks_forwarded_underflow = 0;
-          compensation_sent = 0;
-          compensation_cancelled = 0;
-          queue_overwrites = 0;
-        }
-      in
-      Some
-        (List.fold_left
-           (fun acc d ->
-             let s = Themis_d.stats d in
-             {
-               nacks_seen = acc.nacks_seen + s.Themis_d.nacks_seen;
-               nacks_blocked = acc.nacks_blocked + s.Themis_d.nacks_blocked;
-               nacks_forwarded_valid =
-                 acc.nacks_forwarded_valid + s.Themis_d.nacks_forwarded_valid;
-               nacks_forwarded_underflow =
-                 acc.nacks_forwarded_underflow
-                 + s.Themis_d.nacks_forwarded_underflow;
-               compensation_sent =
-                 acc.compensation_sent + s.Themis_d.compensation_sent;
-               compensation_cancelled =
-                 acc.compensation_cancelled + s.Themis_d.compensation_cancelled;
-               queue_overwrites =
-                 acc.queue_overwrites + Themis_d.queue_overwrites d;
-             })
-           z ds)
-
-let sum_nics t f = Array.fold_left (fun acc nic -> acc + f nic) 0 t.nics
-
+let themis_totals t = Fabric_core.themis_totals [ t.core ]
+let sum_nics t = Fabric_core.sum_nics t.core
 let total_data_packets t = sum_nics t Rnic.data_packets_sent
 let total_retx_packets t = sum_nics t Rnic.retx_packets_sent
 let total_nacks_generated t = sum_nics t Rnic.nacks_sent
 let total_nacks_delivered t = sum_nics t Rnic.nacks_received
 let total_cnps t = sum_nics t Rnic.cnps_sent
 let total_ooo_arrivals t = sum_nics t Rnic.ooo_arrivals
-
-let sum_switches t f = Hashtbl.fold (fun _ sw acc -> acc + f sw) t.switches 0
-
-let total_buffer_drops t = sum_switches t Switch.dropped_buffer
-let total_ecn_marks t = sum_switches t Switch.ecn_marked
+let total_buffer_drops t = Fabric_core.sum_switches t.core Switch.dropped_buffer
+let total_ecn_marks t = Fabric_core.sum_switches t.core Switch.ecn_marked

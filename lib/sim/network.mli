@@ -56,10 +56,14 @@ val build : ?owned:(int -> bool) -> params -> t
     registered for a port / QP only when its transmitting node is owned,
     so the fleet samples each exactly once. *)
 
-val engine : t -> Engine.t
-val params : t -> params
+val core : t -> Fabric_core.t
+(** The topology-independent part: switches, NICs, ports, Themis. *)
 
-val owned : t -> int -> bool
+val lb_of_scheme : scheme -> Lb_policy.t
+(** The switch load-balancing policy a scheme runs ([Ecmp] under Themis,
+    whose data packets Themis-S steers). *)
+
+val engine : t -> Engine.t
 
 val set_quiet_control : t -> bool -> unit
 (** Replica shards set this so control-plane operations ({!fail_link})
@@ -71,9 +75,6 @@ val link_ports_pair : t -> link_id:int -> (Port.t * Port.t) option
     shard runtime uses to lower cross-shard ports onto interlink
     rings. *)
 
-val sampler : t -> Sampler.t option
-(** The periodic telemetry sampler, when [params.telemetry] was set. *)
-
 val fabric : t -> Leaf_spine.t
 val routing : t -> Routing.t
 val nic : t -> host:int -> Rnic.t
@@ -83,13 +84,8 @@ val tor_switches : t -> Switch.t list
 val switches_list : t -> Switch.t list
 (** All switches, ascending node id (deterministic sweep order). *)
 
-val nics_list : t -> Rnic.t list
-(** All host NICs, ascending host id. *)
-
 val iter_ports : t -> (Port.t -> unit) -> unit
-(** Every directional port, in ascending link-id order (A->B then B->A)
-    — the hook the fuzz harness uses to install fault injectors and to
-    sum drop counters deterministically. *)
+(** Every directional port, in ascending link-id order (A->B then B->A). *)
 
 val n_paths : t -> int
 
@@ -129,7 +125,7 @@ val restore_link : t -> link_id:int -> unit
 
 (** Aggregates across the fabric. *)
 
-type themis_totals = {
+type themis_totals = Fabric_core.themis_totals = {
   nacks_seen : int;
   nacks_blocked : int;
   nacks_forwarded_valid : int;

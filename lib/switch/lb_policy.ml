@@ -21,17 +21,6 @@ let to_string = function
   | Sprinklers -> "sprinklers"
   | Spritz -> "spritz"
 
-let of_string = function
-  | "ecmp" -> Ok Ecmp
-  | "random-spray" | "spray" -> Ok Random_spray
-  | "adaptive" | "ar" -> Ok Adaptive
-  | "psn-spray" | "psn" -> Ok Psn_spray
-  | "reps" -> Ok Reps
-  | "prime" -> Ok Prime
-  | "sprinklers" -> Ok Sprinklers
-  | "spritz" -> Ok Spritz
-  | s -> Error (Printf.sprintf "unknown load-balancing policy %S" s)
-
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let ecmp_index_at ~shift ~(pkt : Packet.t) ~n =

@@ -36,7 +36,6 @@ type t =
 
 val all : t list
 val to_string : t -> string
-val of_string : string -> (t, string) result
 val pp : Format.formatter -> t -> unit
 
 val ecmp_index : pkt:Packet.t -> n:int -> int

@@ -82,11 +82,7 @@ let run ~scheme (spec : Workload_spec.t) : result =
   (* Global state hygiene: a (spec, scheme) run is a pure function, so
      the campaign determinism oracle can demand bit-equality between the
      serial and forked paths. *)
-  Packet.reset_uid_counter ();
-  Packet_pool.reset ();
-  Flow_id.reset_interner ();
-  Lb_state.reset_globals ();
-  Telemetry.disable ();
+  Fabric_core.reset_run_state ();
   let fabric = fabric_of_shape spec.Workload_spec.shape in
   let params =
     {
@@ -140,20 +136,12 @@ let run ~scheme (spec : Workload_spec.t) : result =
   in
   let colls_finished () = Array.for_all Option.is_some coll_done in
   let deadline = spec.Workload_spec.deadline_ns in
-  let step = Sim_time.ms 5 in
-  let rec loop () =
-    if
-      (not (Flow_stream.all_done stream && colls_finished ()))
-      && Engine.now engine < deadline
-    then begin
-      Network.run net ~until:(min deadline (Engine.now engine + step));
-      loop ()
-    end
-  in
-  loop ();
-  if Flow_stream.all_done stream && colls_finished () then
-    (* Settle in-flight ACKs and post-completion control traffic. *)
-    Network.run net ~until:(Engine.now engine + Sim_time.ms 3);
+  (* The settle lets in-flight ACKs and post-completion control traffic
+     land. *)
+  Shard.drive engine
+    ~step:(fun ~until -> Engine.run ~until engine)
+    ~finished:(fun () -> Flow_stream.all_done stream && colls_finished ())
+    ~deadline ~settle:(Sim_time.ms 3);
   let stats = Flow_stream.stats stream in
   let coll_tail_us =
     Array.fold_left

@@ -9,16 +9,6 @@ let data psn =
 let ack () = Packet.ack ~conn ~sport:777 ~psn:Psn.zero ~birth:0
 let no_load _ = 0
 
-let test_strings () =
-  List.iter
-    (fun p ->
-      match Lb_policy.of_string (Lb_policy.to_string p) with
-      | Ok p' -> Alcotest.(check bool) "roundtrip" true (p = p')
-      | Error e -> Alcotest.fail e)
-    Lb_policy.all;
-  Alcotest.(check bool) "unknown" true
-    (Result.is_error (Lb_policy.of_string "bogus"))
-
 let test_ecmp_stable () =
   let rng = Rng.create ~seed:1 in
   let first =
@@ -280,7 +270,6 @@ let () =
     [
       ( "policies",
         [
-          Alcotest.test_case "strings" `Quick test_strings;
           Alcotest.test_case "ecmp stable" `Quick test_ecmp_stable;
           Alcotest.test_case "ecmp index" `Quick test_ecmp_matches_index;
           Alcotest.test_case "random spread" `Quick test_random_spray_spread;

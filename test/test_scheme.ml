@@ -39,6 +39,56 @@ let test_aliases () =
   | Ok s -> Alcotest.check scheme "spray" Network.Random_spray s
   | Error e -> Alcotest.failf "spray: %s" e
 
+(* Every spelling the former fuzz-runner and Network tables accepted, with
+   the scheme each parsed to and the fat-tree (themis, compensation, lb)
+   row the fuzz runner derived for it. *)
+let spellings =
+  let ft themis compensation lb = (themis, compensation, lb) in
+  let plain lb = ft false true lb in
+  [
+    ("ecmp", Network.Ecmp, plain Lb_policy.Ecmp);
+    ("ar", Network.Adaptive, plain Lb_policy.Adaptive);
+    ("adaptive", Network.Adaptive, plain Lb_policy.Adaptive);
+    ("spray", Network.Random_spray, plain Lb_policy.Random_spray);
+    ("random-spray", Network.Random_spray, plain Lb_policy.Random_spray);
+    ("psn-spray", Network.Psn_spray_only, plain Lb_policy.Psn_spray);
+    ("psn-spray-only", Network.Psn_spray_only, plain Lb_policy.Psn_spray);
+    ( "themis",
+      Network.Themis { compensation = true },
+      ft true true Lb_policy.Ecmp );
+    ( "themis-nocomp",
+      Network.Themis { compensation = false },
+      ft true false Lb_policy.Ecmp );
+    ("reps", Network.Reps, plain Lb_policy.Reps);
+    ("prime", Network.Prime, plain Lb_policy.Prime);
+    ("sprinklers", Network.Sprinklers, plain Lb_policy.Sprinklers);
+    ("spritz", Network.Spritz, plain Lb_policy.Spritz);
+  ]
+
+let test_spellings () =
+  List.iter
+    (fun (name, expect, (themis, compensation, lb)) ->
+      match Network.scheme_of_string name with
+      | Error e -> Alcotest.failf "%s: %s" name e
+      | Ok s ->
+          Alcotest.check scheme name expect s;
+          let net =
+            Fat_tree_net.build
+              { (Fat_tree_net.default_params ~themis:false ()) with scheme = s }
+          in
+          let edge =
+            Fat_tree_net.switch net
+              ~node:(Fat_tree_net.fat_tree net).Fat_tree.edges.(0)
+          in
+          Alcotest.(check bool) (name ^ ": fat-tree themis") themis
+            (Switch.themis_d edge <> None);
+          Alcotest.(check bool) (name ^ ": fat-tree compensation") compensation
+            (match s with Network.Themis c -> c.compensation | _ -> true);
+          Alcotest.(check string) (name ^ ": fat-tree lb")
+            (Lb_policy.to_string lb)
+            (Lb_policy.to_string (Switch.config edge).Switch.lb))
+    spellings
+
 let test_unknown_rejected () =
   match Network.scheme_of_string "warp-drive" with
   | Ok _ -> Alcotest.fail "nonsense string parsed"
@@ -87,6 +137,7 @@ let () =
         [
           Alcotest.test_case "every constructor" `Quick test_roundtrip;
           Alcotest.test_case "aliases" `Quick test_aliases;
+          Alcotest.test_case "every runner spelling" `Quick test_spellings;
           Alcotest.test_case "unknown rejected" `Quick test_unknown_rejected;
           Alcotest.test_case "strings distinct" `Quick test_strings_distinct;
         ] );
