@@ -186,9 +186,6 @@ let bench_fwd ~packets ~reps =
   in
   let psn = ref 0 in
   let batch = 128 in
-  (* Arrivals land on a lane and the switch drains it as one batched
-     activation — the breathe shape the data plane runs at line rate. *)
-  let lane = Fifo.create ~capacity:batch () in
   let run_batch () =
     for i = 0 to batch - 1 do
       let k = i land (nflows - 1) in
@@ -199,9 +196,8 @@ let bench_fwd ~packets ~reps =
           ~birth:(Engine.now engine) ()
       in
       incr psn;
-      Fifo.push lane pkt
+      Switch.receive sw pkt
     done;
-    Switch.receive_batch sw lane;
     Engine.run engine
   in
   (* Warm the route cache and the packet pool before measuring, then

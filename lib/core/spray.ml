@@ -11,13 +11,3 @@ let base_for_flow (flow : Flow_id.t) ~sport ~paths =
       ~dport:Headers.roce_dst_port
   in
   Ecmp_hash.path_of_hash ~hash:h ~paths
-
-let base_for_flow_id ~id (flow : Flow_id.t) ~sport ~paths =
-  (* Slot [2 * id]: the data-direction slot, shared with the switch ECMP
-     hash of the flow's data packets (same src/dst/sport tuple), so one
-     avalanche serves both consumers. *)
-  let h =
-    Ecmp_hash.flow_hash_id ~id:(id lsl 1) ~src:flow.Flow_id.src
-      ~dst:flow.Flow_id.dst ~sport ~dport:Headers.roce_dst_port
-  in
-  Ecmp_hash.path_of_hash ~hash:h ~paths

@@ -30,9 +30,3 @@ val nack_is_valid : tpsn:Psn.t -> epsn:Psn.t -> paths:int -> bool
 val base_for_flow : Flow_id.t -> sport:int -> paths:int -> int
 (** The flow's ECMP base path index, as the fabric's hash would compute
     it (consistent with [Ecmp_hash.flow_hash]). *)
-
-val base_for_flow_id : id:int -> Flow_id.t -> sport:int -> paths:int -> int
-(** {!base_for_flow} through the per-flow hash memo
-    ([Ecmp_hash.flow_hash_id]); identical result, no per-packet
-    avalanche on the steady-state path.  [id] is the packet's interned
-    flow id ([Packet.conn_id]). *)

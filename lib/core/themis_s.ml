@@ -22,8 +22,8 @@ let set_paths t paths =
   t.paths <- paths
 
 let base_path t (pkt : Packet.t) =
-  Spray.base_for_flow_id ~id:pkt.Packet.conn_id pkt.Packet.conn
-    ~sport:pkt.Packet.udp_sport ~paths:t.paths
+  Spray.base_for_flow pkt.Packet.conn ~sport:pkt.Packet.udp_sport
+    ~paths:t.paths
 
 let egress_index t (pkt : Packet.t) =
   match (t.mode, pkt.Packet.kind) with

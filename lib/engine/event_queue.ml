@@ -104,111 +104,42 @@ let grow_arena q =
   (* The wheel's intrusive node array is indexed by arena slot id. *)
   Timing_wheel.ensure_capacity q.wheel ncap
 
-(* The heap is 4-ary: (time, seq) is a strict total order (seq is
-   unique), so the pop sequence is identical for any correct min-heap —
-   arity is invisible to consumers.  Four-way nodes halve the sift depth
-   and the four children [4i+1 .. 4i+4] share a cache line in the
-   structure-of-arrays layout. *)
+(* Binary min-heap over (time, seq).  Both sifts percolate a hole: the
+   moving element's (time, seq, slot) stay in arguments while the
+   entries it passes shift by one level. *)
+let less q i ~time ~seq =
+  let ti = Array.unsafe_get q.times i in
+  ti < time || (ti = time && Array.unsafe_get q.seqs i < seq)
 
-(* Hole-percolation sift-up: the new element's (time, seq, slot) ride in
-   registers while ancestors shift down, so each level is one compare and
-   three int stores. *)
+let set q i ~time ~seq ~slot =
+  q.times.(i) <- time;
+  q.seqs.(i) <- seq;
+  q.slots.(i) <- slot
+
+let move q ~src ~dst =
+  set q dst ~time:q.times.(src) ~seq:q.seqs.(src) ~slot:q.slots.(src)
+
 let rec sift_up q i ~time ~seq ~slot =
-  if i = 0 then begin
-    q.times.(0) <- time;
-    q.seqs.(0) <- seq;
-    q.slots.(0) <- slot
+  let parent = (i - 1) / 2 in
+  if i > 0 && not (less q parent ~time ~seq) then begin
+    move q ~src:parent ~dst:i;
+    sift_up q parent ~time ~seq ~slot
   end
-  else begin
-    let parent = (i - 1) / 4 in
-    let pt = Array.unsafe_get q.times parent in
-    if time < pt || (time = pt && seq < Array.unsafe_get q.seqs parent) then begin
-      q.times.(i) <- pt;
-      q.seqs.(i) <- Array.unsafe_get q.seqs parent;
-      q.slots.(i) <- Array.unsafe_get q.slots parent;
-      sift_up q parent ~time ~seq ~slot
-    end
-    else begin
-      q.times.(i) <- time;
-      q.seqs.(i) <- seq;
-      q.slots.(i) <- slot
-    end
-  end
+  else set q i ~time ~seq ~slot
 
-(* Direct recursion on the child index; each level hoists the candidate
-   children's keys into locals once, so the comparator path is
-   branch-and-load only (no refs, no entry records). *)
 let rec sift_down q i ~time ~seq ~slot =
-  let l = (4 * i) + 1 in
-  if l >= q.size then begin
-    q.times.(i) <- time;
-    q.seqs.(i) <- seq;
-    q.slots.(i) <- slot
+  let l = (2 * i) + 1 in
+  let c =
+    if l + 1 < q.size
+       && less q (l + 1) ~time:q.times.(l) ~seq:q.seqs.(l)
+    then l + 1
+    else l
+  in
+  if c < q.size && less q c ~time ~seq then begin
+    move q ~src:c ~dst:i;
+    sift_down q c ~time ~seq ~slot
   end
-  else begin
-    (* Min of the up-to-four children, keys kept in registers.  The
-       interior-node case (all four children present) is unrolled
-       straight-line; only the ragged last node takes the loop. *)
-    (* Seqs are consulted only on a time tie, so the common path loads
-       one int per child; keys are unique (seq is a tiebreak nonce), so
-       scan order is unobservable.  Unrolled by hand — a local helper
-       closure would capture the accumulator refs and box them. *)
-    let c = ref l and ct = ref (Array.unsafe_get q.times l) in
-    (if l + 3 < q.size then begin
-       let t1 = Array.unsafe_get q.times (l + 1) in
-       if
-         t1 < !ct
-         || t1 = !ct
-            && Array.unsafe_get q.seqs (l + 1) < Array.unsafe_get q.seqs !c
-       then begin
-         c := l + 1;
-         ct := t1
-       end;
-       let t2 = Array.unsafe_get q.times (l + 2) in
-       if
-         t2 < !ct
-         || t2 = !ct
-            && Array.unsafe_get q.seqs (l + 2) < Array.unsafe_get q.seqs !c
-       then begin
-         c := l + 2;
-         ct := t2
-       end;
-       let t3 = Array.unsafe_get q.times (l + 3) in
-       if
-         t3 < !ct
-         || t3 = !ct
-            && Array.unsafe_get q.seqs (l + 3) < Array.unsafe_get q.seqs !c
-       then begin
-         c := l + 3;
-         ct := t3
-       end
-     end
-     else
-       for k = l + 1 to q.size - 1 do
-         let kt = Array.unsafe_get q.times k in
-         if
-           kt < !ct
-           || kt = !ct
-              && Array.unsafe_get q.seqs k < Array.unsafe_get q.seqs !c
-         then begin
-           c := k;
-           ct := kt
-         end
-       done);
-    let c = !c and ct = !ct in
-    let cs = Array.unsafe_get q.seqs c in
-    if ct < time || (ct = time && cs < seq) then begin
-      q.times.(i) <- ct;
-      q.seqs.(i) <- cs;
-      q.slots.(i) <- Array.unsafe_get q.slots c;
-      sift_down q c ~time ~seq ~slot
-    end
-    else begin
-      q.times.(i) <- time;
-      q.seqs.(i) <- seq;
-      q.slots.(i) <- slot
-    end
-  end
+  else set q i ~time ~seq ~slot
 
 let heap_push q ~time ~seq ~slot =
   if q.size >= Array.length q.times then grow_heap q;

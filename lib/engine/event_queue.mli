@@ -5,12 +5,12 @@
     events FIFO with respect to insertion, which is what makes
     simulation runs deterministic.
 
-    The store is hybrid (DESIGN.md §15): a two-level hierarchical
+    The store is hybrid (DESIGN.md §15): a three-level hierarchical
     {!Timing_wheel} holds the dense near-future band — every event
-    whose time falls inside the cursor's current 65536-tick chunk — at
-    O(1) per add/pop, while a 4-ary SoA min-heap holds the overflow:
-    far-future timers, events scheduled across the chunk boundary
-    (migrated down as the cursor's chunk arrives), and events scheduled
+    whose time falls inside the cursor's current 2^24-tick epoch — at
+    O(1) per add/pop, while a binary SoA min-heap holds the overflow:
+    far-future timers, events scheduled across the epoch boundary
+    (migrated down as the cursor's epoch arrives), and events scheduled
     behind the wheel cursor (a sharded run's barrier drains; served
     directly from the heap).  The merge preserves the exact (time, seq)
     total order of a single heap; consumers cannot observe the split.

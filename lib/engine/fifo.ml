@@ -66,24 +66,12 @@ let get q i =
   let j = if j >= cap then j - cap else j in
   Obj.obj q.buf.(j)
 
-(* Batch drain: the clamp and emptiness guard are paid once per batch;
-   each element is fully popped (head/len committed) before [f] runs, so
-   a callback that pushes onto the same ring — even forcing a grow —
-   sees a consistent structure, and its pushes land after the batch. *)
-let pop_n q n f =
-  let n = if n < 0 then 0 else if n > q.len then q.len else n in
-  for _ = 1 to n do
-    let i = q.head in
-    let x = Array.unsafe_get q.buf i in
-    Array.unsafe_set q.buf i obj_unit;
-    let h = i + 1 in
-    q.head <- (if h >= Array.length q.buf then 0 else h);
-    q.len <- q.len - 1;
-    f (Obj.obj x)
-  done;
-  n
-
-let drain q f = ignore (pop_n q q.len f)
+(* The bound is read once, at entry: elements [f] pushes land after the
+   batch and are not drained. *)
+let drain q f =
+  for _ = 1 to q.len do
+    f (pop q)
+  done
 
 let clear q =
   let cap = Array.length q.buf in

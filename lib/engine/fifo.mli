@@ -32,15 +32,9 @@ val get : 'a t -> int -> 'a
     ([get q 0 = peek q]).  O(1).  @raise Invalid_argument when
     [i < 0 || i >= length q]. *)
 
-val pop_n : 'a t -> int -> ('a -> unit) -> int
-(** [pop_n q n f] removes up to [n] front elements, calling [f] on each
-    in FIFO order, and returns how many were removed ([min n (length q)];
-    0 on an empty ring).  Each element is popped before [f] sees it, so
-    [f] may push onto the same ring — pushed elements land after the
-    batch and are not drained.  The breathe-loop drain for port lanes. *)
-
 val drain : 'a t -> ('a -> unit) -> unit
-(** [drain q f] empties the ring front to back through [f] ([pop_n] with
-    the batch sized to the length at entry; elements [f] pushes stay). *)
+(** [drain q f] removes the [length q] elements present at entry, front
+    to back, calling [f] on each after it is popped.  [f] may push onto
+    the same ring; pushed elements stay queued. *)
 
 val clear : 'a t -> unit

@@ -1,8 +1,8 @@
 (** Fixed-capacity drop-oldest ring buffer.
 
     O(1) push; when full, the oldest entry is overwritten and counted in
-    [dropped].  Used by [Trace]'s retained sink and the telemetry event
-    sink so long runs cannot grow memory without bound. *)
+    [dropped].  Backs the telemetry event sink so long runs cannot grow
+    memory without bound. *)
 
 type 'a t
 

@@ -36,66 +36,6 @@ let flow_hash ~src ~dst ~sport ~dport =
   let base = mix ((src * 65_599) + dst + (dport * 131)) in
   (base lxor linear16 (sport land 0xFFFF)) land max_int
 
-(* Per-flow memo indexed by the interned flow id.  The entry is validated
-   against the full (src, dst, sport, dport) tuple before use, so it is
-   pure memoization: stale entries (sport rewrites, interner resets
-   between runs) miss the validation and are recomputed in place.  No
-   reset hook is needed for correctness.  Domain-local because interned
-   flow ids are themselves per-domain (see Flow_id). *)
-type memo = {
-  mutable m_src : int array;
-  mutable m_dst : int array;
-  mutable m_sport : int array;
-  mutable m_dport : int array;
-  mutable m_hash : int array;
-}
-
-let memo_key =
-  Domain.DLS.new_key (fun () ->
-      {
-        m_src = Array.make 64 (-1);
-        m_dst = Array.make 64 0;
-        m_sport = Array.make 64 0;
-        m_dport = Array.make 64 0;
-        m_hash = Array.make 64 0;
-      })
-
-let memo_grow m id =
-  let len = Array.length m.m_src in
-  let nlen = Stdlib.max (id + 1) (2 * len) in
-  let grow a fill =
-    let na = Array.make nlen fill in
-    Array.blit a 0 na 0 len;
-    na
-  in
-  m.m_src <- grow m.m_src (-1);
-  m.m_dst <- grow m.m_dst 0;
-  m.m_sport <- grow m.m_sport 0;
-  m.m_dport <- grow m.m_dport 0;
-  m.m_hash <- grow m.m_hash 0
-
-let flow_hash_id ~id ~src ~dst ~sport ~dport =
-  if id < 0 then flow_hash ~src ~dst ~sport ~dport
-  else begin
-    let m = Domain.DLS.get memo_key in
-    if id >= Array.length m.m_src then memo_grow m id;
-    if
-      Array.unsafe_get m.m_src id = src
-      && Array.unsafe_get m.m_dst id = dst
-      && Array.unsafe_get m.m_sport id = sport
-      && Array.unsafe_get m.m_dport id = dport
-    then Array.unsafe_get m.m_hash id
-    else begin
-      let h = flow_hash ~src ~dst ~sport ~dport in
-      Array.unsafe_set m.m_src id src;
-      Array.unsafe_set m.m_dst id dst;
-      Array.unsafe_set m.m_sport id sport;
-      Array.unsafe_set m.m_dport id dport;
-      Array.unsafe_set m.m_hash id h;
-      h
-    end
-  end
-
 let path_of_hash_at ~shift ~hash ~paths =
   if paths <= 0 then invalid_arg "Ecmp_hash.path_of_hash";
   let h = hash lsr shift in

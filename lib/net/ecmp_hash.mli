@@ -24,15 +24,6 @@ val flow_hash : src:int -> dst:int -> sport:int -> dport:int -> int
     [linear16] of the flipped bits into the result's low 16 bits and
     changes nothing else. *)
 
-val flow_hash_id : id:int -> src:int -> dst:int -> sport:int -> dport:int -> int
-(** {!flow_hash} memoized in a dense slot array keyed by [id] — a small
-    non-negative slot key derived from the packet's interned flow id
-    ([Packet.conn_id]).  The cached entry is validated against the full
-    (src, dst, sport, dport) tuple before use, so the result is always
-    identical to {!flow_hash} even across sport rewrites or interner
-    resets; the memo just skips the avalanche on the steady-state path.
-    [id < 0] bypasses the memo. *)
-
 val path_of_hash : hash:int -> paths:int -> int
 (** Reduce a hash to a path index in [[0, paths)]. When [paths] is a power
     of two this uses the low bits, preserving sport-linearity of path

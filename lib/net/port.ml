@@ -30,15 +30,6 @@ type t = {
      callback pair per port; the packet rides the event's obj slot. *)
   mutable cb_tx_done : Engine.callback;
   mutable cb_propagate : Engine.callback;
-  (* Serialization-time memo: bandwidth is fixed for the port's lifetime
-     and traffic is almost entirely two frame sizes (full data frames
-     and the control size), so two entries cover the steady state and
-     the float divide + round in [Rate.tx_time] is paid only on a new
-     size.  Pure memoization of a pure function. *)
-  mutable tx_b0 : int;
-  mutable tx_t0 : int;
-  mutable tx_b1 : int;
-  mutable tx_t1 : int;
   (* Drop-counter handle, resolved once per telemetry context instead of
      per drop.  [drop_registry] detects context swaps (each campaign job
      installs a fresh registry). *)
@@ -106,19 +97,7 @@ let rec start_tx t =
 and transmit t pkt =
   t.on_dequeue pkt;
   t.busy <- true;
-  let bytes = pkt.Packet.size in
-  let tx =
-    if bytes = t.tx_b0 then t.tx_t0
-    else if bytes = t.tx_b1 then t.tx_t1
-    else begin
-      let v = Rate.tx_time t.bandwidth ~bytes_:bytes in
-      t.tx_b1 <- t.tx_b0;
-      t.tx_t1 <- t.tx_t0;
-      t.tx_b0 <- bytes;
-      t.tx_t0 <- v;
-      v
-    end
-  in
+  let tx = Rate.tx_time t.bandwidth ~bytes_:pkt.Packet.size in
   ignore
     (Engine.schedule_call t.engine ~delay:tx t.cb_tx_done ~a:0 ~b:0
        ~obj:(Obj.repr pkt))
@@ -185,10 +164,6 @@ let create ~engine ~bandwidth ~delay ~label =
       interlink = None;
       cb_tx_done = Engine.null_callback;
       cb_propagate = Engine.null_callback;
-      tx_b0 = -1;
-      tx_t0 = 0;
-      tx_b1 = -1;
-      tx_t1 = 0;
       drop_labels = [ ("port", label) ];
       drop_registry = None;
       drop_counter = None;
@@ -262,11 +237,7 @@ let dropped_packets t = t.dropped
 let dropped_data_packets t = t.dropped_data
 let bandwidth t = t.bandwidth
 
-let set_bandwidth t r =
-  t.bandwidth <- r;
-  (* The serialization-time memo caches tx times at the old rate. *)
-  t.tx_b0 <- -1;
-  t.tx_b1 <- -1
+let set_bandwidth t r = t.bandwidth <- r
 
 let label t = t.label
 let deliver_fn t = t.deliver

@@ -105,7 +105,6 @@ val bandwidth : t -> Rate.t
 
 val set_bandwidth : t -> Rate.t -> unit
 (** Derate (or restore) the link rate — the asymmetric-link-speed
-    scenarios of the LB arena.  Applies from the next packet serialized;
-    the tx-time memo is invalidated. *)
+    scenarios of the LB arena.  Applies from the next packet serialized. *)
 
 val label : t -> string

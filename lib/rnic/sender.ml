@@ -33,13 +33,6 @@ type t = {
   retx_pending : (int, unit) Hashtbl.t;
   mutable pacing : bool;
   mutable rto_handle : Engine.handle;
-  (* Pacing-gap memo: DCQCN adjusts the rate on control events, not per
-     packet, and steady-state frames are one size, so the float divide in
-     [Rate.tx_time] is recomputed only when (rate, size) changes.  The
-     rate key starts as [nan] (never equal) so the first use computes. *)
-  mutable gap_rate : float;
-  mutable gap_bytes : int;
-  mutable gap_ns : Sim_time.t;
   (* Closure-free pacing/RTO events (registered once per sender). *)
   mutable cb_pace : Engine.callback;
   mutable cb_rto : Engine.callback;
@@ -185,17 +178,7 @@ and try_send t =
         (* Hardware rate pacing: the next packet may leave one
            serialization time (at the DCQCN current rate) later. *)
         t.pacing <- true;
-        let rate = Dcqcn.rate t.cc in
-        let gap =
-          if (rate :> float) = t.gap_rate && size = t.gap_bytes then t.gap_ns
-          else begin
-            let g = Rate.tx_time rate ~bytes_:size in
-            t.gap_rate <- (rate :> float);
-            t.gap_bytes <- size;
-            t.gap_ns <- g;
-            g
-          end
-        in
+        let gap = Rate.tx_time (Dcqcn.rate t.cc) ~bytes_:size in
         ignore
           (Engine.schedule_call t.engine ~delay:gap t.cb_pace ~a:0 ~b:0
              ~obj:(Obj.repr ()))
@@ -223,9 +206,6 @@ let create ~engine ~conn ~sport ~config ~line_rate ~transmit =
     retx_pending = Hashtbl.create 16;
     pacing = false;
     rto_handle = Engine.none;
-    gap_rate = Float.nan;
-    gap_bytes = -1;
-    gap_ns = 0;
     cb_pace = Engine.null_callback;
     cb_rto = Engine.null_callback;
     data_sent = 0;

@@ -24,17 +24,9 @@ let to_string = function
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let ecmp_index_at ~shift ~(pkt : Packet.t) ~n =
-  (* Data and control packets of one connection share a [conn_id] but
-     flow in opposite directions (reversed src/dst), so they get distinct
-     memo slots; the even slot matches [Spray.base_for_flow_id]. *)
-  let slot =
-    (pkt.Packet.conn_id lsl 1)
-    lor (match pkt.Packet.kind with Packet.Data _ -> 0 | _ -> 1)
-  in
   let h =
-    Ecmp_hash.flow_hash_id ~id:slot ~src:pkt.Packet.src_node
-      ~dst:pkt.Packet.dst_node ~sport:pkt.Packet.udp_sport
-      ~dport:Headers.roce_dst_port
+    Ecmp_hash.flow_hash ~src:pkt.Packet.src_node ~dst:pkt.Packet.dst_node
+      ~sport:pkt.Packet.udp_sport ~dport:Headers.roce_dst_port
   in
   Ecmp_hash.path_of_hash_at ~shift ~hash:h ~paths:n
 
@@ -126,8 +118,8 @@ let choose_at ~shift ?state ?weights t ~rng ~(pkt : Packet.t) ~n ~load =
     | Adaptive, Packet.Data _ -> least_loaded rng ~n ~load
     | Psn_spray, Packet.Data { psn; _ } ->
         let base =
-          Spray.base_for_flow_id ~id:pkt.Packet.conn_id pkt.Packet.conn
-            ~sport:pkt.Packet.udp_sport ~paths:n
+          Spray.base_for_flow pkt.Packet.conn ~sport:pkt.Packet.udp_sport
+            ~paths:n
         in
         Spray.path_for_psn ~psn ~base ~paths:n
     (* The stateful rivals act at the flow's source ToR, which passes its

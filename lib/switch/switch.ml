@@ -254,9 +254,6 @@ let enqueue_on t port (pkt : Packet.t) =
   else begin
     t.dropped_buffer <- t.dropped_buffer + 1;
     record_drop t pkt Event.Buffer_full;
-    if Trace.enabled () then
-      Trace.emitf ~time:(Engine.now t.engine) ~cat:"switch"
-        "node%d buffer-dropped %a" t.node Packet.pp pkt;
     Packet_pool.release pkt
   end
 
@@ -342,15 +339,8 @@ let process t (pkt : Packet.t) =
         match Themis_d.on_nack d pkt with
         | Themis_d.Block ->
             t.nacks_blocked <- t.nacks_blocked + 1;
-            if Trace.enabled () then
-              Trace.emitf ~time:(Engine.now t.engine) ~cat:"themis-d"
-                "tor%d blocked invalid %a" t.node Packet.pp pkt;
             true
-        | Themis_d.Forward ->
-            if Trace.enabled () then
-              Trace.emitf ~time:(Engine.now t.engine) ~cat:"themis-d"
-                "tor%d forwarded %a" t.node Packet.pp pkt;
-            false)
+        | Themis_d.Forward -> false)
     | Some _ | None -> false
   in
   if not blocked then forward t pkt
@@ -410,12 +400,6 @@ let receive t pkt =
     ignore
       (Engine.schedule_call t.engine ~delay:t.cfg.fwd_delay t.cb_process ~a:0
          ~b:0 ~obj:(Obj.repr pkt))
-
-(* Batched arrival: one activation drains a whole lane of packets
-   through the compiled forwarding arrays.  Per-packet semantics
-   (Themis-D interception, LB choice, ECN, counters) are exactly
-   [receive] in FIFO order — the batch only amortizes the activation. *)
-let receive_batch t lane = Fifo.drain lane (fun pkt -> receive t pkt)
 
 let inject t pkt =
   if t.cfg.fwd_delay = Sim_time.zero then forward t pkt

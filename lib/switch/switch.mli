@@ -71,11 +71,6 @@ val receive : t -> Packet.t -> unit
 (** A packet arriving from a link.  NACKs from locally attached receivers
     pass through Themis-D here. *)
 
-val receive_batch : t -> Packet.t Fifo.t -> unit
-(** Drain a lane of arrived packets through {!receive} in FIFO order as
-    one activation (the breathe idiom): identical per-packet semantics,
-    one call into the compiled forwarding fast path per batch. *)
-
 val inject : t -> Packet.t -> unit
 (** Originate a packet at this switch (Themis-D compensation NACKs);
     skips NACK interception but is otherwise forwarded normally. *)

@@ -52,48 +52,11 @@ let test_iter_clear () =
   Alcotest.check_raises "pop empty" (Invalid_argument "Fifo.pop: empty")
     (fun () -> ignore (Fifo.pop q))
 
-let test_pop_n_empty () =
-  let q = Fifo.create ~capacity:4 () in
-  let n = Fifo.pop_n q 8 (fun _ -> Alcotest.fail "callback on empty ring") in
-  Alcotest.(check int) "zero popped" 0 n;
-  Fifo.drain q (fun _ -> Alcotest.fail "drain callback on empty ring");
-  Alcotest.(check bool) "still empty" true (Fifo.is_empty q)
-
-let test_pop_n_partial () =
-  (* A batch larger than the ring drains everything and reports the
-     actual count; a smaller batch leaves the tail in place. *)
-  let q = Fifo.create ~capacity:4 () in
-  List.iter (Fifo.push q) [ 1; 2; 3; 4; 5 ];
-  let seen = ref [] in
-  let n = Fifo.pop_n q 3 (fun x -> seen := x :: !seen) in
-  Alcotest.(check int) "three popped" 3 n;
-  Alcotest.(check (list int)) "fifo order" [ 1; 2; 3 ] (List.rev !seen);
-  Alcotest.(check int) "tail remains" 2 (Fifo.length q);
-  let seen = ref [] in
-  let n = Fifo.pop_n q 100 (fun x -> seen := x :: !seen) in
-  Alcotest.(check int) "short batch" 2 n;
-  Alcotest.(check (list int)) "rest in order" [ 4; 5 ] (List.rev !seen);
-  Alcotest.(check bool) "empty" true (Fifo.is_empty q)
-
-let test_pop_n_wraparound () =
-  (* Walk head past the physical end so the batch spans the seam. *)
-  let q = Fifo.create ~capacity:4 () in
-  List.iter (Fifo.push q) [ 0; 1; 2 ];
-  ignore (Fifo.pop q);
-  ignore (Fifo.pop q);
-  List.iter (Fifo.push q) [ 3; 4; 5 ];
-  (* head = 2, contents [2;3;4;5] wrapping a capacity-4 ring. *)
-  let seen = ref [] in
-  let n = Fifo.pop_n q 4 (fun x -> seen := x :: !seen) in
-  Alcotest.(check int) "all popped" 4 n;
-  Alcotest.(check (list int)) "order across the seam" [ 2; 3; 4; 5 ]
-    (List.rev !seen)
-
 let test_drain_push_during () =
   (* Elements pushed by the callback land after the batch and must not
-     be drained in the same call — the lane-requeue shape in the breathe
-     loop. *)
+     be drained in the same call. *)
   let q = Fifo.create ~capacity:4 () in
+  Fifo.drain q (fun _ -> Alcotest.fail "drain callback on empty ring");
   List.iter (Fifo.push q) [ 1; 2; 3 ];
   let seen = ref [] in
   Fifo.drain q (fun x ->
@@ -113,9 +76,6 @@ let () =
           Alcotest.test_case "order" `Quick test_fifo_order;
           Alcotest.test_case "wraparound growth" `Quick test_wraparound;
           Alcotest.test_case "iter/clear" `Quick test_iter_clear;
-          Alcotest.test_case "pop_n empty" `Quick test_pop_n_empty;
-          Alcotest.test_case "pop_n partial" `Quick test_pop_n_partial;
-          Alcotest.test_case "pop_n wrap-around" `Quick test_pop_n_wraparound;
           Alcotest.test_case "drain push-during" `Quick test_drain_push_during;
         ] );
     ]

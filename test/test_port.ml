@@ -56,6 +56,24 @@ let test_serialization_spacing () =
       Alcotest.(check int) "second spaced by serialization" (2 * tx) t2
   | _ -> Alcotest.fail "expected two deliveries"
 
+let test_set_bandwidth () =
+  (* Packet 0 is already serializing at 100 Gb/s when the link is
+     derated; packet 1, the same size, starts after and takes the
+     serialization time at the new rate. *)
+  let engine, port, arrived = make ~delay:0 () in
+  Port.enqueue port (data 0);
+  Port.enqueue port (data 1);
+  Port.set_bandwidth port (Rate.gbps 40.);
+  Engine.run engine;
+  let bytes_ = 1500 + Headers.data_overhead in
+  match List.rev !arrived with
+  | [ (t1, _); (t2, _) ] ->
+      let tx100 = Rate.tx_time (Rate.gbps 100.) ~bytes_ in
+      let tx40 = Rate.tx_time (Rate.gbps 40.) ~bytes_ in
+      Alcotest.(check int) "in flight keeps old rate" tx100 t1;
+      Alcotest.(check int) "next at new rate" (tx100 + tx40) t2
+  | _ -> Alcotest.fail "expected two deliveries"
+
 let test_control_priority () =
   let engine, port, arrived = make ~delay:0 () in
   (* Enqueue lots of data, then an ACK: the ACK overtakes queued data. *)
@@ -184,6 +202,7 @@ let () =
           Alcotest.test_case "single packet" `Quick test_single_packet_timing;
           Alcotest.test_case "fifo" `Quick test_fifo_order;
           Alcotest.test_case "serialization spacing" `Quick test_serialization_spacing;
+          Alcotest.test_case "set bandwidth" `Quick test_set_bandwidth;
           Alcotest.test_case "control priority" `Quick test_control_priority;
         ] );
       ( "state",
