@@ -4,7 +4,7 @@
 .PHONY: all build test examples micro bench-engine bench-engine-smoke \
         bench-fwd bench-fwd-smoke bench-shard bench-shard-smoke fuzz-quick \
         fuzz-soak campaign-quick workload-smoke workload-bench arena \
-        arena-smoke check clean
+        arena-smoke perfbench-smoke check clean
 
 all: build
 
@@ -115,7 +115,14 @@ workload-smoke:
 workload-bench:
 	dune exec bench/workload_bench.exe -- --out BENCH_workload.json
 
-check: build test examples micro bench-engine-smoke bench-fwd-smoke bench-shard-smoke fuzz-quick campaign-quick workload-smoke arena-smoke
+# The benchmark's own build (run.py builds it into .bench_build/ under
+# the workspace profile), run on every workload at the tiny size, traced
+# and untraced; fails unless each run is correct and emits exactly the
+# metrics and units BENCHMARK.json names.  A few seconds.
+perfbench-smoke:
+	python3 perfbench/run.py --self-check
+
+check: build test examples micro bench-engine-smoke bench-fwd-smoke bench-shard-smoke fuzz-quick campaign-quick workload-smoke arena-smoke perfbench-smoke
 	@echo "check: OK"
 
 clean:

@@ -295,9 +295,9 @@ let micro () =
            ignore
              (Event_queue.add heap
                 ~time:(!heap_counter land 1023)
-                ~cb:0 ~a:0 ~b:0 ~obj:(Obj.repr ()));
+                ~cb:0 ~obj:(Obj.repr ()));
            if !heap_counter land 7 = 0 && not (Event_queue.is_empty heap)
-           then Event_queue.drop heap))
+           then Event_queue.release heap (Event_queue.pop heap)))
   in
   let packet_test =
     Test.make ~name:"packet: data constructor"

@@ -33,19 +33,23 @@ let push t psn =
     t.len <- t.len + 1
   end
 
-let pop t =
-  if t.len = 0 then None
+(* Unboxed [pop]: -1 when empty (PSNs are non-negative). *)
+let pop_int t =
+  if t.len = 0 then -1
   else begin
     let v = t.slots.(t.head) in
     t.head <- (t.head + 1) mod capacity t;
     t.len <- t.len - 1;
-    Some (Psn.of_int v)
+    v
   end
 
+let pop t =
+  let v = pop_int t in
+  if v < 0 then None else Some (Psn.of_int v)
+
 let rec pop_until_greater t epsn =
-  match pop t with
-  | None -> None
-  | Some psn -> if Psn.gt psn epsn then Some psn else pop_until_greater t epsn
+  let v = pop_int t in
+  if v < 0 || Psn.gt (Psn.of_int v) epsn then v else pop_until_greater t epsn
 
 let contains t psn =
   let target = Psn.to_int psn in

@@ -28,10 +28,11 @@ val push : t -> Psn.t -> unit
 val pop : t -> Psn.t option
 (** Remove from head (oldest). *)
 
-val pop_until_greater : t -> Psn.t -> Psn.t option
+val pop_until_greater : t -> Psn.t -> int
 (** [pop_until_greater q epsn] dequeues entries (discarding them) until it
     finds the first PSN circularly greater than [epsn]; that entry is also
-    consumed and returned.  [None] if the queue drains first. *)
+    consumed and returned as an int ({!Psn.to_int}).  [-1] (underflow) if
+    the queue drains first.  Allocates nothing. *)
 
 val contains : t -> Psn.t -> bool
 (** Linear scan of the live entries. *)

@@ -118,7 +118,7 @@ let on_nack t (pkt : Packet.t) =
           pkt.Packet.conn
       in
       match Psn_queue.pop_until_greater entry.Flow_table.queue epsn with
-      | None ->
+      | -1 ->
           (* Cannot identify the trigger: err on the side of recovery. *)
           t.nacks_forwarded_underflow <- t.nacks_forwarded_underflow + 1;
           tm_verdict t "underflow"
@@ -130,7 +130,8 @@ let on_nack t (pkt : Packet.t) =
                  underflow = true;
                });
           Forward
-      | Some tpsn ->
+      | tpsn ->
+          let tpsn = Psn.of_int tpsn in
           if Spray.nack_is_valid ~tpsn ~epsn ~paths:t.paths then begin
             t.nacks_forwarded_valid <- t.nacks_forwarded_valid + 1;
             tm_verdict t "valid"

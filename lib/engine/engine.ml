@@ -9,7 +9,7 @@ type t = {
   mutable now : Sim_time.t;
   mutable stop_requested : bool;
   mutable events_processed : int;
-  mutable callbacks : (int -> int -> Obj.t -> unit) array;
+  mutable callbacks : (Obj.t -> unit) array;
   mutable n_callbacks : int;
 }
 
@@ -29,7 +29,7 @@ let register_callback t f =
    closure-free core. *)
 let closure_cb = 0
 
-let run_closure _ _ obj = (Obj.obj obj : unit -> unit) ()
+let run_closure obj = (Obj.obj obj : unit -> unit) ()
 
 let create ?(capacity = 256) () =
   let t =
@@ -53,22 +53,19 @@ let past_error t time =
     (Format.asprintf "Engine.schedule_at: time %a is in the past (now %a)"
        Sim_time.pp time Sim_time.pp t.now)
 
-let schedule_call_at t ~time cb ~a ~b ~obj =
+let schedule_call_at t ~time cb ~obj =
   if time < t.now then past_error t time;
-  Event_queue.add t.queue ~time ~cb ~a ~b ~obj
+  Event_queue.add t.queue ~time ~cb ~obj
 
-let schedule_call t ~delay cb ~a ~b ~obj =
+let schedule_call t ~delay cb ~obj =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
-  Event_queue.add t.queue ~time:(t.now + delay) ~cb ~a ~b ~obj
+  Event_queue.add t.queue ~time:(t.now + delay) ~cb ~obj
 
 let schedule_at t ~time action =
-  if time < t.now then past_error t time;
-  Event_queue.add t.queue ~time ~cb:closure_cb ~a:0 ~b:0 ~obj:(Obj.repr action)
+  schedule_call_at t ~time closure_cb ~obj:(Obj.repr action)
 
 let schedule t ~delay action =
-  if delay < 0 then invalid_arg "Engine.schedule: negative delay";
-  Event_queue.add t.queue ~time:(t.now + delay) ~cb:closure_cb ~a:0 ~b:0
-    ~obj:(Obj.repr action)
+  schedule_call t ~delay closure_cb ~obj:(Obj.repr action)
 
 let cancel t h = Event_queue.cancel t.queue h
 let is_pending t h = Event_queue.is_pending t.queue h
@@ -100,20 +97,17 @@ let run ?until ?max_events t =
         t.now <- time;
         tranche := true;
         while !tranche do
-          if Event_queue.top_cancelled t.queue then
-            (* Lazy deletion: the clock still advances over cancelled
-               events (matching the original engine), but they cost no
-               budget. *)
-            Event_queue.drop t.queue
-          else begin
-            let cb = Event_queue.top_cb t.queue in
-            let a = Event_queue.top_a t.queue in
-            let b = Event_queue.top_b t.queue in
-            let obj = Event_queue.top_obj t.queue in
-            Event_queue.drop t.queue;
+          let s = Event_queue.pop t.queue in
+          let cb = Event_queue.slot_cb t.queue s in
+          let obj = Event_queue.slot_obj t.queue s in
+          Event_queue.release t.queue s;
+          (* Lazy deletion: the clock still advances over cancelled
+             events (matching the original engine), but they cost no
+             budget. *)
+          if cb <> Event_queue.cancelled then begin
             t.events_processed <- t.events_processed + 1;
             decr budget;
-            (Array.unsafe_get t.callbacks cb) a b obj
+            (Array.unsafe_get t.callbacks cb) obj
           end;
           if
             t.stop_requested || !budget <= 0

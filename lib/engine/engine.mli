@@ -6,13 +6,13 @@
     callbacks' behaviour.
 
     Events are closure-free: components register a callback once (at
-    construction time) and every subsequent event carries only the
-    callback id plus an immediate payload — two int arguments and one
-    reusable [Obj.t] slot — so scheduling on the hot path allocates
-    nothing (see DESIGN.md §10).  The original closure API
-    ([schedule]/[schedule_at]) remains for cold paths and tests; it is
-    implemented on top of the callback form and costs one closure
-    allocation per event, exactly as before. *)
+    construction time) and every subsequent event is two words, the
+    callback id and one [Obj.t] payload (usually the packet, or [()]
+    for a timer), so scheduling on the hot path allocates nothing (see
+    DESIGN.md §10).  Dispatch pops the event and applies the callback
+    to its payload directly.  The closure API ([schedule]/[schedule_at])
+    remains for cold paths and tests: it is callback 0 with the closure
+    as payload, one closure allocation per event. *)
 
 type t
 
@@ -34,20 +34,18 @@ val create : ?capacity:int -> unit -> t
 val now : t -> Sim_time.t
 (** Current simulated time. *)
 
-val register_callback : t -> (int -> int -> Obj.t -> unit) -> callback
+val register_callback : t -> (Obj.t -> unit) -> callback
 (** Register a dispatch function once; the returned id is what events
     carry.  Registration allocates — do it at component construction,
-    never on the event path.  The function receives the event's [a], [b]
-    and [obj] payload. *)
+    never on the event path.  The function receives the event's [obj]
+    payload. *)
 
-val schedule_call :
-  t -> delay:Sim_time.t -> callback -> a:int -> b:int -> obj:Obj.t -> handle
+val schedule_call : t -> delay:Sim_time.t -> callback -> obj:Obj.t -> handle
 (** Closure-free scheduling: runs the registered callback at
-    [now t + delay] with the given payload.  [delay] must be
-    non-negative.  Allocates nothing in steady state. *)
+    [now t + delay] with [obj].  [delay] must be non-negative.
+    Allocates nothing in steady state. *)
 
-val schedule_call_at :
-  t -> time:Sim_time.t -> callback -> a:int -> b:int -> obj:Obj.t -> handle
+val schedule_call_at : t -> time:Sim_time.t -> callback -> obj:Obj.t -> handle
 (** As [schedule_call] at absolute [time >= now t]. *)
 
 val schedule : t -> delay:Sim_time.t -> (unit -> unit) -> handle

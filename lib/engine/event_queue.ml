@@ -1,6 +1,11 @@
 type handle = int
+type slot = int
 
 let none : handle = -1
+
+(* Callback ids are >= 0; [cancel] overwrites a live slot's id with this
+   sentinel. *)
+let cancelled = -1
 
 (* A handle packs (generation lsl slot_bits) lor slot.  24 bits of slot
    index bounds the arena at ~16.7M *simultaneous* events — far beyond
@@ -28,7 +33,7 @@ type t = {
   mutable slots : int array;
   mutable size : int;
   mutable next_seq : int;
-  (* Cached next-event decision, shared by peek/top accessors and drop;
+  (* Cached next-event decision, shared by [peek_time_unsafe] and [pop];
      invalidated by pops and by adds below the cached time. *)
   mutable has_next : bool;
   mutable next_is_wheel : bool;
@@ -39,11 +44,8 @@ type t = {
   mutable heap_adds : int;
   (* Slot arena: per-event payload, recycled through [free_head]. *)
   mutable cbs : int array;
-  mutable args_a : int array;
-  mutable args_b : int array;
   mutable objs : Obj.t array;
   mutable gens : int array;
-  mutable dead : bool array;
   mutable free_next : int array;
   mutable free_head : int;
 }
@@ -66,11 +68,8 @@ let create ?(capacity = 256) () =
     wheel_adds = 0;
     heap_adds = 0;
     cbs = Array.make cap 0;
-    args_a = Array.make cap 0;
-    args_b = Array.make cap 0;
     objs = Array.make cap obj_unit;
     gens = Array.make cap 0;
-    dead = Array.make cap false;
     free_next = Array.init cap (fun i -> if i = cap - 1 then -1 else i + 1);
     free_head = 0;
   }
@@ -91,11 +90,8 @@ let grow_arena q =
   let ncap = Stdlib.max 64 (2 * cap) in
   if ncap > slot_mask + 1 then failwith "Event_queue: slot arena overflow";
   q.cbs <- extend q.cbs ncap 0;
-  q.args_a <- extend q.args_a ncap 0;
-  q.args_b <- extend q.args_b ncap 0;
   q.objs <- extend q.objs ncap obj_unit;
   q.gens <- extend q.gens ncap 0;
-  q.dead <- extend q.dead ncap false;
   q.free_next <- extend q.free_next ncap 0;
   for i = cap to ncap - 1 do
     q.free_next.(i) <- (if i = ncap - 1 then -1 else i + 1)
@@ -155,18 +151,15 @@ let heap_remove_top q =
   if last > 0 then
     sift_down q 0 ~time:q.times.(last) ~seq:q.seqs.(last) ~slot:q.slots.(last)
 
-let add q ~time ~cb ~a ~b ~obj =
+let add q ~time ~cb ~obj =
   if q.free_head < 0 then grow_arena q;
   let s = q.free_head in
   q.free_head <- q.free_next.(s);
   q.cbs.(s) <- cb;
-  q.args_a.(s) <- a;
-  q.args_b.(s) <- b;
-  (* Freed slots always hold [obj_unit] ([free_slot] restores it), so
+  (* Freed slots always hold [obj_unit] ([release] restores it), so
      unit-payload events — timers, pacing ticks — skip the [Obj.t]
      store and its write barrier entirely. *)
   if obj != obj_unit then q.objs.(s) <- obj;
-  q.dead.(s) <- false;
   (* The sequence number is allocated for every event — wheel-resident
      ones never store it (slot order is insertion order), but the shared
      counter is what keeps heap events totally ordered against them. *)
@@ -181,7 +174,7 @@ let add q ~time ~cb ~a ~b ~obj =
   (q.gens.(s) lsl slot_bits) lor s
 
 (* A slot's generation only matches handles minted for its current
-   occupant: [free_slot] bumps it, so stale handles (and [none]) fail the
+   occupant: [release] bumps it, so stale handles (and [none]) fail the
    comparison and can never touch a recycled slot. *)
 let live_slot q h =
   if h < 0 then -1
@@ -192,11 +185,11 @@ let live_slot q h =
 
 let cancel q h =
   let s = live_slot q h in
-  if s >= 0 then q.dead.(s) <- true
+  if s >= 0 then q.cbs.(s) <- cancelled
 
 let is_pending q h =
   let s = live_slot q h in
-  s >= 0 && not q.dead.(s)
+  s >= 0 && q.cbs.(s) <> cancelled
 
 (* Resolve the next event across the wheel and the heap.
 
@@ -207,35 +200,34 @@ let is_pending q h =
    is empty and the heap's earliest event lies in an epoch at or ahead
    of the cursor, that whole epoch migrates down: heap pops come out in
    (time, seq) order, so the wheel's append-only slots receive them in
-   exactly the order they must fire. *)
-let rec ensure_next q =
-  if not q.has_next then begin
-    let wt = Timing_wheel.next_time q.wheel in
-    if wt >= 0 then
-      if q.size > 0 && Array.unsafe_get q.times 0 < wt then set_heap_next q
-      else begin
-        q.next_is_wheel <- true;
-        q.next_time <- wt;
-        q.next_slot <- Timing_wheel.peek_val q.wheel;
-        q.has_next <- true
-      end
-    else if q.size > 0 then begin
-      let ht = q.times.(0) in
-      if ht >= Timing_wheel.cursor q.wheel then begin
-        Timing_wheel.jump q.wheel ht;
-        let epoch = ht lsr epoch_shift in
-        while
-          q.size > 0 && Array.unsafe_get q.times 0 lsr epoch_shift = epoch
-        do
-          let tm = q.times.(0) and s = q.slots.(0) in
-          heap_remove_top q;
-          let covered = Timing_wheel.add q.wheel ~time:tm s in
-          assert covered
-        done;
-        ensure_next q
-      end
-      else set_heap_next q
+   exactly the order they must fire.  Requires [not q.has_next]; the
+   cached case is [ensure_next]'s inlined check. *)
+let rec resolve_next q =
+  let wt = Timing_wheel.next_time q.wheel in
+  if wt >= 0 then
+    if q.size > 0 && Array.unsafe_get q.times 0 < wt then set_heap_next q
+    else begin
+      q.next_is_wheel <- true;
+      q.next_time <- wt;
+      q.next_slot <- Timing_wheel.peek_val q.wheel;
+      q.has_next <- true
     end
+  else if q.size > 0 then begin
+    let ht = q.times.(0) in
+    if ht >= Timing_wheel.cursor q.wheel then begin
+      Timing_wheel.jump q.wheel ht;
+      let epoch = ht lsr epoch_shift in
+      while
+        q.size > 0 && Array.unsafe_get q.times 0 lsr epoch_shift = epoch
+      do
+        let tm = q.times.(0) and s = q.slots.(0) in
+        heap_remove_top q;
+        let covered = Timing_wheel.add q.wheel ~time:tm s in
+        assert covered
+      done;
+      resolve_next q
+    end
+    else set_heap_next q
   end
 
 and set_heap_next q =
@@ -244,48 +236,43 @@ and set_heap_next q =
   q.next_slot <- q.slots.(0);
   q.has_next <- true
 
-let peek_time_unsafe q =
+let[@inline] ensure_next q = if not q.has_next then resolve_next q
+
+let[@inline] peek_time_unsafe q =
   ensure_next q;
   q.next_time
 
-let top_slot q =
+let pop q =
   ensure_next q;
-  q.next_slot
+  if q.next_is_wheel then begin
+    let s = Timing_wheel.pop q.wheel in
+    (* Same-slot fast path: events left in the cursor slot carry the
+       exact time just served and still beat the heap (a cache-valid
+       wheel decision means the heap minimum is strictly later — ties
+       are structurally impossible, see [resolve_next]), so the cached
+       decision survives with just a new head. *)
+    if Timing_wheel.cursor_occupied q.wheel then
+      q.next_slot <- Timing_wheel.peek_val q.wheel
+    else q.has_next <- false;
+    s
+  end
+  else begin
+    let s = q.slots.(0) in
+    heap_remove_top q;
+    q.has_next <- false;
+    s
+  end
 
-let top_cancelled q = Array.unsafe_get q.dead (top_slot q)
-let top_cb q = Array.unsafe_get q.cbs (top_slot q)
-let top_a q = Array.unsafe_get q.args_a (top_slot q)
-let top_b q = Array.unsafe_get q.args_b (top_slot q)
-let top_obj q = Array.unsafe_get q.objs (top_slot q)
+let[@inline] slot_cb q s = Array.unsafe_get q.cbs s
+let[@inline] slot_obj q s = Array.unsafe_get q.objs s
 
-let free_slot q s =
+let release q s =
   q.gens.(s) <- q.gens.(s) + 1;
   (* Keep the freed-slot invariant [objs.(s) = obj_unit] relied on by
      [add], but skip the barrier when it already holds. *)
   if q.objs.(s) != obj_unit then q.objs.(s) <- obj_unit;
   q.free_next.(s) <- q.free_head;
   q.free_head <- s
-
-let drop q =
-  ensure_next q;
-  if q.next_is_wheel then begin
-    let s = Timing_wheel.pop q.wheel in
-    free_slot q s;
-    (* Same-slot fast path: events left in the cursor slot carry the
-       exact time just served and still beat the heap (a cache-valid
-       wheel decision means the heap minimum is strictly later — ties
-       are structurally impossible, see [ensure_next]), so the cached
-       decision survives with just a new head. *)
-    if Timing_wheel.cursor_occupied q.wheel then
-      q.next_slot <- Timing_wheel.peek_val q.wheel
-    else q.has_next <- false
-  end
-  else begin
-    let s = q.slots.(0) in
-    heap_remove_top q;
-    free_slot q s;
-    q.has_next <- false
-  end
 
 let size q = q.size + Timing_wheel.count q.wheel
 let is_empty q = q.size = 0 && Timing_wheel.is_empty q.wheel
@@ -302,9 +289,9 @@ let wheel_adds q = q.wheel_adds
 let heap_adds q = q.heap_adds
 
 let clear q =
-  Timing_wheel.drain_all q.wheel (fun s -> free_slot q s);
+  Timing_wheel.drain_all q.wheel (fun s -> release q s);
   for i = 0 to q.size - 1 do
-    free_slot q q.slots.(i)
+    release q q.slots.(i)
   done;
   q.size <- 0;
   q.has_next <- false

@@ -15,15 +15,12 @@
     directly from the heap).  The merge preserves the exact (time, seq)
     total order of a single heap; consumers cannot observe the split.
 
-    Event payloads — a pre-registered callback id, two immediate int
-    arguments and one reusable [Obj.t] slot (see {!Engine}) — live in a
-    slot arena shared by both bands, recycled through a freelist;
-    handles are generation-tagged ints so a stale handle can never
-    cancel a recycled slot's new occupant.
-
-    [add], [drop], [cancel] and the accessors allocate nothing once the
-    backing arrays have grown to the working-set size (or were
-    preallocated via [create ~capacity]). *)
+    An event's payload is two words — a pre-registered callback id and
+    one [Obj.t] (see {!Engine}) — held in a slot arena shared by both
+    bands and recycled through a freelist.  Handles are generation-tagged
+    ints, so a stale handle can never cancel a recycled slot's new
+    occupant.  Nothing allocates once the backing arrays have grown to
+    the working-set size (or were preallocated via [create ~capacity]). *)
 
 type t
 
@@ -31,42 +28,53 @@ type handle = int
 (** Generation-tagged slot reference.  Obtained from {!add}; [none] is a
     valid argument everywhere and never matches a live event. *)
 
+type slot = int
+(** An arena slot taken off the queue by {!pop}, valid until {!release}. *)
+
 val none : handle
+
+val cancelled : int
+(** The callback id {!slot_cb} returns for a cancelled event.  Real
+    callback ids are [>= 0]. *)
 
 val create : ?capacity:int -> unit -> t
 (** [create ~capacity ()] preallocates the heap, the wheel's node arena
     and the slot arena for [capacity] simultaneous events; all grow by
     doubling beyond that. *)
 
-val add :
-  t -> time:Sim_time.t -> cb:int -> a:int -> b:int -> obj:Obj.t -> handle
-(** Insert an event.  The returned handle stays valid until the event is
-    dropped from the queue (fired or popped-while-cancelled); after that
-    it matches nothing. *)
+val add : t -> time:Sim_time.t -> cb:int -> obj:Obj.t -> handle
+(** Insert an event with callback id [cb >= 0].  The returned handle
+    stays valid until the event's slot is released; after that it
+    matches nothing. *)
 
 val cancel : t -> handle -> unit
-(** Mark the event dead; it stays queued (wheel slot or heap) and is
-    skipped lazily at pop time.  No-op for stale or [none] handles. *)
+(** Overwrite the event's callback id with {!cancelled}; it stays queued
+    (wheel slot or heap) until popped.  No-op for stale or [none]
+    handles. *)
 
 val is_pending : t -> handle -> bool
 (** [true] iff the handle's event is still queued and not cancelled. *)
 
-(** {2 Top-of-queue accessors}
+(** {2 Consuming the minimum}
 
-    All [peek_time_unsafe]/[top_*] functions and [drop] require
-    [not (is_empty q)]; they are the engine's inner loop and perform no
-    emptiness check of their own. *)
+    [peek_time_unsafe] and [pop] require [not (is_empty q)]; they are
+    the engine's inner loop and perform no emptiness check of their
+    own. *)
 
 val peek_time_unsafe : t -> Sim_time.t
-val top_cancelled : t -> bool
-val top_cb : t -> int
-val top_a : t -> int
-val top_b : t -> int
-val top_obj : t -> Obj.t
+(** Time of the minimum event. *)
 
-val drop : t -> unit
-(** Remove the minimum event and recycle its slot (invalidating its
-    handle). *)
+val pop : t -> slot
+(** Remove the minimum event and return its slot, whose payload (and
+    handle) stay valid until {!release}. *)
+
+val slot_cb : t -> slot -> int
+(** Callback id of a popped slot, or {!cancelled}. *)
+
+val slot_obj : t -> slot -> Obj.t
+
+val release : t -> slot -> unit
+(** Recycle a popped slot, invalidating its handle. *)
 
 val peek_time : t -> Sim_time.t option
 (** Checked variant for tests and cold paths. *)

@@ -12,13 +12,19 @@ let tx_time r ~bytes_ =
   if bytes_ <= 0 then 0
   else
     let ns = float_of_int (bytes_ * 8) *. 1e9 /. r in
-    Stdlib.max 1 (int_of_float (Float.round ns))
+    Int.max 1 (int_of_float (Float.round ns))
 
 let bytes_in r d = int_of_float (r *. float_of_int d /. 8e9)
 let min_rate = 100e6
-let scale r f = Stdlib.max min_rate (r *. f)
+
+(* Typed [Stdlib.max]/[min] ([if a >= b then a else b], [<=]): the
+   polymorphic ones reach [compare_val] on this per-packet path. *)
+let floor_min_rate r = if min_rate >= r then min_rate else r
+let scale r f = floor_min_rate (r *. f)
 let add a b = a +. b
 let avg a b = (a +. b) /. 2.
-let clamp r ~max:m = Stdlib.min m (Stdlib.max min_rate r)
+let clamp r ~max:m =
+  let r = floor_min_rate r in
+  if m <= r then m else r
 let compare = Float.compare
 let pp ppf r = Format.fprintf ppf "%.2fGbps" (to_gbps r)

@@ -24,7 +24,7 @@ type t = {
      included — instead of being scheduled for local propagation; the
      hook flattens it onto a ring and the consuming shard replays the
      propagation (including the in-flight link-down drop check, via
-     [receive_remote]) on its replica of this port. *)
+     [arrive_at]) on its replica of this port. *)
   mutable interlink : (delay:Sim_time.t -> Packet.t -> unit) option;
   (* Closure-free events: one registered tx-completion/propagation
      callback pair per port; the packet rides the event's obj slot. *)
@@ -99,8 +99,7 @@ and transmit t pkt =
   t.busy <- true;
   let tx = Rate.tx_time t.bandwidth ~bytes_:pkt.Packet.size in
   ignore
-    (Engine.schedule_call t.engine ~delay:tx t.cb_tx_done ~a:0 ~b:0
-       ~obj:(Obj.repr pkt))
+    (Engine.schedule_call t.engine ~delay:tx t.cb_tx_done ~obj:(Obj.repr pkt))
 
 and tx_done t (pkt : Packet.t) =
   t.busy <- false;
@@ -120,7 +119,7 @@ and tx_done t (pkt : Packet.t) =
     | None ->
         ignore
           (Engine.schedule_call t.engine ~delay:(t.delay + extra) t.cb_propagate
-             ~a:0 ~b:0 ~obj:(Obj.repr pkt))
+             ~obj:(Obj.repr pkt))
   end
   else begin
     record_drop t pkt Event.Link_down;
@@ -170,9 +169,9 @@ let create ~engine ~bandwidth ~delay ~label =
     }
   in
   t.cb_tx_done <-
-    Engine.register_callback engine (fun _ _ obj -> tx_done t (Obj.obj obj));
+    Engine.register_callback engine (fun obj -> tx_done t (Obj.obj obj));
   t.cb_propagate <-
-    Engine.register_callback engine (fun _ _ obj -> propagate t (Obj.obj obj));
+    Engine.register_callback engine (fun obj -> propagate t (Obj.obj obj));
   if Telemetry.enabled () then
     ignore (resolve_drop_counter t (Telemetry.metrics_exn ()));
   t
@@ -243,9 +242,10 @@ let label t = t.label
 let deliver_fn t = t.deliver
 let delay t = t.delay
 
-(* Replica-side entry for a packet that crossed a shard boundary: runs
-   exactly the serial propagation body — the link may have gone down
-   while the packet was on the wire, in which case the drop is booked
-   here, on the replica of the transmitting port, just as the serial
-   engine books it on the port itself. *)
-let receive_remote t pkt = propagate t pkt
+(* Replica-side arrival of a packet that crossed a shard boundary: the
+   port's own propagation event, scheduled at the arrival time, so the
+   in-flight link-down drop is booked on the replica of the transmitting
+   port just as the serial engine books it on the port itself. *)
+let arrive_at t ~time pkt =
+  ignore
+    (Engine.schedule_call_at t.engine ~time t.cb_propagate ~obj:(Obj.repr pkt))

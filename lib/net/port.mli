@@ -54,12 +54,13 @@ val set_interlink : t -> (delay:Sim_time.t -> Packet.t -> unit) -> unit
     consumes this port's private RNG in serialization order, so serial
     and interlinked executions see identical draws).  The hook flattens
     the packet onto an interlink ring; the consuming shard replays
-    propagation on its replica of this port via {!receive_remote}. *)
+    propagation on its replica of this port via {!arrive_at}. *)
 
-val receive_remote : t -> Packet.t -> unit
-(** Replica-side arrival of a packet that crossed a shard boundary: runs
-    the serial propagation body — deliver if the link is still up, else
-    book the in-flight link-down drop on this (replica) port. *)
+val arrive_at : t -> time:Sim_time.t -> Packet.t -> unit
+(** Replica-side arrival of a packet that crossed a shard boundary:
+    schedules this port's propagation event at absolute [time], which
+    delivers the packet if the link is still up and otherwise books the
+    in-flight link-down drop on this (replica) port. *)
 
 val delay : t -> Sim_time.t
 (** Propagation delay of the link direction this port serializes onto. *)

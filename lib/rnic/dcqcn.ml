@@ -100,7 +100,7 @@ and reschedule_increase t =
   Engine.cancel t.engine t.increase_timer;
   t.increase_timer <-
     Engine.schedule_call t.engine ~delay:t.cfg.rate_increase_timer
-      t.cb_increase ~a:0 ~b:0 ~obj:(Obj.repr ())
+      t.cb_increase ~obj:(Obj.repr ())
 
 and alpha_decay t =
   let a = (1. -. t.cfg.g) *. Array.unsafe_get t.alpha 0 in
@@ -110,8 +110,8 @@ and alpha_decay t =
 and reschedule_alpha t =
   Engine.cancel t.engine t.alpha_handle;
   t.alpha_handle <-
-    Engine.schedule_call t.engine ~delay:t.cfg.alpha_timer t.cb_alpha ~a:0
-      ~b:0 ~obj:(Obj.repr ())
+    Engine.schedule_call t.engine ~delay:t.cfg.alpha_timer t.cb_alpha
+      ~obj:(Obj.repr ())
 
 let create ~engine ?conn ~config ~line_rate () =
   let t =
@@ -135,8 +135,8 @@ let create ~engine ?conn ~config ~line_rate () =
   }
   in
   t.cb_increase <-
-    Engine.register_callback engine (fun _ _ _ -> increase_event t);
-  t.cb_alpha <- Engine.register_callback engine (fun _ _ _ -> alpha_decay t);
+    Engine.register_callback engine (fun _ -> increase_event t);
+  t.cb_alpha <- Engine.register_callback engine (fun _ -> alpha_decay t);
   t
 
 

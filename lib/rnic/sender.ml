@@ -94,8 +94,7 @@ let cancel_rto t =
 let rec arm_rto t =
   Engine.cancel t.engine t.rto_handle;
   t.rto_handle <-
-    Engine.schedule_call t.engine ~delay:t.cfg.rto t.cb_rto ~a:0 ~b:0
-      ~obj:(Obj.repr ())
+    Engine.schedule_call t.engine ~delay:t.cfg.rto t.cb_rto ~obj:(Obj.repr ())
 
 and on_rto t =
   t.rto_handle <- Engine.none;
@@ -180,8 +179,7 @@ and try_send t =
         t.pacing <- true;
         let gap = Rate.tx_time (Dcqcn.rate t.cc) ~bytes_:size in
         ignore
-          (Engine.schedule_call t.engine ~delay:gap t.cb_pace ~a:0 ~b:0
-             ~obj:(Obj.repr ()))
+          (Engine.schedule_call t.engine ~delay:gap t.cb_pace ~obj:(Obj.repr ()))
     end
   end
 
@@ -217,10 +215,10 @@ let create ~engine ~conn ~sport ~config ~line_rate ~transmit =
   }
   in
   t.cb_pace <-
-    Engine.register_callback engine (fun _ _ _ ->
+    Engine.register_callback engine (fun _ ->
         t.pacing <- false;
         try_send t);
-  t.cb_rto <- Engine.register_callback engine (fun _ _ _ -> on_rto t);
+  t.cb_rto <- Engine.register_callback engine (fun _ -> on_rto t);
   t
 
 let post t ~bytes ~on_complete =

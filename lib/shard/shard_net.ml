@@ -46,7 +46,6 @@ type t = {
   dir_ports : Port.t array;  (* directed-port id = link_id * 2 + dir *)
   port_seq : int array;  (* per directed port, in serialization order *)
   scratch : int array;
-  cb_arrival : Engine.callback;
   mutable pushed : int;  (* records pushed since the last [flags] call *)
   (* Reused between drains to keep the barrier path allocation-light.
      Entries [0 .. pend_n) carry records popped at an earlier barrier
@@ -78,10 +77,6 @@ let wrap rings ~sid net =
       dir_ports
   in
   let eng = Network.engine net in
-  let cb =
-    Engine.register_callback eng (fun key _ obj ->
-        Port.receive_remote dir_ports.(key) (Obj.obj obj : Packet.t))
-  in
   let t =
     {
       sid;
@@ -90,7 +85,6 @@ let wrap rings ~sid net =
       dir_ports;
       port_seq = Array.make (2 * n_links) 0;
       scratch = Array.make stride 0;
-      cb_arrival = cb;
       pushed = 0;
       sort_buf = Array.make 64 dummy_arrival;
       pkt_buf = Array.make 64 (Obj.magic 0 : Packet.t);
@@ -180,10 +174,7 @@ let drain t ~upto =
       (fun i ->
         let a = t.sort_buf.(i) in
         if a.tick <= upto then
-          ignore
-            (Engine.schedule_call_at t.eng ~time:a.fire t.cb_arrival ~a:a.key
-               ~b:0
-               ~obj:(Obj.repr t.pkt_buf.(i))))
+          Port.arrive_at t.dir_ports.(a.key) ~time:a.fire t.pkt_buf.(i))
       idx;
     (* Compact deferred records to the buffer front for the next call;
        relative order is irrelevant, the next drain re-sorts. *)

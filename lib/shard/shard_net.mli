@@ -5,7 +5,7 @@
     the canonical key (arrival time, tx-done tick, directed-port id,
     per-port sequence), drained at the next window barrier, sorted by
     that key, and scheduled into the consuming shard's engine via
-    {!Port.receive_remote} on its replica of the transmitting port.
+    {!Port.arrive_at} on its replica of the transmitting port.
     Because the key is computed on the producing shard alone and does
     not depend on the partition, runs with 1, 2 or 4 shards schedule
     byte-identical event sequences. *)

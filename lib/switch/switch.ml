@@ -386,9 +386,9 @@ let create ~engine ~topo ~routing ~node ~config ~rng =
   in
   t.load_fn <- (fun i -> Port.queue_bytes t.load_ports.(i));
   t.cb_process <-
-    Engine.register_callback engine (fun _ _ obj -> process t (Obj.obj obj));
+    Engine.register_callback engine (fun obj -> process t (Obj.obj obj));
   t.cb_forward <-
-    Engine.register_callback engine (fun _ _ obj -> forward t (Obj.obj obj));
+    Engine.register_callback engine (fun obj -> forward t (Obj.obj obj));
   (if Telemetry.enabled () then
      ignore (resolve_drop_counter t (Telemetry.metrics_exn ())));
   t
@@ -398,15 +398,15 @@ let receive t pkt =
   if t.cfg.fwd_delay = Sim_time.zero then process t pkt
   else
     ignore
-      (Engine.schedule_call t.engine ~delay:t.cfg.fwd_delay t.cb_process ~a:0
-         ~b:0 ~obj:(Obj.repr pkt))
+      (Engine.schedule_call t.engine ~delay:t.cfg.fwd_delay t.cb_process
+         ~obj:(Obj.repr pkt))
 
 let inject t pkt =
   if t.cfg.fwd_delay = Sim_time.zero then forward t pkt
   else
     ignore
-      (Engine.schedule_call t.engine ~delay:t.cfg.fwd_delay t.cb_forward ~a:0
-         ~b:0 ~obj:(Obj.repr pkt))
+      (Engine.schedule_call t.engine ~delay:t.cfg.fwd_delay t.cb_forward
+         ~obj:(Obj.repr pkt))
 
 let rx_packets t = t.rx_packets
 let forwarded_packets t = t.forwarded

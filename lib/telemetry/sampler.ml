@@ -55,8 +55,7 @@ let rec tick t =
 
 and schedule t =
   ignore
-    (Engine.schedule_call t.engine ~delay:t.interval t.cb_tick ~a:0 ~b:0
-       ~obj:(Obj.repr ()))
+    (Engine.schedule_call t.engine ~delay:t.interval t.cb_tick ~obj:(Obj.repr ()))
 
 let create ~engine ~interval =
   if interval <= 0 then invalid_arg "Sampler.create: interval must be positive";
@@ -70,7 +69,7 @@ let create ~engine ~interval =
       cb_tick = Engine.null_callback;
     }
   in
-  t.cb_tick <- Engine.register_callback engine (fun _ _ _ -> tick t);
+  t.cb_tick <- Engine.register_callback engine (fun _ -> tick t);
   t
 
 let start t =

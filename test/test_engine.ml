@@ -106,26 +106,102 @@ let test_events_processed () =
 
 let test_schedule_call () =
   (* The closure-free path: a registered callback receives the event's
-     immediate payload, and handles interoperate with cancel/is_pending. *)
+     [obj] payload, and handles interoperate with cancel/is_pending. *)
   let eng = Engine.create ~capacity:4 () in
   let log = ref [] in
   let cb =
-    Engine.register_callback eng (fun a b obj ->
-        log := (a, b, (Obj.obj obj : string)) :: !log)
+    Engine.register_callback eng (fun obj ->
+        log := (Obj.obj obj : int * string) :: !log)
   in
-  ignore
-    (Engine.schedule_call eng ~delay:5 cb ~a:1 ~b:2 ~obj:(Obj.repr "x"));
-  let h = Engine.schedule_call eng ~delay:3 cb ~a:7 ~b:8 ~obj:(Obj.repr "y") in
+  ignore (Engine.schedule_call eng ~delay:5 cb ~obj:(Obj.repr (1, "x")));
+  let h = Engine.schedule_call eng ~delay:3 cb ~obj:(Obj.repr (7, "y")) in
   Alcotest.(check bool) "call pending" true (Engine.is_pending eng h);
   Alcotest.(check bool) "none is never pending" false
     (Engine.is_pending eng Engine.none);
   Engine.cancel eng Engine.none;
   Engine.run eng;
   Alcotest.(check bool) "fired handle dead" false (Engine.is_pending eng h);
-  Alcotest.(check (list (triple int int string)))
+  Alcotest.(check (list (pair int string)))
     "payloads in time order"
-    [ (7, 8, "y"); (1, 2, "x") ]
+    [ (7, "y"); (1, "x") ]
     (List.rev !log)
+
+(* ------------- qcheck: chunked runs equal one run ------------------- *)
+
+(* An event, scheduled [delay] after its parent fired (or after time 0),
+   that on firing schedules its children and cancels the handle of the
+   [cancel]-th event scheduled so far (mod the count).  Delays cover
+   same-time nesting (0), the wheel's dense band and far-future heap
+   events several 2^24-tick epochs out. *)
+type ev = { delay : int; kids : ev list; cancel : int option }
+
+let delay_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return 0);
+        (4, int_range 1 30);
+        (2, int_range 0 3_000_000);
+        (1, int_range 0 (5 lsl 24));
+      ])
+
+let rec ev_gen depth =
+  QCheck.Gen.(
+    map3
+      (fun delay kids cancel -> { delay; kids; cancel })
+      delay_gen
+      (if depth = 0 then return []
+       else list_size (int_range 0 3) (ev_gen (depth - 1)))
+      (opt ~ratio:0.2 (int_range 0 1000)))
+
+(* Fire the whole spec under [run], returning the (time, id) firing
+   sequence, [events_processed] and the final clock.  Ids are issued in
+   scheduling order, so equal runs issue equal ids.  Even ids go through
+   a registered callback with the event as payload, odd ids through the
+   closure API. *)
+let fire_all spec ~run =
+  let eng = Engine.create ~capacity:4 () in
+  let log = ref [] and handles = ref [||] and n = ref 0 in
+  let rec schedule ev =
+    let id = !n in
+    incr n;
+    let h =
+      if id land 1 = 0 then
+        Engine.schedule_call eng ~delay:ev.delay !cb ~obj:(Obj.repr (id, ev))
+      else Engine.schedule eng ~delay:ev.delay (fun () -> fire id ev)
+    in
+    handles := Array.append !handles [| h |]
+  and fire id ev =
+    log := (Engine.now eng, id) :: !log;
+    List.iter schedule ev.kids;
+    Option.iter
+      (fun k -> Engine.cancel eng !handles.(k mod Array.length !handles))
+      ev.cancel
+  and cb = ref Engine.null_callback in
+  cb :=
+    Engine.register_callback eng (fun obj ->
+        let id, ev = (Obj.obj obj : int * ev) in
+        fire id ev);
+  List.iter schedule spec;
+  run eng;
+  (List.rev !log, Engine.events_processed eng, Engine.now eng)
+
+let prop_chunked_run =
+  QCheck.Test.make ~name:"run ~max_events:k chunks equal one run" ~count:300
+    QCheck.(
+      pair (int_range 1 7)
+        (make
+           ~print:(fun spec -> Printf.sprintf "%d roots" (List.length spec))
+           Gen.(list_size (int_range 1 12) (ev_gen 2))))
+    (fun (k, spec) ->
+      let whole = fire_all spec ~run:(fun eng -> Engine.run eng) in
+      let chunked =
+        fire_all spec ~run:(fun eng ->
+            while Engine.pending eng > 0 do
+              Engine.run ~max_events:k eng
+            done)
+      in
+      whole = chunked)
 
 let test_idle_horizon_advances_clock () =
   let eng = Engine.create () in
@@ -152,5 +228,6 @@ let () =
           Alcotest.test_case "events_processed" `Quick test_events_processed;
           Alcotest.test_case "schedule_call" `Quick test_schedule_call;
           Alcotest.test_case "idle horizon" `Quick test_idle_horizon_advances_clock;
+          QCheck_alcotest.to_alcotest prop_chunked_run;
         ] );
     ]

@@ -2,10 +2,9 @@
    handle lifecycle, and a qcheck model test against a sorted-list
    reference oracle. *)
 
-(* Events carry their test id in the [a] slot; [cb]/[b]/[obj] are unused
-   here (the engine owns their interpretation). *)
-let add q ~time v =
-  Event_queue.add q ~time ~cb:0 ~a:v ~b:0 ~obj:(Obj.repr ())
+(* Events carry their test id in the [obj] slot; [cb] is unused here
+   (the engine owns its interpretation). *)
+let add q ~time (v : int) = Event_queue.add q ~time ~cb:0 ~obj:(Obj.repr v)
 
 (* Drain the next live event as [Some (time, value)], skipping cancelled
    entries the way [Engine.run] does. *)
@@ -13,9 +12,10 @@ let rec pop q =
   if Event_queue.is_empty q then None
   else begin
     let time = Event_queue.peek_time_unsafe q in
-    let live = not (Event_queue.top_cancelled q) in
-    let v = Event_queue.top_a q in
-    Event_queue.drop q;
+    let s = Event_queue.pop q in
+    let live = Event_queue.slot_cb q s <> Event_queue.cancelled in
+    let v : int = Obj.obj (Event_queue.slot_obj q s) in
+    Event_queue.release q s;
     if live then Some (time, v) else pop q
   end
 

@@ -28,14 +28,14 @@ let test_pop_until_greater () =
      with entries up to it consumed. *)
   let q = Psn_queue.create ~capacity:8 in
   List.iter (fun x -> Psn_queue.push q (p x)) [ 0; 1; 3; 2 ];
-  Alcotest.(check (option psn)) "tPSN 3" (Some (p 3))
+  Alcotest.(check int) "tPSN 3" 3
     (Psn_queue.pop_until_greater q (p 2));
   Alcotest.(check (list int)) "rest" [ 2 ]
     (List.map Psn.to_int (Psn_queue.to_list q));
   (* Fig. 4b continued: after 2,6,4 pushed, NACK ePSN = 4 -> tPSN 6. *)
   Psn_queue.push q (p 6);
   Psn_queue.push q (p 4);
-  Alcotest.(check (option psn)) "tPSN 6" (Some (p 6))
+  Alcotest.(check int) "tPSN 6" 6
     (Psn_queue.pop_until_greater q (p 4));
   Alcotest.(check (list int)) "only 4 left" [ 4 ]
     (List.map Psn.to_int (Psn_queue.to_list q))
@@ -43,15 +43,28 @@ let test_pop_until_greater () =
 let test_pop_until_greater_underflow () =
   let q = Psn_queue.create ~capacity:4 in
   List.iter (fun x -> Psn_queue.push q (p x)) [ 1; 2 ];
-  Alcotest.(check (option psn)) "drains" None (Psn_queue.pop_until_greater q (p 5));
+  Alcotest.(check int) "drains" (-1) (Psn_queue.pop_until_greater q (p 5));
   Alcotest.(check bool) "empty after" true (Psn_queue.is_empty q)
+
+let test_pop_until_greater_empty () =
+  (* Underflow on an empty ring is -1 and leaves it usable; PSN 0 is a
+     real answer, not the underflow value. *)
+  let q = Psn_queue.create ~capacity:2 in
+  Alcotest.(check int) "empty underflows" (-1)
+    (Psn_queue.pop_until_greater q (p 0));
+  Alcotest.(check int) "still empty" 0 (Psn_queue.length q);
+  Psn_queue.push q (p 0);
+  Alcotest.(check int) "PSN 0 found" 0
+    (Psn_queue.pop_until_greater q (p (Psn.modulus - 1)));
+  Alcotest.(check int) "drained again" (-1)
+    (Psn_queue.pop_until_greater q (p 0))
 
 let test_pop_until_greater_wraparound () =
   (* Near the 24-bit wrap, "greater" is circular. *)
   let q = Psn_queue.create ~capacity:8 in
   Psn_queue.push q (p (Psn.modulus - 2));
   Psn_queue.push q (p 1);
-  Alcotest.(check (option psn)) "wraps" (Some (p 1))
+  Alcotest.(check int) "wraps" 1
     (Psn_queue.pop_until_greater q (p (Psn.modulus - 1)))
 
 let test_contains () =
@@ -96,7 +109,7 @@ let test_capacity_one () =
   Alcotest.(check int) "two overwrites" 2 (Psn_queue.overwrites q);
   Alcotest.(check (list int)) "newest survives" [ 5 ]
     (List.map Psn.to_int (Psn_queue.to_list q));
-  Alcotest.(check (option psn)) "tPSN from sole entry" (Some (p 5))
+  Alcotest.(check int) "tPSN from sole entry" 5
     (Psn_queue.pop_until_greater q (p 4));
   Alcotest.(check bool) "drained" true (Psn_queue.is_empty q)
 
@@ -130,13 +143,13 @@ let test_scan_miss_evicted_trigger () =
     (List.map Psn.to_int (Psn_queue.to_list q));
   (* The scan cannot distinguish the evicted trigger: it consumes until
      the first PSN > 2 and misattributes packet 4 as the trigger. *)
-  Alcotest.(check (option psn)) "scan surfaces wrong tPSN" (Some (p 4))
+  Alcotest.(check int) "scan surfaces wrong tPSN" 4
     (Psn_queue.pop_until_greater q (p 2));
   (* If instead *everything* at or below the ePSN was evicted too, the
      scan drains without an answer. *)
   let q2 = Psn_queue.create ~capacity:2 in
   List.iter (fun x -> Psn_queue.push q2 (p x)) [ 5; 3; 1; 2 ];
-  Alcotest.(check (option psn)) "drains on stale low entries" None
+  Alcotest.(check int) "drains on stale low entries" (-1)
     (Psn_queue.pop_until_greater q2 (p 2));
   Alcotest.(check bool) "empty after miss" true (Psn_queue.is_empty q2)
 
@@ -184,6 +197,8 @@ let () =
           Alcotest.test_case "overwrite oldest" `Quick test_overwrite_oldest;
           Alcotest.test_case "fig4b tPSN walk" `Quick test_pop_until_greater;
           Alcotest.test_case "underflow" `Quick test_pop_until_greater_underflow;
+          Alcotest.test_case "empty underflow" `Quick
+            test_pop_until_greater_empty;
           Alcotest.test_case "wraparound" `Quick test_pop_until_greater_wraparound;
           Alcotest.test_case "contains" `Quick test_contains;
           Alcotest.test_case "clear" `Quick test_clear;

@@ -102,15 +102,16 @@ let test_drain_all () =
    operation stream.  The time generator straddles several epochs so
    pops force [jump] + migration. *)
 
-let add q ~time v = Event_queue.add q ~time ~cb:0 ~a:v ~b:0 ~obj:(Obj.repr ())
+let add q ~time (v : int) = Event_queue.add q ~time ~cb:0 ~obj:(Obj.repr v)
 
 let rec pop q =
   if Event_queue.is_empty q then None
   else begin
     let time = Event_queue.peek_time_unsafe q in
-    let live = not (Event_queue.top_cancelled q) in
-    let v = Event_queue.top_a q in
-    Event_queue.drop q;
+    let s = Event_queue.pop q in
+    let live = Event_queue.slot_cb q s <> Event_queue.cancelled in
+    let v : int = Obj.obj (Event_queue.slot_obj q s) in
+    Event_queue.release q s;
     if live then Some (time, v) else pop q
   end
 
