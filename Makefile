@@ -4,7 +4,7 @@
 .PHONY: all build test examples micro bench-engine bench-engine-smoke \
         bench-fwd bench-fwd-smoke bench-shard bench-shard-smoke fuzz-quick \
         fuzz-soak campaign-quick workload-smoke workload-bench arena \
-        arena-smoke perfbench-smoke check clean
+        arena-smoke perfbench-smoke cli-bad-input check clean
 
 all: build
 
@@ -122,7 +122,30 @@ workload-bench:
 perfbench-smoke:
 	python3 perfbench/run.py --self-check
 
-check: build test examples micro bench-engine-smoke bench-fwd-smoke bench-shard-smoke fuzz-quick campaign-quick workload-smoke arena-smoke perfbench-smoke
+# Bad input on the command line must exit 2 with a message naming the
+# field or name, never 0 (a silently ignored typo) or 125 (an uncaught
+# exception): four cj1 job lines whose names do not resolve, then a
+# cp1, fz1 and wl1 line each with a misspelled key.
+CLI_BIN = _build/default/bin
+cli-bad-input:
+	dune build $(CLI_BIN)/themis_campaign_cli.exe $(CLI_BIN)/themis_fuzz_cli.exe \
+	  $(CLI_BIN)/themis_workload_cli.exe
+	@want2() { "$$@"; rc=$$?; \
+	  if [ $$rc -ne 2 ]; then echo "cli-bad-input: exit $$rc (want 2): $$*"; exit 1; fi; }; \
+	exec_job() { want2 $(CLI_BIN)/themis_campaign_cli.exe exec --store _build/cli-bad-input "$$1"; }; \
+	exec_job 'cj1;ablation;study=warp;seed=1'; \
+	exec_job 'cj1;fig5;fab=eval8;scheme=warp;coll=allreduce;mb=1;ti=900;td=4;seed=11'; \
+	exec_job 'cj1;arena;scheme=themis;scen=nope;seed=1'; \
+	exec_job 'cj1;workload;wl=nope;scheme=themis;load=30;seed=1'; \
+	want2 $(CLI_BIN)/themis_campaign_cli.exe jobs --store _build/cli-bad-input --spec \
+	  'cp1;name=quick;target=fig5;fab=eval8;tr=;schemes=ecmp+adaptive+themis;colls=allreduce;mb=1;dcqcn=900:4,10:50;fanins=;studies=;wl=;loads=;scen=sym;profile=quick;seeds=11'; \
+	want2 $(CLI_BIN)/themis_fuzz_cli.exe replay \
+	  'fz1;seed=5;shape=ls:4:4:2:100:100:1254;tr=sr;qf=25;ppcap=9216;jit=1403;drop=0;corr=0;dup=254;dly=4062:19615;fmode=ecmp;dl=2000000000;schemes=ecmp+spray+ar+themis;flows=5>1:91722@80292,7>1:91722@59216;faults=;sspin=0:10'; \
+	want2 $(CLI_BIN)/themis_workload_cli.exe describe --spec \
+	  'wl1;seed=21;shape=ls:2:2:4:25:25:500;dist=websearch;arr=poisson;load=30;flows=120;colls=;faults=;dl=400000000;lod=40'; \
+	echo "cli-bad-input: OK"
+
+check: build test examples micro bench-engine-smoke bench-fwd-smoke bench-shard-smoke fuzz-quick campaign-quick workload-smoke arena-smoke perfbench-smoke cli-bad-input
 	@echo "check: OK"
 
 clean:

@@ -243,7 +243,10 @@ let exec_cmd =
          & info [] ~docv:"JOB" ~doc:"A cj1;... job line (from a failure report).")
   in
   let run job_s store_dir shards =
-    match Campaign_spec.job_of_string job_s with
+    match
+      Result.bind (Campaign_spec.job_of_string job_s) (fun job ->
+          Result.map (fun () -> job) (Campaign_spec.validate_job job))
+    with
     | Error e ->
         Format.eprintf "exec: %s@." e;
         2

@@ -18,19 +18,11 @@ let () =
   Format.printf "Themis active: %b@." (Network.themis_active net);
 
   let done_count = ref 0 in
-  let groups = Workload.motivation_groups ls in
-  Array.iter
-    (fun members ->
-      let n = Array.length members in
-      Array.iteri
-        (fun i src ->
-          let qp = Network.connect net ~src ~dst:members.((i + 1) mod n) in
-          Rnic.post_send qp ~bytes:3_000_000 ~on_complete:(fun t ->
-              incr done_count;
-              Format.printf "  flow %a finished at %a@." Flow_id.pp
-                (Rnic.qp_conn qp) Sim_time.pp t))
-        members)
-    groups;
+  ignore
+    (Workload.motivation_rings net ~bytes:3_000_000 ~on_complete:(fun qp t ->
+         incr done_count;
+         Format.printf "  flow %a finished at %a@." Flow_id.pp
+           (Rnic.qp_conn qp) Sim_time.pp t));
 
   (* Monitoring (Pingmesh-style in the paper) reports the failure 50 us
      in; the controller fails the link and triggers the fallback. *)

@@ -32,20 +32,15 @@ let fabric_to_string = function
 
 let ( let* ) = Result.bind
 
-let int_of s ~what =
-  match int_of_string_opt (String.trim s) with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "bad integer %S in %s" s what)
-
 let fabric_of_string s =
   match String.split_on_char ':' s with
   | [ "eval8" ] -> Ok Eval8
   | [ "paper" ] -> Ok Paper
   | [ "ls"; a; b; c; d ] ->
-      let* leaves = int_of a ~what:"fabric" in
-      let* spines = int_of b ~what:"fabric" in
-      let* hosts = int_of c ~what:"fabric" in
-      let* gbps = int_of d ~what:"fabric" in
+      let* leaves = Spec_line.int_of a ~what:"fabric" in
+      let* spines = Spec_line.int_of b ~what:"fabric" in
+      let* hosts = Spec_line.int_of c ~what:"fabric" in
+      let* gbps = Spec_line.int_of d ~what:"fabric" in
       Ok (Ls_fab { leaves; spines; hosts; gbps })
   | _ -> Error (Printf.sprintf "bad fabric %S" s)
 
@@ -167,99 +162,59 @@ let to_string t =
     (ints t.fanins) (join t.studies) (join t.wnames) (ints t.loads)
     (join t.scens) t.profile (ints t.seeds)
 
-let split_nonempty sep s =
-  if String.trim s = "" then [] else String.split_on_char sep s
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: xs ->
-      let* y = f x in
-      let* ys = map_result f xs in
-      Ok (y :: ys)
-
-let ints_of s ~what = map_result (int_of ~what) (split_nonempty ',' s)
-
-let dcqcn_of s =
-  map_result
-    (fun pair ->
+let dcqcn_of =
+  Spec_line.list (fun pair ->
       match String.split_on_char ':' pair with
       | [ a; b ] ->
-          let* ti = int_of a ~what:"dcqcn" in
-          let* td = int_of b ~what:"dcqcn" in
+          let* ti = Spec_line.int_of a ~what:"dcqcn" in
+          let* td = Spec_line.int_of b ~what:"dcqcn" in
           Ok (ti, td)
       | _ -> Error (Printf.sprintf "bad dcqcn point %S" pair))
-    (split_nonempty ',' s)
 
 let of_string s =
-  let s = String.trim s in
-  match split_nonempty ';' s with
-  | "cp1" :: fields -> (
-      let kv =
-        List.filter_map
-          (fun f ->
-            match String.index_opt f '=' with
-            | None -> None
-            | Some i ->
-                Some
-                  ( String.sub f 0 i,
-                    String.sub f (i + 1) (String.length f - i - 1) ))
-          fields
-      in
-      let find k =
-        match List.assoc_opt k kv with
-        | Some v -> Ok v
-        | None -> Error (Printf.sprintf "missing field %S" k)
-      in
-      let* name = find "name" in
-      let* target_s = find "target" in
-      let* target = target_of_string target_s in
-      let* fab_s = find "fab" in
-      let* fabrics = map_result fabric_of_string (split_nonempty ',' fab_s) in
-      let* tr_s = find "tr" in
-      let transports = split_nonempty ',' tr_s in
-      let* schemes_s = find "schemes" in
-      let schemes = split_nonempty '+' schemes_s in
-      let* colls_s = find "colls" in
-      let colls = split_nonempty ',' colls_s in
-      let* mb_s = find "mb" in
-      let* mbs = ints_of mb_s ~what:"mb" in
-      let* dcqcn_s = find "dcqcn" in
-      let* dcqcn = dcqcn_of dcqcn_s in
-      let* fanins_s = find "fanins" in
-      let* fanins = ints_of fanins_s ~what:"fanins" in
-      let* studies_s = find "studies" in
-      let studies = split_nonempty ',' studies_s in
-      (* wl/loads/scens post-date the cp1 grammar; absent fields default
-         to empty so pre-workload / pre-arena spec lines keep parsing. *)
-      let find_default k = Option.value (List.assoc_opt k kv) ~default:"" in
-      let wnames = split_nonempty ',' (find_default "wl") in
-      let* loads = ints_of (find_default "loads") ~what:"loads" in
-      let scens = split_nonempty ',' (find_default "scens") in
-      let* profile = find "profile" in
-      let* seeds_s = find "seeds" in
-      let* seeds = ints_of seeds_s ~what:"seeds" in
-      match profile with
-      | "quick" | "soak" ->
-          Ok
-            {
-              name;
-              target;
-              fabrics;
-              transports;
-              schemes;
-              colls;
-              mbs;
-              dcqcn;
-              fanins;
-              studies;
-              wnames;
-              loads;
-              scens;
-              profile;
-              seeds;
-            }
+  let open Spec_line in
+  let names = list Result.ok and int_list what = list (int_of ~what) in
+  let* f = parse ~tag:"cp1" s in
+  let* name = str f "name" in
+  let* target = get f "target" target_of_string in
+  let* fabrics = get f "fab" (list fabric_of_string) in
+  let* transports = get f "tr" names in
+  let* schemes = get f "schemes" (list ~sep:'+' Result.ok) in
+  let* colls = get f "colls" names in
+  let* mbs = get f "mb" (int_list "mb") in
+  let* dcqcn = get f "dcqcn" dcqcn_of in
+  let* fanins = get f "fanins" (int_list "fanins") in
+  let* studies = get f "studies" names in
+  (* wl/loads/scens post-date the cp1 grammar; absent fields default to
+     empty so pre-workload / pre-arena spec lines keep parsing. *)
+  let* wnames = get ~default:"" f "wl" names in
+  let* loads = get ~default:"" f "loads" (int_list "loads") in
+  let* scens = get ~default:"" f "scens" names in
+  let* profile =
+    get f "profile" (function
+      | ("quick" | "soak") as p -> Ok p
       | p -> Error (Printf.sprintf "bad profile %S" p))
-  | _ -> Error "spec must start with \"cp1;\""
+  in
+  let* seeds = get f "seeds" (int_list "seeds") in
+  let* () = close f in
+  Ok
+    {
+      name;
+      target;
+      fabrics;
+      transports;
+      schemes;
+      colls;
+      mbs;
+      dcqcn;
+      fanins;
+      studies;
+      wnames;
+      loads;
+      scens;
+      profile;
+      seeds;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Job serialization + content hash. *)
@@ -286,78 +241,58 @@ let job_to_string = function
       Printf.sprintf "cj1;arena;scheme=%s;scen=%s;seed=%d" ascheme ascen aseed
 
 let job_of_string s =
-  let s = String.trim s in
-  match split_nonempty ';' s with
-  | "cj1" :: kind :: fields -> (
-      let kv =
-        List.filter_map
-          (fun f ->
-            match String.index_opt f '=' with
-            | None -> None
-            | Some i ->
-                Some
-                  ( String.sub f 0 i,
-                    String.sub f (i + 1) (String.length f - i - 1) ))
-          fields
-      in
-      let find k =
-        match List.assoc_opt k kv with
-        | Some v -> Ok v
-        | None -> Error (Printf.sprintf "missing job field %S" k)
-      in
-      let find_int k =
-        let* v = find k in
-        int_of v ~what:k
-      in
-      match kind with
-      | "fig1" ->
-          let* transport = find "tr" in
-          let* mb = find_int "mb" in
-          let* seed = find_int "seed" in
-          Ok (Fig1_job { transport; mb; seed })
-      | "fig5" ->
-          let* fab_s = find "fab" in
-          let* fabric = fabric_of_string fab_s in
-          let* scheme = find "scheme" in
-          let* coll = find "coll" in
-          let* mb = find_int "mb" in
-          let* ti_us = find_int "ti" in
-          let* td_us = find_int "td" in
-          let* seed = find_int "seed" in
-          Ok (Fig5_job { fabric; scheme; coll; mb; ti_us; td_us; seed })
-      | "incast" ->
-          let* scheme = find "scheme" in
-          let* fanin = find_int "fanin" in
-          let* mb = find_int "mb" in
-          let* seed = find_int "seed" in
-          Ok (Incast_job { scheme; fanin; mb; seed })
-      | "ablation" ->
-          let* study = find "study" in
-          let* seed = find_int "seed" in
-          Ok (Ablation_job { study; seed })
-      | "fuzz" ->
-          let* profile = find "profile" in
-          let* seed = find_int "seed" in
-          let* soak =
-            match profile with
+  let open Spec_line in
+  let* kind, f = parse_kind ~tag:"cj1" s in
+  let* job =
+    match kind with
+    | "fig1" ->
+        let* transport = str f "tr" in
+        let* mb = int f "mb" in
+        let* seed = int f "seed" in
+        Ok (Fig1_job { transport; mb; seed })
+    | "fig5" ->
+        let* fabric = get f "fab" fabric_of_string in
+        let* scheme = str f "scheme" in
+        let* coll = str f "coll" in
+        let* mb = int f "mb" in
+        let* ti_us = int f "ti" in
+        let* td_us = int f "td" in
+        let* seed = int f "seed" in
+        Ok (Fig5_job { fabric; scheme; coll; mb; ti_us; td_us; seed })
+    | "incast" ->
+        let* scheme = str f "scheme" in
+        let* fanin = int f "fanin" in
+        let* mb = int f "mb" in
+        let* seed = int f "seed" in
+        Ok (Incast_job { scheme; fanin; mb; seed })
+    | "ablation" ->
+        let* study = str f "study" in
+        let* seed = int f "seed" in
+        Ok (Ablation_job { study; seed })
+    | "fuzz" ->
+        let* soak =
+          get f "profile" (function
             | "quick" -> Ok false
             | "soak" -> Ok true
-            | p -> Error (Printf.sprintf "bad profile %S" p)
-          in
-          Ok (Fuzz_job { soak; seed })
-      | "workload" ->
-          let* wname = find "wl" in
-          let* wscheme = find "scheme" in
-          let* load = find_int "load" in
-          let* wseed = find_int "seed" in
-          Ok (Workload_job { wname; wscheme; load; wseed })
-      | "arena" ->
-          let* ascheme = find "scheme" in
-          let* ascen = find "scen" in
-          let* aseed = find_int "seed" in
-          Ok (Arena_job { ascheme; ascen; aseed })
-      | k -> Error (Printf.sprintf "unknown job kind %S" k))
-  | _ -> Error "job must start with \"cj1;\""
+            | p -> Error (Printf.sprintf "bad profile %S" p))
+        in
+        let* seed = int f "seed" in
+        Ok (Fuzz_job { soak; seed })
+    | "workload" ->
+        let* wname = str f "wl" in
+        let* wscheme = str f "scheme" in
+        let* load = int f "load" in
+        let* wseed = int f "seed" in
+        Ok (Workload_job { wname; wscheme; load; wseed })
+    | "arena" ->
+        let* ascheme = str f "scheme" in
+        let* ascen = str f "scen" in
+        let* aseed = int f "seed" in
+        Ok (Arena_job { ascheme; ascen; aseed })
+    | k -> Error (Printf.sprintf "unknown job kind %S" k)
+  in
+  let* () = close f in
+  Ok job
 
 (* FNV-1a 64 over the canonical job string.  OCaml's native int is 63
    bits, so the arithmetic runs on Int64. *)
@@ -375,16 +310,6 @@ let job_hash j = hash_string (job_to_string j)
 
 (* ------------------------------------------------------------------ *)
 (* Validation. *)
-
-let check_all what names valid =
-  let rec go = function
-    | [] -> Ok ()
-    | n :: rest -> (
-        match valid n with
-        | Ok _ -> go rest
-        | Error e -> Error (Printf.sprintf "%s: %s" what e))
-  in
-  go names
 
 let coll_of_string = function
   | "allreduce" -> Ok Experiment.Allreduce
@@ -419,11 +344,32 @@ let wname_of_string s =
   | Some _ -> Ok s
   | None -> Error (Printf.sprintf "unknown workload %S" s)
 
+(* The per-name checks behind both [validate_job] and [validate]. *)
+let check what valid name =
+  match valid name with
+  | Ok _ -> Ok ()
+  | Error e -> Error (Printf.sprintf "%s: %s" what e)
+
+let scheme_ok = check "scheme" Network.scheme_of_string
+
+let validate_job = function
+  | Fig1_job { transport; _ } -> check "transport" transport_of_string transport
+  | Fig5_job { scheme; coll; _ } ->
+      let* () = scheme_ok scheme in
+      check "coll" coll_of_string coll
+  | Incast_job { scheme; _ } -> scheme_ok scheme
+  | Ablation_job { study; _ } -> check "study" study_of_string study
+  | Fuzz_job _ -> Ok ()
+  | Workload_job { wname; wscheme; load; _ } ->
+      let* () = check "workload" wname_of_string wname in
+      let* () = scheme_ok wscheme in
+      if load > 0 && load <= 200 then Ok ()
+      else Error (Printf.sprintf "load %d%% out of (0, 200]" load)
+  | Arena_job { ascheme; ascen; aseed } ->
+      let* () = scheme_ok ascheme in
+      check "scen" (fun scen -> Arena_scen.spec ~scen ~seed:aseed) ascen
+
 let validate t =
-  let nonempty what = function
-    | [] -> Error (Printf.sprintf "%s axis is empty" what)
-    | _ -> Ok ()
-  in
   let* () =
     if t.name <> ""
        && String.for_all
@@ -433,44 +379,37 @@ let validate t =
     then Ok ()
     else Error (Printf.sprintf "bad campaign name %S" t.name)
   in
-  let* () = nonempty "seeds" t.seeds in
-  match t.target with
-  | Fig1 ->
-      let* () = nonempty "transports" t.transports in
-      let* () = nonempty "mb" t.mbs in
-      check_all "transport" t.transports transport_of_string
-  | Fig5 ->
-      let* () = nonempty "fabrics" t.fabrics in
-      let* () = nonempty "schemes" t.schemes in
-      let* () = nonempty "colls" t.colls in
-      let* () = nonempty "mb" t.mbs in
-      let* () = nonempty "dcqcn" t.dcqcn in
-      let* () = check_all "scheme" t.schemes Network.scheme_of_string in
-      check_all "coll" t.colls coll_of_string
-  | Incast ->
-      let* () = nonempty "schemes" t.schemes in
-      let* () = nonempty "fanins" t.fanins in
-      let* () = nonempty "mb" t.mbs in
-      check_all "scheme" t.schemes Network.scheme_of_string
-  | Ablation ->
-      let* () = nonempty "studies" t.studies in
-      check_all "study" t.studies study_of_string
-  | Fuzz_sweep -> Ok ()
-  | Workload ->
-      let* () = nonempty "wl" t.wnames in
-      let* () = nonempty "schemes" t.schemes in
-      let* () = nonempty "loads" t.loads in
-      let* () = check_all "workload" t.wnames wname_of_string in
-      let* () = check_all "scheme" t.schemes Network.scheme_of_string in
-      check_all "load" t.loads (fun l ->
-          if l > 0 && l <= 200 then Ok l
-          else Error (Printf.sprintf "load %d%% out of (0, 200]" l))
-  | Arena ->
-      let* () = nonempty "schemes" t.schemes in
-      let* () = nonempty "scens" t.scens in
-      let* () = check_all "scheme" t.schemes Network.scheme_of_string in
-      check_all "scen" t.scens (fun s -> Result.map (fun _ -> s)
-          (Arena_scen.spec ~scen:s ~seed:0))
+  let axes =
+    match t.target with
+    | Fig1 -> [ ("transports", t.transports <> []); ("mb", t.mbs <> []) ]
+    | Fig5 ->
+        [
+          ("fabrics", t.fabrics <> []);
+          ("schemes", t.schemes <> []);
+          ("colls", t.colls <> []);
+          ("mb", t.mbs <> []);
+          ("dcqcn", t.dcqcn <> []);
+        ]
+    | Incast ->
+        [
+          ("schemes", t.schemes <> []);
+          ("fanins", t.fanins <> []);
+          ("mb", t.mbs <> []);
+        ]
+    | Ablation -> [ ("studies", t.studies <> []) ]
+    | Fuzz_sweep -> []
+    | Workload ->
+        [
+          ("wl", t.wnames <> []);
+          ("schemes", t.schemes <> []);
+          ("loads", t.loads <> []);
+        ]
+    | Arena -> [ ("schemes", t.schemes <> []); ("scens", t.scens <> []) ]
+  in
+  let axes = ("seeds", t.seeds <> []) :: axes in
+  match List.find_opt (fun (_, full) -> not full) axes with
+  | Some (what, _) -> Error (Printf.sprintf "%s axis is empty" what)
+  | None -> Result.map ignore (Spec_line.map_result validate_job (jobs_of t))
 
 (* ------------------------------------------------------------------ *)
 (* Presets. *)

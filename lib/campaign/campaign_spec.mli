@@ -90,8 +90,13 @@ val hash_string : string -> string
 (** The same hash over an arbitrary string (used by bench for result
     records whose id is not a campaign job). *)
 
+val validate_job : job -> (unit, string) result
+(** Every name in the job resolvable (scheme, collective, transport,
+    study, workload, scenario) and a workload load in (0, 200]. *)
+
 val validate : t -> (unit, string) result
-(** Every axis non-empty for the target, every name resolvable. *)
+(** Every axis non-empty for the target, then {!validate_job} on every
+    job of the grid. *)
 
 val coll_of_string : string -> (Experiment.coll, string) result
 val transport_of_string : string -> (Rnic.transport, string) result

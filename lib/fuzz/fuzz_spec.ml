@@ -253,30 +253,22 @@ let to_string t =
 
 let ( let* ) = Result.bind
 
-let int_of s ~what =
-  match int_of_string_opt (String.trim s) with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "bad integer %S in %s" s what)
-
-let split_nonempty sep s =
-  if String.trim s = "" then [] else String.split_on_char sep s
-
 let shape_of_string s =
   match String.split_on_char ':' s with
   | [ "ls"; a; b; c; d; e; f ] ->
-      let* n_leaves = int_of a ~what:"shape" in
-      let* n_spines = int_of b ~what:"shape" in
-      let* hosts_per_leaf = int_of c ~what:"shape" in
-      let* host_gbps = int_of d ~what:"shape" in
-      let* fabric_gbps = int_of e ~what:"shape" in
-      let* link_delay_ns = int_of f ~what:"shape" in
+      let* n_leaves = Spec_line.int_of a ~what:"shape" in
+      let* n_spines = Spec_line.int_of b ~what:"shape" in
+      let* hosts_per_leaf = Spec_line.int_of c ~what:"shape" in
+      let* host_gbps = Spec_line.int_of d ~what:"shape" in
+      let* fabric_gbps = Spec_line.int_of e ~what:"shape" in
+      let* link_delay_ns = Spec_line.int_of f ~what:"shape" in
       Ok
         (Ls { n_leaves; n_spines; hosts_per_leaf; host_gbps; fabric_gbps;
               link_delay_ns })
   | [ "ft"; k; g; d ] ->
-      let* k = int_of k ~what:"shape" in
-      let* gbps = int_of g ~what:"shape" in
-      let* link_delay_ns = int_of d ~what:"shape" in
+      let* k = Spec_line.int_of k ~what:"shape" in
+      let* gbps = Spec_line.int_of g ~what:"shape" in
+      let* link_delay_ns = Spec_line.int_of d ~what:"shape" in
       Ok (Ft { k; gbps; link_delay_ns })
   | _ -> Error (Printf.sprintf "bad shape %S" s)
 
@@ -290,10 +282,10 @@ let transfer_of_string s =
       | [ dst_s; tail ] -> (
           match String.split_on_char '@' tail with
           | [ bytes_s; start_s ] ->
-              let* src = int_of src_s ~what:"flow" in
-              let* dst = int_of dst_s ~what:"flow" in
-              let* bytes = int_of bytes_s ~what:"flow" in
-              let* start_ns = int_of start_s ~what:"flow" in
+              let* src = Spec_line.int_of src_s ~what:"flow" in
+              let* dst = Spec_line.int_of dst_s ~what:"flow" in
+              let* bytes = Spec_line.int_of bytes_s ~what:"flow" in
+              let* start_ns = Spec_line.int_of start_s ~what:"flow" in
               Ok { src; dst; bytes; start_ns }
           | _ -> Error (Printf.sprintf "bad flow %S" s))
       | _ -> Error (Printf.sprintf "bad flow %S" s))
@@ -301,18 +293,20 @@ let transfer_of_string s =
 let fault_of_string s =
   match String.split_on_char ':' s with
   | [ a; b; c ] ->
-      let* fault_link = int_of a ~what:"fault" in
-      let* down_ns = int_of b ~what:"fault" in
-      let* up_ns = int_of c ~what:"fault" in
+      let* fault_link = Spec_line.int_of a ~what:"fault" in
+      let* down_ns = Spec_line.int_of b ~what:"fault" in
+      let* up_ns = Spec_line.int_of c ~what:"fault" in
       Ok { fault_link; down_ns; up_ns }
   | _ -> Error (Printf.sprintf "bad fault %S" s)
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: xs ->
-      let* y = f x in
-      let* ys = map_result f xs in
-      Ok (y :: ys)
+(* A [:]-joined integer pair, as in [dly] and [sspine]. *)
+let pair_of ~what s =
+  match String.split_on_char ':' s with
+  | [ a; b ] ->
+      let* a = Spec_line.int_of a ~what in
+      let* b = Spec_line.int_of b ~what in
+      Ok (a, b)
+  | _ -> Error (Printf.sprintf "bad %s %S" what s)
 
 let of_string s =
   let s = String.trim s in
@@ -320,108 +314,66 @@ let of_string s =
   | "gen" :: seed :: rest when rest = [] || rest = [ "quick" ] || rest = [ "soak" ]
     ->
       let profile = if rest = [ "soak" ] then Soak else Quick in
-      let* seed = int_of seed ~what:"gen seed" in
+      let* seed = Spec_line.int_of seed ~what:"gen seed" in
       Ok (generate ~profile ~seed ())
-  | _ -> (
-      match split_nonempty ';' s with
-      | "fz1" :: fields ->
-          let kv =
-            List.filter_map
-              (fun f ->
-                match String.index_opt f '=' with
-                | None -> None
-                | Some i ->
-                    Some
-                      ( String.sub f 0 i,
-                        String.sub f (i + 1) (String.length f - i - 1) ))
-              fields
-          in
-          let find k =
-            match List.assoc_opt k kv with
-            | Some v -> Ok v
-            | None -> Error (Printf.sprintf "missing field %S" k)
-          in
-          let find_int k =
-            let* v = find k in
-            int_of v ~what:k
-          in
-          let* seed = find_int "seed" in
-          let* shape_s = find "shape" in
-          let* shape = shape_of_string shape_s in
-          let* tr = find "tr" in
-          let* gbn =
-            match tr with
-            | "sr" -> Ok false
-            | "gbn" -> Ok true
-            | _ -> Error (Printf.sprintf "bad transport %S" tr)
-          in
-          let* queue_factor_pct = find_int "qf" in
-          let* per_port_kb = find_int "ppcap" in
-          let* jitter_ns = find_int "jit" in
-          let* drop_ppm = find_int "drop" in
-          let* corrupt_ppm = find_int "corr" in
-          let* dup_ppm = find_int "dup" in
-          let* dly = find "dly" in
-          let* delay_ppm, delay_max_ns =
-            match String.split_on_char ':' dly with
-            | [ a; b ] ->
-                let* a = int_of a ~what:"dly" in
-                let* b = int_of b ~what:"dly" in
-                Ok (a, b)
-            | _ -> Error (Printf.sprintf "bad dly %S" dly)
-          in
-          let* fmode = find "fmode" in
-          let* shrink_pathset =
-            match fmode with
-            | "ecmp" -> Ok false
-            | "shrink" -> Ok true
-            | _ -> Error (Printf.sprintf "bad fmode %S" fmode)
-          in
-          let* deadline_ns = find_int "dl" in
-          let* schemes_s = find "schemes" in
-          let schemes = split_nonempty '+' schemes_s in
-          let* flows_s = find "flows" in
-          let* transfers = map_result transfer_of_string
-                             (split_nonempty ',' flows_s) in
-          let* faults_s = find "faults" in
-          let* link_faults = map_result fault_of_string
-                               (split_nonempty ',' faults_s) in
-          (* sspine post-dates the fz1 grammar: absent (legacy corpus
-             lines) or empty both mean no slow spine. *)
-          let* slow_spine =
-            match List.assoc_opt "sspine" kv with
-            | None | Some "" -> Ok None
-            | Some v -> (
-                match String.split_on_char ':' v with
-                | [ a; b ] ->
-                    let* spine = int_of a ~what:"sspine" in
-                    let* gbps = int_of b ~what:"sspine" in
-                    Ok (Some (spine, gbps))
-                | _ -> Error (Printf.sprintf "bad sspine %S" v))
-          in
-          if transfers = [] then Error "spec has no flows"
-          else
-            Ok
-              {
-                seed;
-                shape;
-                gbn;
-                queue_factor_pct;
-                per_port_kb;
-                jitter_ns;
-                drop_ppm;
-                corrupt_ppm;
-                dup_ppm;
-                delay_ppm;
-                delay_max_ns;
-                shrink_pathset;
-                deadline_ns;
-                schemes;
-                transfers;
-                link_faults;
-                slow_spine;
-              }
-      | _ -> Error "spec must start with \"fz1;\" or \"gen:<seed>\"")
+  | _ ->
+      let open Spec_line in
+      let* f = parse ~tag:"fz1" s in
+      let* seed = int f "seed" in
+      let* shape = get f "shape" shape_of_string in
+      let* gbn =
+        get f "tr" (function
+          | "sr" -> Ok false
+          | "gbn" -> Ok true
+          | tr -> Error (Printf.sprintf "bad transport %S" tr))
+      in
+      let* queue_factor_pct = int f "qf" in
+      let* per_port_kb = int f "ppcap" in
+      let* jitter_ns = int f "jit" in
+      let* drop_ppm = int f "drop" in
+      let* corrupt_ppm = int f "corr" in
+      let* dup_ppm = int f "dup" in
+      let* delay_ppm, delay_max_ns = get f "dly" (pair_of ~what:"dly") in
+      let* shrink_pathset =
+        get f "fmode" (function
+          | "ecmp" -> Ok false
+          | "shrink" -> Ok true
+          | fmode -> Error (Printf.sprintf "bad fmode %S" fmode))
+      in
+      let* deadline_ns = int f "dl" in
+      let* schemes = get f "schemes" (list ~sep:'+' Result.ok) in
+      let* transfers = get f "flows" (list transfer_of_string) in
+      let* link_faults = get f "faults" (list fault_of_string) in
+      (* sspine post-dates the fz1 grammar: absent (legacy corpus lines)
+         or empty both mean no slow spine. *)
+      let* slow_spine =
+        get ~default:"" f "sspine" (function
+          | "" -> Ok None
+          | v -> Result.map Option.some (pair_of ~what:"sspine" v))
+      in
+      let* () = close f in
+      if transfers = [] then Error "spec has no flows"
+      else
+        Ok
+          {
+            seed;
+            shape;
+            gbn;
+            queue_factor_pct;
+            per_port_kb;
+            jitter_ns;
+            drop_ppm;
+            corrupt_ppm;
+            dup_ppm;
+            delay_ppm;
+            delay_max_ns;
+            shrink_pathset;
+            deadline_ns;
+            schemes;
+            transfers;
+            link_faults;
+            slow_spine;
+          }
 
 let cost t =
   let packets =

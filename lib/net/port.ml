@@ -30,22 +30,11 @@ type t = {
      callback pair per port; the packet rides the event's obj slot. *)
   mutable cb_tx_done : Engine.callback;
   mutable cb_propagate : Engine.callback;
-  (* Drop-counter handle, resolved once per telemetry context instead of
-     per drop.  [drop_registry] detects context swaps (each campaign job
-     installs a fresh registry). *)
-  drop_labels : Metrics.labels;
-  mutable drop_registry : Metrics.t option;
-  mutable drop_counter : Metrics.counter option;
+  drop_labels : Metrics.labels;  (* Of the port_dropped_packets row. *)
 }
 
 let no_deliver (_ : Packet.t) =
   failwith "Port: deliver callback not set (missing set_deliver)"
-
-let resolve_drop_counter t m =
-  let c = Metrics.counter m ~labels:t.drop_labels "port_dropped_packets" in
-  t.drop_registry <- Some m;
-  t.drop_counter <- Some c;
-  c
 
 (* Telemetry: one Packet_drop event per discarded packet, tagged with the
    port's label so drops are attributable to a link direction. *)
@@ -53,13 +42,7 @@ let record_drop t (pkt : Packet.t) reason =
   t.dropped <- t.dropped + 1;
   if Packet.is_data pkt then t.dropped_data <- t.dropped_data + 1;
   if Telemetry.enabled () then begin
-    let m = Telemetry.metrics_exn () in
-    let counter =
-      match (t.drop_counter, t.drop_registry) with
-      | Some c, Some r when r == m -> c
-      | _ -> resolve_drop_counter t m
-    in
-    Metrics.incr counter;
+    Telemetry.incr_counter ~labels:t.drop_labels "port_dropped_packets";
     Telemetry.record ~time:(Engine.now t.engine)
       (Event.Packet_drop
          {
@@ -164,16 +147,15 @@ let create ~engine ~bandwidth ~delay ~label =
       cb_tx_done = Engine.null_callback;
       cb_propagate = Engine.null_callback;
       drop_labels = [ ("port", label) ];
-      drop_registry = None;
-      drop_counter = None;
     }
   in
   t.cb_tx_done <-
     Engine.register_callback engine (fun obj -> tx_done t (Obj.obj obj));
   t.cb_propagate <-
     Engine.register_callback engine (fun obj -> propagate t (Obj.obj obj));
+  (* Register the row now so metric exports list it even at zero. *)
   if Telemetry.enabled () then
-    ignore (resolve_drop_counter t (Telemetry.metrics_exn ()));
+    Telemetry.add_counter ~labels:t.drop_labels "port_dropped_packets" 0;
   t
 
 let inject_drops t n = t.inject_drops <- t.inject_drops + n

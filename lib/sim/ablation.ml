@@ -60,25 +60,6 @@ type queue_factor_row = {
   qf_completion_us : float;
 }
 
-let two_ring_flows net ~bytes ~on_all_done =
-  let ls = Network.fabric net in
-  let groups = Workload.motivation_groups ls in
-  let remaining = ref 0 in
-  let last = ref Sim_time.zero in
-  Array.iter
-    (fun members ->
-      let n = Array.length members in
-      Array.iteri
-        (fun i src ->
-          incr remaining;
-          let qp = Network.connect net ~src ~dst:members.((i + 1) mod n) in
-          Rnic.post_send qp ~bytes ~on_complete:(fun t ->
-              decr remaining;
-              last := Sim_time.max !last t;
-              if !remaining = 0 then on_all_done !last))
-        members)
-    groups
-
 let queue_factor ?(factors = [ 0.25; 0.5; 1.0; 1.5; 2.0 ])
     ?(jitter = Sim_time.zero) ?(seed = 5) () =
   List.map
@@ -94,9 +75,13 @@ let queue_factor ?(factors = [ 0.25; 0.5; 1.0; 1.5; 2.0 ])
         }
       in
       let net = Network.build params in
-      let tail = ref Float.infinity in
-      two_ring_flows net ~bytes:2_000_000 ~on_all_done:(fun t ->
-          tail := Sim_time.to_us t);
+      let done_ = ref 0 and last = ref Sim_time.zero in
+      let qps =
+        Workload.motivation_rings net ~bytes:2_000_000
+          ~on_complete:(fun _ t ->
+            incr done_;
+            last := Sim_time.max !last t)
+      in
       Network.run net ~until:(Sim_time.sec 10);
       let t = Option.get (Network.themis_totals net) in
       {
@@ -104,7 +89,9 @@ let queue_factor ?(factors = [ 0.25; 0.5; 1.0; 1.5; 2.0 ])
         underflow_forwards = t.Network.nacks_forwarded_underflow;
         blocked = t.Network.nacks_blocked;
         retx = Network.total_retx_packets net;
-        qf_completion_us = !tail;
+        qf_completion_us =
+          (if !done_ = List.length qps then Sim_time.to_us !last
+           else Float.infinity);
       })
     factors
 
@@ -116,30 +103,13 @@ type transport_row = {
 }
 
 let run_two_rings ~label ~scheme ~transport ~seed =
-  let base = Network.default_params ~fabric:Leaf_spine.motivation ~scheme in
-  let cc = Dcqcn.with_ti_td base.Network.nic.Rnic.cc ~ti_us:55. ~td_us:50. in
-  let params =
-    {
-      base with
-      Network.nic = { base.Network.nic with Rnic.transport; cc };
-      seed;
-    }
-  in
+  let params = Experiment.motivation_params ~scheme ~transport ~seed in
   let net = Network.build params in
   let bytes = 2_000_000 in
   let completions = ref [] in
-  let ls = Network.fabric net in
-  let groups = Workload.motivation_groups ls in
-  Array.iter
-    (fun members ->
-      let n = Array.length members in
-      Array.iteri
-        (fun i src ->
-          let qp = Network.connect net ~src ~dst:members.((i + 1) mod n) in
-          Rnic.post_send qp ~bytes ~on_complete:(fun t ->
-              completions := t :: !completions))
-        members)
-    groups;
+  ignore
+    (Workload.motivation_rings net ~bytes ~on_complete:(fun _ t ->
+         completions := t :: !completions));
   Network.run net ~until:(Sim_time.sec 10);
   let goodputs =
     List.map

@@ -102,46 +102,33 @@ type motivation_result = {
   telemetry : telemetry_summary option;
 }
 
+let motivation_params ~scheme ~transport ~seed =
+  let base = Network.default_params ~fabric:Leaf_spine.motivation ~scheme in
+  (* Classic DCQCN operating point (55 us increase timer, 50 us CNP /
+     decrease interval); Fig. 5 sweeps these separately. *)
+  let cc = Dcqcn.with_ti_td base.Network.nic.Rnic.cc ~ti_us:55. ~td_us:50. in
+  { base with Network.nic = { base.Network.nic with Rnic.transport; cc }; seed }
+
 let run_motivation (cfg : motivation_config) =
-  let fabric = Leaf_spine.motivation in
   let params =
-    let base = Network.default_params ~fabric ~scheme:cfg.scheme in
-    (* Classic DCQCN operating point (55 us increase timer, 50 us CNP /
-       decrease interval); Fig. 5 sweeps these separately. *)
-    let cc =
-      Dcqcn.with_ti_td base.Network.nic.Rnic.cc ~ti_us:55. ~td_us:50.
-    in
     {
-      base with
-      Network.nic =
-        { base.Network.nic with Rnic.transport = cfg.transport; cc };
-      seed = cfg.seed;
-      telemetry = cfg.telemetry;
+      (motivation_params ~scheme:cfg.scheme ~transport:cfg.transport
+         ~seed:cfg.seed)
+      with
+      Network.telemetry = cfg.telemetry;
     }
   in
   let net = Network.build params in
-  let ls = Network.fabric net in
-  let groups = Workload.motivation_groups ls in
   (* Ring transfers: each member sends msg_bytes to its successor, all
      starting together (one step, no barrier semantics needed beyond
      completion tracking). *)
   let completions : (Flow_id.t * Sim_time.t) list ref = ref [] in
-  let watched : Flow_id.t option ref = ref None in
-  let qps = ref [] in
-  Array.iter
-    (fun members ->
-      let n = Array.length members in
-      Array.iteri
-        (fun i src ->
-          let dst = members.((i + 1) mod n) in
-          let qp = Network.connect net ~src ~dst in
-          if !watched = None then watched := Some (Rnic.qp_conn qp);
-          qps := qp :: !qps;
-          Rnic.post_send qp ~bytes:cfg.msg_bytes ~on_complete:(fun time ->
-              completions := (Rnic.qp_conn qp, time) :: !completions))
-        members)
-    groups;
-  let watched_conn = Option.get !watched in
+  let qps =
+    Workload.motivation_rings net ~bytes:cfg.msg_bytes
+      ~on_complete:(fun qp time ->
+        completions := (Rnic.qp_conn qp, time) :: !completions)
+  in
+  let watched_conn = Rnic.qp_conn (List.hd qps) in
   (* Per-bucket wire bytes and retransmission counts for the watched flow;
      run-wide counters come from the NIC aggregates. *)
   let rate_ts = Stats.Time_series.create ~bucket:cfg.bucket in
@@ -161,7 +148,7 @@ let run_motivation (cfg : motivation_config) =
           end))
       (Network.fabric net).Leaf_spine.hosts;
   Network.run net ~until:(Sim_time.sec 30);
-  let flows = List.length !qps in
+  let flows = List.length qps in
   let completed = List.length !completions in
   if completed < flows then
     failwith

@@ -74,6 +74,13 @@ type motivation_result = {
   telemetry : telemetry_summary option;
 }
 
+val motivation_params :
+  scheme:Network.scheme -> transport:Rnic.transport -> seed:int ->
+  Network.params
+(** The Fig. 1 network: the motivation fabric under the classic DCQCN
+    operating point (TI 55 us, TD 50 us).  The transport ablations share
+    it. *)
+
 val run_motivation : motivation_config -> motivation_result
 
 (** {1 Collective-communication evaluation (Section 5, Figure 5)} *)

@@ -24,6 +24,20 @@ let motivation_groups (ls : Leaf_spine.t) =
   in
   [| group 0; group 1 |]
 
+let motivation_rings net ~bytes ~on_complete =
+  let qps = ref [] in
+  Array.iter
+    (fun members ->
+      let n = Array.length members in
+      Array.iteri
+        (fun i src ->
+          let qp = Network.connect net ~src ~dst:members.((i + 1) mod n) in
+          Rnic.post_send qp ~bytes ~on_complete:(on_complete qp);
+          qps := qp :: !qps)
+        members)
+    (motivation_groups (Network.fabric net));
+  List.rev !qps
+
 type group_run = {
   members : int array;
   runner : Runner.t;

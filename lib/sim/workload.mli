@@ -11,6 +11,14 @@ val motivation_groups : Leaf_spine.t -> int array array
     groups whose ring neighbours always sit under the other ToR, so every
     flow crosses the spine tier. *)
 
+val motivation_rings :
+  Network.t -> bytes:int -> on_complete:(Rnic.qp -> Sim_time.t -> unit) ->
+  Rnic.qp list
+(** The Fig. 1 workload on the motivation fabric: every member of each
+    {!motivation_groups} ring posts [bytes] to its successor at time
+    zero.  QPs are connected and posted in ring order and returned in
+    that order; [on_complete qp t] fires as each send finishes. *)
+
 type group_run = {
   members : int array;
   runner : Runner.t;

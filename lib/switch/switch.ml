@@ -65,12 +65,9 @@ type t = {
   (* Closure-free fwd-delay events; the packet rides the obj slot. *)
   mutable cb_process : Engine.callback;
   mutable cb_forward : Engine.callback;
-  (* Drop-counter handle resolved once per telemetry context, plus the
-     preformatted drop location, instead of per-drop rebuilds. *)
+  (* Preformatted drop location and switch_dropped_packets labels. *)
   drop_loc : string;
   drop_labels : Metrics.labels;
-  mutable drop_registry : Metrics.t option;
-  mutable drop_counter : Metrics.counter option;
 }
 
 let node_id t = t.node
@@ -83,22 +80,10 @@ let config t = t.cfg
 let slow_path_probes = Domain.DLS.new_key (fun () -> ref 0)
 let forward_hash_probes () = !(Domain.DLS.get slow_path_probes)
 
-let resolve_drop_counter t m =
-  let c = Metrics.counter m ~labels:t.drop_labels "switch_dropped_packets" in
-  t.drop_registry <- Some m;
-  t.drop_counter <- Some c;
-  c
-
 let record_drop t (pkt : Packet.t) reason =
   if Packet.is_data pkt then t.dropped_data <- t.dropped_data + 1;
   if Telemetry.enabled () then begin
-    let m = Telemetry.metrics_exn () in
-    let counter =
-      match (t.drop_counter, t.drop_registry) with
-      | Some c, Some r when r == m -> c
-      | _ -> resolve_drop_counter t m
-    in
-    Metrics.incr counter;
+    Telemetry.incr_counter ~labels:t.drop_labels "switch_dropped_packets";
     Telemetry.record ~time:(Engine.now t.engine)
       (Event.Packet_drop
          {
@@ -380,8 +365,6 @@ let create ~engine ~topo ~routing ~node ~config ~rng =
     cb_forward = Engine.null_callback;
     drop_loc = Printf.sprintf "sw%d" node;
     drop_labels = [ ("node", string_of_int node) ];
-    drop_registry = None;
-    drop_counter = None;
   }
   in
   t.load_fn <- (fun i -> Port.queue_bytes t.load_ports.(i));
@@ -389,8 +372,9 @@ let create ~engine ~topo ~routing ~node ~config ~rng =
     Engine.register_callback engine (fun obj -> process t (Obj.obj obj));
   t.cb_forward <-
     Engine.register_callback engine (fun obj -> forward t (Obj.obj obj));
-  (if Telemetry.enabled () then
-     ignore (resolve_drop_counter t (Telemetry.metrics_exn ())));
+  (* Register the row now so metric exports list it even at zero. *)
+  if Telemetry.enabled () then
+    Telemetry.add_counter ~labels:t.drop_labels "switch_dropped_packets" 0;
   t
 
 let receive t pkt =

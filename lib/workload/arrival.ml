@@ -4,19 +4,14 @@ let process_to_string = function
   | Poisson -> "poisson"
   | Onoff { on_us; off_us } -> Printf.sprintf "onoff:%d:%d" on_us off_us
 
-let int_of s ~what =
-  match int_of_string_opt (String.trim s) with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "bad integer %S in %s" s what)
-
 let ( let* ) = Result.bind
 
 let process_of_string s =
   match String.split_on_char ':' (String.trim s) with
   | [ "poisson" ] -> Ok Poisson
   | [ "onoff"; on; off ] ->
-      let* on_us = int_of on ~what:"arrival" in
-      let* off_us = int_of off ~what:"arrival" in
+      let* on_us = Spec_line.int_of on ~what:"arrival" in
+      let* off_us = Spec_line.int_of off ~what:"arrival" in
       if on_us <= 0 || off_us < 0 then Error "bad on/off durations"
       else Ok (Onoff { on_us; off_us })
   | _ -> Error (Printf.sprintf "unknown arrival process %S" s)

@@ -109,11 +109,6 @@ let to_string = function
   | Hadoop -> "hadoop"
   | Storage -> "storage"
 
-let int_of s ~what =
-  match int_of_string_opt (String.trim s) with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "bad integer %S in %s" s what)
-
 let ( let* ) = Result.bind
 
 let of_string s =
@@ -122,11 +117,11 @@ let of_string s =
   | [ "hadoop" ] -> Ok Hadoop
   | [ "storage" ] -> Ok Storage
   | [ "fixed"; n ] ->
-      let* n = int_of n ~what:"dist" in
+      let* n = Spec_line.int_of n ~what:"dist" in
       if n <= 0 then Error "fixed size must be positive" else Ok (Fixed n)
   | [ "uniform"; lo; hi ] ->
-      let* lo = int_of lo ~what:"dist" in
-      let* hi = int_of hi ~what:"dist" in
+      let* lo = Spec_line.int_of lo ~what:"dist" in
+      let* hi = Spec_line.int_of hi ~what:"dist" in
       if lo <= 0 || hi < lo then Error "bad uniform range"
       else Ok (Uniform { lo; hi })
   | _ -> Error (Printf.sprintf "unknown distribution %S" s)

@@ -63,30 +63,15 @@ let to_string t =
 
 let ( let* ) = Result.bind
 
-let int_of s ~what =
-  match int_of_string_opt (String.trim s) with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "bad integer %S in %s" s what)
-
-let split_nonempty sep s =
-  if String.trim s = "" then [] else String.split_on_char sep s
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: xs ->
-      let* y = f x in
-      let* ys = map_result f xs in
-      Ok (y :: ys)
-
 let coll_of_string s =
   match String.split_on_char '@' s with
   | [ head; start_s ] -> (
       match String.split_on_char ':' head with
       | [ coll; ranks_s; bytes_s; iters_s ] ->
-          let* ranks = int_of ranks_s ~what:"coll" in
-          let* coll_bytes = int_of bytes_s ~what:"coll" in
-          let* iters = int_of iters_s ~what:"coll" in
-          let* coll_start_ns = int_of start_s ~what:"coll" in
+          let* ranks = Spec_line.int_of ranks_s ~what:"coll" in
+          let* coll_bytes = Spec_line.int_of bytes_s ~what:"coll" in
+          let* iters = Spec_line.int_of iters_s ~what:"coll" in
+          let* coll_start_ns = Spec_line.int_of start_s ~what:"coll" in
           Ok { coll; ranks; coll_bytes; iters; coll_start_ns }
       | _ -> Error (Printf.sprintf "bad collective %S" s))
   | _ -> Error (Printf.sprintf "bad collective %S" s)
@@ -94,20 +79,20 @@ let coll_of_string s =
 let failure_of_string s =
   match String.split_on_char ':' s with
   | [ "flap"; a; b; c; d; e ] ->
-      let* flap_link = int_of a ~what:"flap" in
-      let* first_down_ns = int_of b ~what:"flap" in
-      let* down_for_ns = int_of c ~what:"flap" in
-      let* period_ns = int_of d ~what:"flap" in
-      let* count = int_of e ~what:"flap" in
+      let* flap_link = Spec_line.int_of a ~what:"flap" in
+      let* first_down_ns = Spec_line.int_of b ~what:"flap" in
+      let* down_for_ns = Spec_line.int_of c ~what:"flap" in
+      let* period_ns = Spec_line.int_of d ~what:"flap" in
+      let* count = Spec_line.int_of e ~what:"flap" in
       Ok (Flap { flap_link; first_down_ns; down_for_ns; period_ns; count })
   | [ "spine"; a; b ] ->
-      let* spine = int_of a ~what:"spine fault" in
-      let* at_ns = int_of b ~what:"spine fault" in
+      let* spine = Spec_line.int_of a ~what:"spine fault" in
+      let* at_ns = Spec_line.int_of b ~what:"spine fault" in
       Ok (Spine_down { spine; at_ns })
   | [ "storm"; a; b; c ] ->
-      let* storm_start_ns = int_of a ~what:"storm" in
-      let* storm_dur_ns = int_of b ~what:"storm" in
-      let* storm_ppm = int_of c ~what:"storm" in
+      let* storm_start_ns = Spec_line.int_of a ~what:"storm" in
+      let* storm_dur_ns = Spec_line.int_of b ~what:"storm" in
+      let* storm_ppm = Spec_line.int_of c ~what:"storm" in
       Ok (Drop_storm { storm_start_ns; storm_dur_ns; storm_ppm })
   | _ -> Error (Printf.sprintf "bad failure %S" s)
 
@@ -135,7 +120,7 @@ let validate t =
   in
   let* () = if t.deadline_ns > 0 then Ok () else Error "bad deadline" in
   let* () =
-    map_result
+    Spec_line.map_result
       (fun c ->
         if not (List.mem c.coll colls_known) then
           Error (Printf.sprintf "unknown collective %S" c.coll)
@@ -154,7 +139,7 @@ let validate t =
   | Fuzz_spec.Ft _ -> assert false
   | Fuzz_spec.Ls { n_leaves; n_spines; _ } ->
       let n_links = n_hosts + (n_leaves * n_spines) in
-      map_result
+      Spec_line.map_result
         (fun f ->
           match f with
           | Flap { flap_link; down_for_ns; period_ns; count; _ } ->
@@ -277,60 +262,33 @@ let of_string s =
       match preset name with
       | Some t -> Ok t
       | None -> Error (Printf.sprintf "unknown workload preset %S" name))
-  | _ -> (
-      match split_nonempty ';' s with
-      | "wl1" :: fields ->
-          let kv =
-            List.filter_map
-              (fun f ->
-                match String.index_opt f '=' with
-                | None -> None
-                | Some i ->
-                    Some
-                      ( String.sub f 0 i,
-                        String.sub f (i + 1) (String.length f - i - 1) ))
-              fields
-          in
-          let find k =
-            match List.assoc_opt k kv with
-            | Some v -> Ok v
-            | None -> Error (Printf.sprintf "missing field %S" k)
-          in
-          let find_int k =
-            let* v = find k in
-            int_of v ~what:k
-          in
-          let* wseed = find_int "seed" in
-          let* shape_s = find "shape" in
-          let* shape = Fuzz_spec.shape_of_string shape_s in
-          let* dist_s = find "dist" in
-          let* dist = Flow_size.of_string dist_s in
-          let* arr_s = find "arr" in
-          let* arrival = Arrival.process_of_string arr_s in
-          let* load_pct = find_int "load" in
-          let* n_flows = find_int "flows" in
-          let* colls_s = find "colls" in
-          let* colls = map_result coll_of_string (split_nonempty ',' colls_s) in
-          let* faults_s = find "faults" in
-          let* failures =
-            map_result failure_of_string (split_nonempty ',' faults_s)
-          in
-          let* deadline_ns = find_int "dl" in
-          let t =
-            {
-              wseed;
-              shape;
-              dist;
-              arrival;
-              load_pct;
-              n_flows;
-              colls;
-              failures;
-              deadline_ns;
-            }
-          in
-          let* () = validate t in
-          Ok t
-      | _ -> Error "spec must start with \"wl1;\" or \"preset:<name>\"")
+  | _ ->
+      let open Spec_line in
+      let* f = parse ~tag:"wl1" s in
+      let* wseed = int f "seed" in
+      let* shape = get f "shape" Fuzz_spec.shape_of_string in
+      let* dist = get f "dist" Flow_size.of_string in
+      let* arrival = get f "arr" Arrival.process_of_string in
+      let* load_pct = int f "load" in
+      let* n_flows = int f "flows" in
+      let* colls = get f "colls" (list coll_of_string) in
+      let* failures = get f "faults" (list failure_of_string) in
+      let* deadline_ns = int f "dl" in
+      let* () = close f in
+      let t =
+        {
+          wseed;
+          shape;
+          dist;
+          arrival;
+          load_pct;
+          n_flows;
+          colls;
+          failures;
+          deadline_ns;
+        }
+      in
+      let* () = validate t in
+      Ok t
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

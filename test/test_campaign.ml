@@ -223,6 +223,44 @@ let test_parse_errors () =
   (match Campaign_spec.job_of_string "cj1;warp;seed=1" with
   | Ok _ -> Alcotest.fail "accepted unknown job kind"
   | Error _ -> ());
+  (* Malformed fields in either line format: unknown key, repeated key,
+     no '='. *)
+  let quick =
+    Campaign_spec.to_string (Option.get (Campaign_spec.preset "quick"))
+  in
+  let job = "cj1;fig1;tr=sr;mb=10;seed=7" in
+  List.iter
+    (fun (l, want) ->
+      let got =
+        if String.starts_with ~prefix:"cp1" l then
+          Result.map ignore (Campaign_spec.of_string l)
+        else Result.map ignore (Campaign_spec.job_of_string l)
+      in
+      Alcotest.(check (result unit string)) l (Error want) got)
+    [
+      (quick ^ ";seed=1", "unknown field \"seed\"");
+      (quick ^ ";wl=mix", "duplicate field \"wl\"");
+      (quick ^ ";loads", "field \"loads\" has no '='");
+      (job ^ ";scheme=themis", "unknown field \"scheme\"");
+      (job ^ ";mb=1", "duplicate field \"mb\"");
+      (job ^ ";mb", "field \"mb\" has no '='");
+    ];
+  (* Well-formed job lines whose names do not resolve parse, but fail
+     validation instead of reaching the runner. *)
+  List.iter
+    (fun l ->
+      match Campaign_spec.job_of_string l with
+      | Error e -> Alcotest.failf "cannot parse %s: %s" l e
+      | Ok j -> (
+          match Campaign_spec.validate_job j with
+          | Ok () -> Alcotest.failf "validated bad job %s" l
+          | Error _ -> ()))
+    [
+      "cj1;ablation;study=warp;seed=1";
+      "cj1;fig5;fab=eval8;scheme=warp;coll=allreduce;mb=1;ti=900;td=4;seed=11";
+      "cj1;arena;scheme=themis;scen=nope;seed=1";
+      "cj1;workload;wl=nope;scheme=themis;load=30;seed=1";
+    ];
   let no_seeds =
     { (Option.get (Campaign_spec.preset "quick")) with Campaign_spec.seeds = [] }
   in

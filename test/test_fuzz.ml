@@ -93,7 +93,19 @@ let test_of_string_errors () =
   Alcotest.(check bool) "bad version" true
     (is_err (Fuzz_spec.of_string "fz9;seed=1"));
   Alcotest.(check bool) "truncated" true
-    (is_err (Fuzz_spec.of_string "fz1;seed=1;shape=ls:2:2:2:100:40:500"))
+    (is_err (Fuzz_spec.of_string "fz1;seed=1;shape=ls:2:2:2:100:40:500"));
+  (* Malformed fields are named, never skipped: a typo'd key, a repeated
+     key and a field without '='. *)
+  let line = Fuzz_spec.to_string tiny_spec in
+  List.iter
+    (fun (bad, want) ->
+      Alcotest.(check (result unit string)) bad (Error want)
+        (Result.map ignore (Fuzz_spec.of_string bad)))
+    [
+      (line ^ ";sspin=0:10", "unknown field \"sspin\"");
+      (line ^ ";seed=2", "duplicate field \"seed\"");
+      (line ^ ";qf", "field \"qf\" has no '='");
+    ]
 
 (* A clean two-flow scenario holds every oracle under every scheme. *)
 let test_tiny_run_all_schemes () =

@@ -39,20 +39,11 @@ let test_themis_blocks_all_nacks_without_loss () =
      retransmissions and zero NACK slow-starts. *)
   let params = motivation_params (Network.Themis { compensation = true }) in
   let net = Network.build params in
-  let ls = Network.fabric net in
   let done_count = ref 0 in
   (* Cross traffic to force reordering: all 8 hosts in two rings. *)
-  let groups = Workload.motivation_groups ls in
-  Array.iter
-    (fun members ->
-      let n = Array.length members in
-      Array.iteri
-        (fun i src ->
-          let qp = Network.connect net ~src ~dst:members.((i + 1) mod n) in
-          Rnic.post_send qp ~bytes:1_000_000 ~on_complete:(fun _ ->
-              incr done_count))
-        members)
-    groups;
+  ignore
+    (Workload.motivation_rings net ~bytes:1_000_000 ~on_complete:(fun _ _ ->
+         incr done_count));
   Network.run net ~until:(Sim_time.sec 5);
   Alcotest.(check int) "all flows complete" 8 !done_count;
   Alcotest.(check int) "no nacks reach senders" 0 (Network.total_nacks_delivered net);

@@ -178,7 +178,19 @@ let test_parse_errors () =
   (* No traffic at all. *)
   bad "wl1;seed=1;shape=ls:2:2:4:25:25:500;dist=fixed:1000;arr=poisson;load=50;flows=0;colls=;faults=;dl=1000000";
   (* Flap on a host link. *)
-  bad "wl1;seed=1;shape=ls:2:2:4:25:25:500;dist=fixed:1000;arr=poisson;load=50;flows=10;colls=;faults=flap:0:1000:1000:5000:1;dl=1000000"
+  bad "wl1;seed=1;shape=ls:2:2:4:25:25:500;dist=fixed:1000;arr=poisson;load=50;flows=10;colls=;faults=flap:0:1000:1000:5000:1;dl=1000000";
+  (* Malformed fields: unknown key, repeated key, no '='. *)
+  let mix = Workload_spec.to_string (Option.get (Workload_spec.preset "mix")) in
+  List.iter
+    (fun (l, want) ->
+      match Workload_spec.of_string l with
+      | Ok _ -> Alcotest.failf "accepted bad spec %s" l
+      | Error e -> Alcotest.(check string) l want e)
+    [
+      (mix ^ ";lod=40", "unknown field \"lod\"");
+      (mix ^ ";load=40", "duplicate field \"load\"");
+      (mix ^ ";flows", "field \"flows\" has no '='");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Flow sizes. *)
