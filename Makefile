@@ -2,7 +2,7 @@
 # on every commit.
 
 .PHONY: all build test examples micro bench-engine bench-engine-smoke \
-        bench-fwd bench-fwd-smoke bench-shard bench-shard-smoke fuzz-quick \
+        bench-fwd bench-fwd-smoke fuzz-quick \
         fuzz-soak campaign-quick workload-smoke workload-bench arena \
         arena-smoke perfbench-smoke cli-bad-input check clean
 
@@ -29,14 +29,16 @@ micro:
 	dune exec bench/main.exe -- micro
 
 # Engine/data-plane benchmark (DESIGN.md §10/§15): events/sec, minor
-# words/event, campaign wall-clock and the timing-wheel hit ratio vs
-# the frozen 631052b baseline, written to BENCH_engine.json with
-# before/after ratios.
+# words/event, campaign wall-clock and the timing-wheel hit ratio,
+# written to BENCH_engine.json.  Fails unless the incast run processes
+# exactly 330,667 events (the trace fingerprint).  Compare numbers only
+# against a same-box run of the other tree.
 bench-engine:
 	dune exec bench/engine_bench.exe -- --out BENCH_engine.json
 
 # Smoke variant for CI: tiny iteration counts, no timing gate — only
-# asserts the harness runs and emits valid JSON with the expected keys.
+# asserts the harness runs, replays the 756-event smoke incast trace and
+# emits valid JSON with the expected keys.
 bench-engine-smoke:
 	dune exec bench/engine_bench.exe -- --smoke --out _build/BENCH_engine.smoke.json
 
@@ -49,18 +51,6 @@ bench-fwd:
 
 bench-fwd-smoke:
 	dune exec bench/engine_bench.exe -- --fwd-only --smoke --out _build/BENCH_fwd.smoke.json
-
-# Sharded-simulation benchmark (DESIGN.md §14): one permutation sweep
-# serial, then across 1/2/4 domains, asserting outcome identity at each
-# count and recording events/s per domain count in BENCH_engine.json.
-# Note the events/s scaling is only meaningful on a multicore box.
-bench-shard:
-	dune exec bench/shard_bench.exe
-
-# CI variant: small fabric, 2 domains, asserts serial == sharded on
-# every oracle-visible result (summary, canonical events, metrics).
-bench-shard-smoke:
-	dune exec bench/shard_bench.exe -- --smoke
 
 # Randomized fault-injection sweep with invariant oracles (DESIGN.md §8).
 # 200 scenarios x every scheme normally finishes in ~2 s; the wall budget
@@ -125,11 +115,12 @@ perfbench-smoke:
 # Bad input on the command line must exit 2 with a message naming the
 # field or name, never 0 (a silently ignored typo) or 125 (an uncaught
 # exception): four cj1 job lines whose names do not resolve, then a
-# cp1, fz1 and wl1 line each with a misspelled key.
+# cp1, fz1 and wl1 line each with a misspelled key, then out-of-range
+# numeric flags of themis_cli.
 CLI_BIN = _build/default/bin
 cli-bad-input:
 	dune build $(CLI_BIN)/themis_campaign_cli.exe $(CLI_BIN)/themis_fuzz_cli.exe \
-	  $(CLI_BIN)/themis_workload_cli.exe
+	  $(CLI_BIN)/themis_workload_cli.exe $(CLI_BIN)/themis_cli.exe
 	@want2() { "$$@"; rc=$$?; \
 	  if [ $$rc -ne 2 ]; then echo "cli-bad-input: exit $$rc (want 2): $$*"; exit 1; fi; }; \
 	exec_job() { want2 $(CLI_BIN)/themis_campaign_cli.exe exec --store _build/cli-bad-input "$$1"; }; \
@@ -143,9 +134,15 @@ cli-bad-input:
 	  'fz1;seed=5;shape=ls:4:4:2:100:100:1254;tr=sr;qf=25;ppcap=9216;jit=1403;drop=0;corr=0;dup=254;dly=4062:19615;fmode=ecmp;dl=2000000000;schemes=ecmp+spray+ar+themis;flows=5>1:91722@80292,7>1:91722@59216;faults=;sspin=0:10'; \
 	want2 $(CLI_BIN)/themis_workload_cli.exe describe --spec \
 	  'wl1;seed=21;shape=ls:2:2:4:25:25:500;dist=websearch;arr=poisson;load=30;flows=120;colls=;faults=;dl=400000000;lod=40'; \
+	want2 $(CLI_BIN)/themis_cli.exe motivation --msg-mb=0; \
+	want2 $(CLI_BIN)/themis_cli.exe motivation --msg-mb=-1; \
+	want2 $(CLI_BIN)/themis_cli.exe incast --mb=0; \
+	want2 $(CLI_BIN)/themis_cli.exe incast --fanin=0; \
+	want2 $(CLI_BIN)/themis_cli.exe fattree -k 3; \
+	want2 $(CLI_BIN)/themis_cli.exe fattree --mb=0; \
 	echo "cli-bad-input: OK"
 
-check: build test examples micro bench-engine-smoke bench-fwd-smoke bench-shard-smoke fuzz-quick campaign-quick workload-smoke arena-smoke perfbench-smoke cli-bad-input
+check: build test examples micro bench-engine-smoke bench-fwd-smoke fuzz-quick campaign-quick workload-smoke arena-smoke perfbench-smoke cli-bad-input
 	@echo "check: OK"
 
 clean:

@@ -1,13 +1,13 @@
 (* Engine hot-path benchmark: events/sec, minor-heap words per simulated
    event and wall-clock for the quick/incast presets (DESIGN.md §10).
 
-   Emits BENCH_engine.json so perf is tracked PR-over-PR.  The numbers
-   under "baseline" were measured on the pre-optimization tree (commit
-   aaa39e0, closure-per-event engine) on the same machine class that runs
-   `make check`; "current" is re-measured on every invocation, and the
-   "ratio" block is current-vs-baseline.  `--smoke` runs a tiny iteration
-   count and validates the emitted JSON — it gates `make check` without
-   costing CI time; real numbers come from `make bench-engine`. *)
+   Emits BENCH_engine.json so perf is tracked PR-over-PR; every number
+   is re-measured on every invocation, and only same-box A/B runs are
+   comparable.  The incast run doubles as the trace fingerprint: it
+   must process exactly 330,667 events (756 under `--smoke`), or the
+   bench fails.  `--smoke` runs a tiny iteration count and validates the
+   emitted JSON — it gates `make check` without costing CI time; real
+   numbers come from `make bench-engine`. *)
 
 let out_path = ref "BENCH_engine.json"
 let smoke = ref false
@@ -73,10 +73,10 @@ let bench_mill ~events ~reps =
    than called through Experiment so we can read the engine's event count
    for the words/event metric.  Keep in sync with Experiment.run_incast.
    Best-of-[reps]: each repetition of the scheme sequence starts from
-   Fabric_core.reset_run_state, so every one must replay the same trace,
-   and a repetition whose event count differs from the first fails the
+   Fabric_core.reset_run_state, so every one must replay the same trace:
+   a repetition whose event count is not [expect_events] fails the
    bench. *)
-let bench_incast ~schemes ~fanin ~bytes ~seed ~reps =
+let bench_incast ~schemes ~fanin ~bytes ~seed ~reps ~expect_events =
   let once () =
     Fabric_core.reset_run_state ();
     let wheel = ref 0 and heap = ref 0 in
@@ -119,16 +119,19 @@ let bench_incast ~schemes ~fanin ~bytes ~seed ~reps =
     in
     (s, !wheel, !heap)
   in
-  let first = once () in
-  let best = ref first in
-  for rep = 2 to reps do
+  let checked rep =
     let ((s, _, _) as r) = once () in
-    let s0, _, _ = first and b, _, _ = !best in
-    if s.events <> s0.events then
+    if s.events <> expect_events then
       failwith
         (Printf.sprintf
-           "engine_bench: incast repetition %d ran %d events, the first %d"
-           rep s.events s0.events);
+           "engine_bench: incast repetition %d ran %d events, the trace \
+            fingerprint is %d"
+           rep s.events expect_events);
+    r
+  in
+  let best = ref (checked 1) in
+  for rep = 2 to reps do
+    let ((s, _, _) as r) = checked rep and b, _, _ = !best in
     if s.wall_s < b.wall_s then best := r
   done;
   let s, wheel, heap = !best in
@@ -249,39 +252,6 @@ let bench_quick () =
   in
   (s, List.length jobs)
 
-(* --- baseline (pre-optimization tree) --------------------------------- *)
-
-type numbers = {
-  mill_eps : float;
-  mill_wpe : float;
-  incast_events : int;
-  incast_eps : float;
-  incast_wpe : float;
-  quick_jobs : int;
-  quick_wall_s : float;
-  fwd_pps : float;
-  fwd_wpp : float;
-}
-
-(* Measured at commit 631052b — the dense-forwarding tree of PR 8
-   (compiled route cache, pooled packets, sharded interlinks), before
-   the hierarchical timing wheel — with this same harness on the machine
-   class that runs `make check`; regenerate via EXPERIMENTS.md §
-   "Engine benchmark" after intentional model changes. *)
-let baseline : numbers option =
-  Some
-    {
-      mill_eps = 6576935.;
-      mill_wpe = 5.00;
-      incast_events = 330667;
-      incast_eps = 5798418.;
-      incast_wpe = 4.66;
-      quick_jobs = 6;
-      quick_wall_s = 1.58;
-      fwd_pps = 3410705.;
-      fwd_wpp = 23.00;
-    }
-
 (* --- JSON ------------------------------------------------------------- *)
 
 let j_sample s =
@@ -291,21 +261,6 @@ let j_sample s =
       ("wall_s", Campaign_json.Num s.wall_s);
       ("events_per_sec", Campaign_json.Num (events_per_sec s));
       ("minor_words_per_event", Campaign_json.Num (words_per_event s));
-    ]
-
-let j_baseline (b : numbers) =
-  Campaign_json.Obj
-    [
-      ("commit", Campaign_json.Str "631052b");
-      ("mill_events_per_sec", Campaign_json.Num b.mill_eps);
-      ("mill_minor_words_per_event", Campaign_json.Num b.mill_wpe);
-      ("incast_events", Campaign_json.Num (float_of_int b.incast_events));
-      ("incast_events_per_sec", Campaign_json.Num b.incast_eps);
-      ("incast_minor_words_per_event", Campaign_json.Num b.incast_wpe);
-      ("quick_jobs", Campaign_json.Num (float_of_int b.quick_jobs));
-      ("quick_wall_s", Campaign_json.Num b.quick_wall_s);
-      ("fwd_packets_per_sec", Campaign_json.Num b.fwd_pps);
-      ("fwd_minor_words_per_packet", Campaign_json.Num b.fwd_wpp);
     ]
 
 let j_incast (s, wheel, heap, hit) =
@@ -331,34 +286,6 @@ let j_fwd (s, probes) =
     ]
 
 let emit ~mill ~incast ~quick ~fwd =
-  let ratios =
-    match (baseline, mill, incast, quick) with
-    | Some b, Some mill, Some (incast, _, _, _), Some (q, _) ->
-        [
-          ( "ratios",
-            Campaign_json.Obj
-              ([
-                 ( "incast_minor_words_reduction",
-                   Campaign_json.Num (b.incast_wpe /. words_per_event incast)
-                 );
-                 ( "incast_events_per_sec_speedup",
-                   Campaign_json.Num (events_per_sec incast /. b.incast_eps) );
-                 ( "quick_wall_speedup",
-                   Campaign_json.Num (b.quick_wall_s /. q.wall_s) );
-                 ( "mill_events_per_sec_speedup",
-                   Campaign_json.Num (events_per_sec mill /. b.mill_eps) );
-               ]
-              @
-              match fwd with
-              | Some (f, _) when b.fwd_pps > 0. ->
-                  [
-                    ( "fwd_packets_per_sec_speedup",
-                      Campaign_json.Num (events_per_sec f /. b.fwd_pps) );
-                  ]
-              | Some _ | None -> []) );
-        ]
-    | _ -> []
-  in
   let quick_fields =
     match quick with
     | Some (q, jobs) ->
@@ -382,11 +309,7 @@ let emit ~mill ~incast ~quick ~fwd =
       @ opt "mill" j_sample mill
       @ opt "incast" j_incast incast
       @ quick_fields
-      @ opt "fwd" j_fwd fwd
-      @ (match baseline with
-        | Some b -> [ ("baseline", j_baseline b) ]
-        | None -> [])
-      @ ratios)
+      @ opt "fwd" j_fwd fwd)
   in
   let oc = open_out !out_path in
   output_string oc (Campaign_json.to_string doc);
@@ -448,10 +371,11 @@ let () =
     let ((incast_s, wheel, heap, hit) as incast) =
       if !smoke then
         bench_incast ~schemes:[ "ecmp" ] ~fanin:2 ~bytes:50_000 ~seed:3 ~reps
+          ~expect_events:756
       else
         bench_incast
           ~schemes:[ "ecmp"; "adaptive"; "random-spray"; "themis" ]
-          ~fanin:8 ~bytes:1_000_000 ~seed:3 ~reps
+          ~fanin:8 ~bytes:1_000_000 ~seed:3 ~reps ~expect_events:330_667
     in
     let quick = if !smoke then None else Some (bench_quick ()) in
     emit ~mill:(Some mill) ~incast:(Some incast) ~quick ~fwd:(Some fwd);

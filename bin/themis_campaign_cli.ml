@@ -92,21 +92,6 @@ let workers_arg =
        & info [ "workers" ] ~docv:"N"
            ~doc:"Worker processes (1 = serial, in-process).")
 
-let shards_arg =
-  Arg.(value & opt int 1
-       & info [ "shards" ] ~docv:"N"
-           ~doc:"Run shardable fuzz/arena jobs across $(docv) simulation \
-                 domains (execution-level only: job hashes, the store and \
-                 frozen baselines are unchanged at N=1; unshardable jobs \
-                 fall back to serial).")
-
-let with_shards shards f =
-  match Campaign_runner.set_shards shards with
-  | Error e ->
-      Format.eprintf "campaign: --shards %d: %s@." shards e;
-      2
-  | Ok () -> f ()
-
 let timeout_arg =
   Arg.(value & opt float 300.
        & info [ "timeout-s" ] ~doc:"Per-job wall budget before kill+retry.")
@@ -123,28 +108,26 @@ let run_cmd =
     Arg.(value & flag
          & info [ "force" ] ~doc:"Re-execute jobs already in the store.")
   in
-  let run spec_r store_dir workers shards timeout_s retries force quiet =
+  let run spec_r store_dir workers timeout_s retries force quiet =
     with_spec spec_r (fun spec ->
-        with_shards shards (fun () ->
-            exec_campaign spec ~store_dir ~workers ~timeout_s ~retries ~force
-              ~quiet))
+        exec_campaign spec ~store_dir ~workers ~timeout_s ~retries ~force
+          ~quiet)
   in
   Cmd.v (Cmd.info "run" ~doc:"Execute a campaign grid over the worker pool")
-    Term.(const run $ spec_term $ store_arg $ workers_arg $ shards_arg
-          $ timeout_arg $ retries_arg $ force_arg $ quiet_arg)
+    Term.(const run $ spec_term $ store_arg $ workers_arg $ timeout_arg
+          $ retries_arg $ force_arg $ quiet_arg)
 
 let resume_cmd =
-  let run spec_r store_dir workers shards timeout_s retries quiet =
+  let run spec_r store_dir workers timeout_s retries quiet =
     with_spec spec_r (fun spec ->
-        with_shards shards (fun () ->
-            exec_campaign spec ~store_dir ~workers ~timeout_s ~retries
-              ~force:false ~quiet))
+        exec_campaign spec ~store_dir ~workers ~timeout_s ~retries
+          ~force:false ~quiet)
   in
   Cmd.v
     (Cmd.info "resume"
        ~doc:"Continue an interrupted campaign (completed jobs are cache hits)")
-    Term.(const run $ spec_term $ store_arg $ workers_arg $ shards_arg
-          $ timeout_arg $ retries_arg $ quiet_arg)
+    Term.(const run $ spec_term $ store_arg $ workers_arg $ timeout_arg
+          $ retries_arg $ quiet_arg)
 
 (* ------------------------------------------------------------------ *)
 (* report *)
@@ -242,7 +225,7 @@ let exec_cmd =
     Arg.(required & pos 0 (some string) None
          & info [] ~docv:"JOB" ~doc:"A cj1;... job line (from a failure report).")
   in
-  let run job_s store_dir shards =
+  let run job_s store_dir =
     match
       Result.bind (Campaign_spec.job_of_string job_s) (fun job ->
           Result.map (fun () -> job) (Campaign_spec.validate_job job))
@@ -251,17 +234,16 @@ let exec_cmd =
         Format.eprintf "exec: %s@." e;
         2
     | Ok job ->
-        with_shards shards (fun () ->
-            let store = Campaign_store.open_ ~dir:store_dir in
-            let r = Campaign_runner.run_job job in
-            Campaign_store.save store r;
-            print_endline (Campaign_result.to_json_string r);
-            0)
+        let store = Campaign_store.open_ ~dir:store_dir in
+        let r = Campaign_runner.run_job job in
+        Campaign_store.save store r;
+        print_endline (Campaign_result.to_json_string r);
+        0
   in
   Cmd.v
     (Cmd.info "exec"
        ~doc:"Run one job in-process and print its result JSON")
-    Term.(const run $ job_arg $ store_arg $ shards_arg)
+    Term.(const run $ job_arg $ store_arg)
 
 let jobs_cmd =
   let run spec_r store_dir =

@@ -9,6 +9,21 @@
 
 open Cmdliner
 
+(* Numeric flags are range-checked before anything is built: a bad
+   value exits 2 with a message naming the flag, never 125 from an
+   [Invalid_argument] raised deep inside a constructor. *)
+let bad_input fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "themis_cli: %s@." msg;
+      exit 2)
+    fmt
+
+let payload_bytes ~flag mb =
+  let bytes = int_of_float (mb *. 1e6) in
+  if bytes <= 0 then bad_input "--%s %g: the payload must be positive" flag mb;
+  bytes
+
 let pp_series ~header series =
   Format.printf "  %s@." header;
   List.iter (fun (t, v) -> Format.printf "    %10.1f  %8.4f@." t v) series
@@ -38,7 +53,7 @@ let motivation_cmd =
              telemetry_metrics.csv and telemetry_events.jsonl.")
   in
   let run msg_mb series seed csv_dir telemetry =
-    let bytes_ = int_of_float (msg_mb *. 1e6) in
+    let bytes_ = payload_bytes ~flag:"msg-mb" msg_mb in
     let run_one ?(telemetry = false) transport =
       Experiment.run_motivation
         {
@@ -150,6 +165,7 @@ let fig5_cmd =
   in
   let seed = Arg.(value & opt int 11 & info [ "seed" ] ~doc:"RNG seed.") in
   let run coll mb full seed =
+    let bytes_per_group = payload_bytes ~flag:"mb" mb in
     let fabric =
       if full then Leaf_spine.paper_eval else Experiment.scaled_eval_fabric
     in
@@ -171,7 +187,7 @@ let fig5_cmd =
             let cfg =
               {
                 (Experiment.default_eval ~fabric ~scheme ~coll ()) with
-                Experiment.bytes_per_group = int_of_float (mb *. 1e6);
+                Experiment.bytes_per_group;
                 ti_us;
                 td_us;
                 eval_seed = seed;
@@ -226,6 +242,10 @@ let fattree_cmd =
   let mb = Arg.(value & opt float 2. & info [ "mb" ] ~doc:"Megabytes per flow.") in
   let themis = Arg.(value & flag & info [ "no-themis" ] ~doc:"Disable Themis (plain ECMP).") in
   let run k mb no_themis =
+    (* k/2 a power of two with k even: k itself a power of two. *)
+    if k < 4 || k land (k - 1) <> 0 then
+      bad_input "-k %d: the radix must be a power of two >= 4" k;
+    let bytes = payload_bytes ~flag:"mb" mb in
     let net =
       Fat_tree_net.build (Fat_tree_net.default_params ~k ~themis:(not no_themis) ())
     in
@@ -237,7 +257,7 @@ let fattree_cmd =
       (fun i src ->
         let dst = hosts.((i + (n / 2)) mod n) in
         let qp = Fat_tree_net.connect net ~src ~dst in
-        Rnic.post_send qp ~bytes:(int_of_float (mb *. 1e6))
+        Rnic.post_send qp ~bytes
           ~on_complete:(fun t ->
             incr completed;
             last := Sim_time.max !last t))
@@ -257,6 +277,8 @@ let incast_cmd =
   let fanin = Arg.(value & opt int 8 & info [ "fanin" ] ~doc:"Senders per receiver.") in
   let mb = Arg.(value & opt float 1. & info [ "mb" ] ~doc:"Megabytes per sender.") in
   let run fanin mb =
+    if fanin < 1 then bad_input "--fanin %d: need at least one sender" fanin;
+    let incast_bytes = payload_bytes ~flag:"mb" mb in
     Format.printf "%d-to-1 incast, %.1f MB per sender, 100 Gbps receiver link@.@."
       fanin mb;
     Format.printf "%-22s %10s %10s %10s %8s %8s@." "scheme" "mean(us)" "p50(us)"
@@ -268,7 +290,7 @@ let incast_cmd =
             {
               (Experiment.default_incast ~scheme) with
               Experiment.fanin;
-              incast_bytes = int_of_float (mb *. 1e6);
+              incast_bytes;
             }
         in
         Format.printf "%-22s %10.1f %10.1f %10.1f %8d %8d@."

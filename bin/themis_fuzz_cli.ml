@@ -71,52 +71,18 @@ let spec_arg =
   Arg.(required & pos 0 (some string) None
        & info [] ~docv:"SPEC" ~doc:"A printed spec line or gen:<seed>[:soak].")
 
-let shards_arg =
-  Arg.(value & opt int 1
-       & info [ "shards" ] ~docv:"N"
-           ~doc:"Replay across $(docv) simulation domains (Shard_run). \
-                 The spec must be shardable: leaf-spine shape, ppm fault \
-                 knobs zero, at most one shard per leaf.")
-
-let replay_sharded ~shards spec_s =
-  match Fuzz_spec.of_string spec_s with
-  | Error e ->
-      Format.eprintf "replay: %s@." e;
-      2
-  | Ok spec -> (
-      match Shard_part.supported spec ~shards with
-      | Error e ->
-          Format.eprintf "replay: spec cannot run sharded: %s@." e;
-          2
-      | Ok () -> (
-          match
-            List.map
-              (fun scheme -> Shard_run.run_scheme_safe spec ~scheme ~shards)
-              (Fuzz_run.schemes_of spec)
-          with
-          | exception Shard_run.Unsupported e ->
-              Format.eprintf "replay: %s@." e;
-              2
-          | outcomes ->
-              List.iter
-                (fun o -> log (Format.asprintf "%a" Fuzz_run.pp_outcome o))
-                outcomes;
-              if List.exists Fuzz_run.failed outcomes then 1 else 0))
-
 let replay_cmd =
-  let run spec_s shards =
-    if shards > 1 then replay_sharded ~shards spec_s
-    else
-      match Fuzz_harness.replay ~log spec_s with
-      | Error e ->
-          Format.eprintf "replay: %s@." e;
-          2
-      | Ok r -> print_report r
+  let run spec_s =
+    match Fuzz_harness.replay ~log spec_s with
+    | Error e ->
+        Format.eprintf "replay: %s@." e;
+        2
+    | Ok r -> print_report r
   in
   Cmd.v
     (Cmd.info "replay"
        ~doc:"Re-run one spec under its schemes, verifying determinism")
-    Term.(const run $ spec_arg $ shards_arg)
+    Term.(const run $ spec_arg)
 
 let show_cmd =
   let run spec_s =

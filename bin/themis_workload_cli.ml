@@ -85,23 +85,10 @@ let run_cmd =
          & info [ "scheme" ] ~docv:"S[,S...]"
              ~doc:"Routing scheme(s): ecmp, adaptive, random-spray, themis, ...")
   in
-  let shards_arg =
-    Arg.(value & opt int 1
-         & info [ "shards" ] ~docv:"N"
-             ~doc:"Accepted for symmetry with the campaign CLI.  Open-loop \
-                   workload scenarios (arrival streams, failure scripts, \
-                   collective overlays) are not yet shardable, so any \
-                   value falls back to the serial runner with a note.")
-  in
-  let run spec_r schemes_s load seed flows shards =
+  let run spec_r schemes_s load seed flows =
     with_spec spec_r (fun spec ->
         let spec = override ~load ~seed ~flows spec in
         let schemes = String.split_on_char ',' schemes_s in
-        if shards > 1 then
-          Format.eprintf
-            "workload: open-loop scenarios are not yet shardable; running \
-             serially (--shards %d has no effect)@."
-            shards;
         Format.printf "spec: %s@." (Workload_spec.to_string spec);
         let rc = ref 0 in
         List.iter
@@ -119,8 +106,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a workload spec under one or more schemes")
-    Term.(const run $ spec_term $ schemes_arg $ load_arg $ seed_arg $ flows_arg
-          $ shards_arg)
+    Term.(const run $ spec_term $ schemes_arg $ load_arg $ seed_arg $ flows_arg)
 
 (* ------------------------------------------------------------------ *)
 (* describe *)

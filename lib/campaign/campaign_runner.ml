@@ -2,30 +2,6 @@ let ok_exn what = function
   | Ok v -> v
   | Error e -> invalid_arg (Printf.sprintf "Campaign_runner: %s: %s" what e)
 
-(* Execution-level sharding (DESIGN.md §14).  The shard count is a
-   runner setting, never part of a job: job records, their hashes and
-   the content-addressed store are oblivious to how a result was
-   computed, so frozen baselines keep matching with sharding off.  A
-   job whose spec the sharded runner cannot take (ppm fault knobs, fat
-   trees, fewer leaves than shards, open-loop workloads) falls back to
-   the serial path. *)
-let exec_shards = ref 1
-
-let set_shards shards =
-  if shards < 1 then Error "shards must be >= 1"
-  else
-    match Shard_part.ensure_domains ~shards with
-    | Error _ as e -> e
-    | Ok () ->
-        exec_shards := shards;
-        Ok ()
-
-let run_scheme_auto spec ~scheme =
-  let shards = !exec_shards in
-  if shards > 1 && Result.is_ok (Shard_part.supported spec ~shards) then
-    Shard_run.run_scheme_safe spec ~scheme ~shards
-  else Fuzz_run.run_scheme_safe spec ~scheme
-
 (* Fresh global state per job: this is what makes the serial pool path
    bit-identical to a forked worker (see the .mli). *)
 let with_fresh_context f =
@@ -239,19 +215,13 @@ let ablation ~study ~seed =
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz sweep: one generated spec, run under every scheme.  Every
-   Fuzz_run / Shard_run run starts with Fabric_core.reset_run_state
-   itself, so no with_fresh_context. *)
+   Fuzz_run run starts with Fabric_core.reset_run_state itself, so no
+   with_fresh_context. *)
 
 let fuzz ~soak ~seed =
   let profile = if soak then Fuzz_spec.Soak else Fuzz_spec.Quick in
   let spec = Fuzz_spec.generate ~profile ~seed () in
-  let outcomes =
-    if !exec_shards > 1 then
-      List.map
-        (fun scheme -> run_scheme_auto spec ~scheme)
-        (Fuzz_run.schemes_of spec)
-    else Fuzz_run.run spec
-  in
+  let outcomes = Fuzz_run.run spec in
   let violations =
     List.fold_left
       (fun acc (o : Fuzz_run.outcome) -> acc + List.length o.o_violations)
@@ -296,7 +266,7 @@ let workload ~wname ~wscheme ~load ~wseed =
 
 (* ------------------------------------------------------------------ *)
 (* LB-scheme arena: one Arena_scen scenario under one scheme.  The fuzz
-   runners start with Fabric_core.reset_run_state themselves, so no
+   runner starts with Fabric_core.reset_run_state itself, so no
    with_fresh_context. *)
 
 let arena ~ascheme ~ascen ~aseed =
@@ -305,7 +275,7 @@ let arena ~ascheme ~ascen ~aseed =
     | Ok s -> s
     | Error e -> invalid_arg (Printf.sprintf "Campaign_runner: %s" e)
   in
-  let o = run_scheme_auto spec ~scheme:ascheme in
+  let o = Fuzz_run.run_scheme_safe spec ~scheme:ascheme in
   let nb =
     match o.Fuzz_run.o_themis with
     | Some t -> t.Network.nacks_blocked

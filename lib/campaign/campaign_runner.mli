@@ -26,15 +26,6 @@ val incast :
   scheme:string -> fanin:int -> mb:int -> seed:int ->
   Experiment.incast_result * Campaign_result.t
 
-val set_shards : int -> (unit, string) result
-(** Execution-level sharding for subsequent {!run_job} calls: fuzz and
-    arena jobs whose spec {!Shard_part.supported} accepts run across
-    that many domains ({!Shard_run}); everything else falls back to the
-    serial path.  The shard count is never part of a job — hashes,
-    the store and frozen baselines are unchanged at [N = 1].  [Error]
-    when [shards < 1] or the runtime cannot spawn domains
-    ({!Shard_part.ensure_domains}).  Default 1 (serial). *)
-
 val run_job : Campaign_spec.job -> Campaign_result.t
 (** Dispatch on the job kind.  Raises [Invalid_argument] on unresolvable
     names (callers validate specs first) and propagates simulator

@@ -123,6 +123,14 @@ let run ?until ?max_events t =
     | Some u when u < max_int && u > t.now -> t.now <- u
     | _ -> ()
 
+let check_every = Sim_time.ms 5
+
+let drive t ~finished ~deadline ~settle =
+  while (not (finished ())) && t.now < deadline do
+    run t ~until:(Sim_time.min deadline (t.now + check_every))
+  done;
+  if finished () then run t ~until:(t.now + settle)
+
 let stop t = t.stop_requested <- true
 let events_processed t = t.events_processed
 let pending t = Event_queue.size t.queue

@@ -66,6 +66,18 @@ val run : ?until:Sim_time.t -> ?max_events:int -> t -> unit
     [max_events] have fired.  The clock never moves backwards; when an
     [until] horizon stops the run, the clock is left at the horizon. *)
 
+val drive :
+  t ->
+  finished:(unit -> bool) ->
+  deadline:Sim_time.t ->
+  settle:Sim_time.t ->
+  unit
+(** The scenario drive loop every runner shares: while [finished ()] is
+    false and the clock is short of [deadline], {!run} to the next 5 ms
+    completion check (capped at [deadline]); then, if [finished ()],
+    run on for [settle] more so in-flight control traffic lands before
+    the run is judged. *)
+
 val stop : t -> unit
 (** Ask a running [run] to return after the current event. *)
 

@@ -26,8 +26,9 @@ type t = {
   (* Overflow: min-heap over (time, seq), structure-of-arrays — the sift
      loops compare and shuffle unboxed ints only.  Holds far-future
      events beyond the epoch (migrated down when the cursor's epoch
-     arrives) and events scheduled behind the wheel cursor (a sharded
-     run's window drains; popped directly). *)
+     arrives) and events scheduled behind the wheel cursor (adds between
+     two [Engine.run ~until] windows, after the horizon peek already
+     advanced the cursor; popped directly). *)
   mutable times : int array;
   mutable seqs : int array;
   mutable slots : int array;
@@ -194,9 +195,9 @@ let is_pending q h =
 (* Resolve the next event across the wheel and the heap.
 
    The wheel wins ties: a heap event at the same time as a wheel event
-   is necessarily a behind-cursor late add (window drains), which was
-   scheduled after — and so sequences after — anything the wheel holds
-   at that time (DESIGN.md §15 has the full argument).  When the wheel
+   is necessarily a behind-cursor late add (between two run windows),
+   which was scheduled after — and so sequences after — anything the
+   wheel holds at that time (DESIGN.md §15 has the full argument).  When the wheel
    is empty and the heap's earliest event lies in an epoch at or ahead
    of the cursor, that whole epoch migrates down: heap pops come out in
    (time, seq) order, so the wheel's append-only slots receive them in

@@ -11,7 +11,8 @@
     O(1) per add/pop, while a binary SoA min-heap holds the overflow:
     far-future timers, events scheduled across the epoch boundary
     (migrated down as the cursor's epoch arrives), and events scheduled
-    behind the wheel cursor (a sharded run's barrier drains; served
+    behind the wheel cursor (an add between two [Engine.run ~until]
+    windows, after the horizon peek already advanced the cursor; served
     directly from the heap).  The merge preserves the exact (time, seq)
     total order of a single heap; consumers cannot observe the split.
 

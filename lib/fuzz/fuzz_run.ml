@@ -70,7 +70,7 @@ let validate (spec : Fuzz_spec.t) =
 
 (* The fabric plus, on leaf-spine shapes, the Network.t behind it for the
    leaf-spine-only hooks: link faults, slow spines, the Spritz check. *)
-let build ?owned (spec : Fuzz_spec.t) ~scheme =
+let build (spec : Fuzz_spec.t) ~scheme =
   let transport = if spec.Fuzz_spec.gbn then `Gbn else `Sr in
   let per_port_cap = spec.Fuzz_spec.per_port_kb * 1024 in
   let queue_factor = float_of_int spec.Fuzz_spec.queue_factor_pct /. 100. in
@@ -90,7 +90,7 @@ let build ?owned (spec : Fuzz_spec.t) ~scheme =
       in
       let p0 = Network.default_params ~fabric ~scheme in
       let n =
-        Network.build ?owned
+        Network.build
           {
             p0 with
             Network.nic = { p0.Network.nic with Rnic.transport };
@@ -134,8 +134,8 @@ type scenario = {
   flows : Fuzz_oracle.flow_probe list;
 }
 
-let setup ?(owned = fun (_ : int) -> true) (spec : Fuzz_spec.t) ~scheme =
-  let core, ls = build ~owned spec ~scheme in
+let setup (spec : Fuzz_spec.t) ~scheme =
+  let core, ls = build spec ~scheme in
   let eng = Fabric_core.engine core in
   let fault_rng = Rng.create ~seed:(spec.Fuzz_spec.seed lxor 0xfa017) in
   let fault =
@@ -174,18 +174,17 @@ let setup ?(owned = fun (_ : int) -> true) (spec : Fuzz_spec.t) ~scheme =
             fp_done = None;
           }
         in
-        if owned tr.Fuzz_spec.src then
-          ignore
-            (Engine.schedule_at eng ~time:tr.Fuzz_spec.start_ns (fun () ->
-                 Rnic.post_send qp ~bytes:tr.Fuzz_spec.bytes
-                   ~on_complete:(fun t -> fp.Fuzz_oracle.fp_done <- Some t)));
+        ignore
+          (Engine.schedule_at eng ~time:tr.Fuzz_spec.start_ns (fun () ->
+               Rnic.post_send qp ~bytes:tr.Fuzz_spec.bytes
+                 ~on_complete:(fun t -> fp.Fuzz_oracle.fp_done <- Some t)));
         fp)
       spec.Fuzz_spec.transfers
   in
   { core; ls; fault; flows }
 
-let view (spec : Fuzz_spec.t) ~scheme ~cores ~nics ~ls ~lb ~fault ~flows =
-  let sum f = List.fold_left (fun acc c -> acc + f c) 0 cores in
+let view (spec : Fuzz_spec.t) ~scheme { core; ls; fault; flows } =
+  let nics = Fabric_core.nics_list core in
   let total_ooo () =
     List.fold_left (fun a n -> a + Rnic.ooo_arrivals n) 0 nics
   in
@@ -204,7 +203,7 @@ let view (spec : Fuzz_spec.t) ~scheme ~cores ~nics ~ls ~lb ~fault ~flows =
   let v_policy () =
     match (scheme : Network.scheme) with
     | Reps -> (
-        match List.assoc_opt "reps_tainted_recycled" (lb ()) with
+        match List.assoc_opt "reps_tainted_recycled" (Lb_state.counters ()) with
         | Some n when n > 0 ->
             [ ("policy-reps", Printf.sprintf "%d tainted entropies recycled" n) ]
         | _ -> [])
@@ -248,20 +247,17 @@ let view (spec : Fuzz_spec.t) ~scheme ~cores ~nics ~ls ~lb ~fault ~flows =
     Fuzz_oracle.v_nics = nics;
     v_port_data_drops =
       (fun () ->
-        sum (fun c ->
-            let acc = ref 0 in
-            Fabric_core.iter_ports c (fun p ->
-                acc := !acc + Port.dropped_data_packets p);
-            !acc));
+        let acc = ref 0 in
+        Fabric_core.iter_ports core (fun p ->
+            acc := !acc + Port.dropped_data_packets p);
+        !acc);
     v_switch_data_drops =
-      (fun () ->
-        sum (fun c -> Fabric_core.sum_switches c Switch.dropped_data_packets));
+      (fun () -> Fabric_core.sum_switches core Switch.dropped_data_packets);
     v_switch_total_drops =
       (fun () ->
-        sum (fun c ->
-            Fabric_core.sum_switches c (fun sw ->
-                Switch.dropped_buffer sw + Switch.dropped_unreachable sw)));
-    v_themis = (fun () -> Fabric_core.themis_totals cores);
+        Fabric_core.sum_switches core (fun sw ->
+            Switch.dropped_buffer sw + Switch.dropped_unreachable sw));
+    v_themis = (fun () -> Fabric_core.themis_totals core);
     v_fault = fault;
     v_flows = flows;
     v_policy;
@@ -332,14 +328,8 @@ let run_scheme (spec : Fuzz_spec.t) ~scheme : outcome =
   let scheme_v = scheme_of scheme in
   Fabric_core.reset_run_state ();
   let sc = setup spec ~scheme:scheme_v in
-  let view =
-    view spec ~scheme:scheme_v ~cores:[ sc.core ]
-      ~nics:(Fabric_core.nics_list sc.core) ~ls:sc.ls ~lb:Lb_state.counters
-      ~fault:sc.fault ~flows:sc.flows
-  in
-  let eng = Fabric_core.engine sc.core in
-  Shard.drive eng
-    ~step:(fun ~until -> Engine.run ~until eng)
+  let view = view spec ~scheme:scheme_v sc in
+  Engine.drive (Fabric_core.engine sc.core)
     ~finished:(fun () -> Fuzz_oracle.all_done view)
     ~deadline:spec.Fuzz_spec.deadline_ns ~settle:(settle_time spec);
   judge spec ~scheme view

@@ -1,16 +1,12 @@
 (** Execute one scenario spec under one (or every) scheme.
 
-    A run resets the domain-global run state
+    A run resets the process-global run state
     ({!Fabric_core.reset_run_state}), builds a fresh fabric for the
     (spec, scheme) pair with a fresh telemetry context, so two runs of
-    the same pair are bit-identical ({!setup}: per-delivery fault layer,
-    link faults, transfers), drives it with {!Shard.drive} until every
+    the same pair are bit-identical (per-delivery fault layer, link
+    faults, transfers), drives it with {!Engine.drive} until every
     transfer completes (or the deadline expires) and the fabric settles,
-    and evaluates the {!Fuzz_oracle} invariants ({!judge}).
-
-    The sharded runner ({!Shard_run}) is built from the same parts:
-    {!setup} on every shard replica, {!view} over all replicas, the same
-    {!Shard.drive} loop with a windowed step, and {!judge}. *)
+    and evaluates the {!Fuzz_oracle} invariants. *)
 
 type outcome = {
   o_scheme : string;
@@ -37,58 +33,7 @@ exception Bad_spec of string
 (** The spec references hosts or links the shape does not have (only
     reachable through hand-written replay strings). *)
 
-val validate : Fuzz_spec.t -> unit
-(** Raise {!Bad_spec} when the spec references hosts or links its shape
-    does not have.  [run_scheme] calls this itself; exposed so the
-    sharded runner ({!Shard_run}) applies identical checks. *)
-
-val scheme_of : string -> Network.scheme
-(** {!Network.scheme_of_string}, raising {!Bad_spec} on unknown names. *)
-
 val schemes_of : Fuzz_spec.t -> string list
-
-type scenario = {
-  core : Fabric_core.t;
-  ls : Network.t option;
-      (** The leaf-spine network, for its topology-specific hooks (link
-          faults, slow spines, the Spritz check); [None] on fat trees. *)
-  fault : Fuzz_fault.counters;
-  flows : Fuzz_oracle.flow_probe list;
-}
-
-val setup :
-  ?owned:(int -> bool) -> Fuzz_spec.t -> scheme:Network.scheme -> scenario
-(** Build the spec's fabric and arm it: the per-delivery fault layer, the
-    link-fault timeline, one QP per transfer, and a send posted at each
-    transfer's start time when its source host is [owned] (default: all).
-    A shard replica passes its ownership; every replica connects every
-    transfer, so QP numbers and Themis-D flow tables match the serial
-    build.  Raises {!Bad_spec} on shapes it cannot build. *)
-
-val view :
-  Fuzz_spec.t ->
-  scheme:Network.scheme ->
-  cores:Fabric_core.t list ->
-  nics:Rnic.t list ->
-  ls:Network.t option ->
-  lb:(unit -> (string * int) list) ->
-  fault:Fuzz_fault.counters ->
-  flows:Fuzz_oracle.flow_probe list ->
-  Fuzz_oracle.view
-(** The oracle view of a run: drop and Themis counters summed over
-    [cores] (one fabric, or every shard replica), the per-host [nics],
-    the scheme's policy oracle ([lb] reads the LB policy counters). *)
-
-val settle_time : Fuzz_spec.t -> Sim_time.t
-(** How long a finished run keeps going so in-flight duplicates, delayed
-    deliveries and post-completion NACKs land before it is judged. *)
-
-val judge : Fuzz_spec.t -> scheme:string -> Fuzz_oracle.view -> outcome
-(** Check the oracles against the current telemetry context and read the
-    outcome's counters off the view. *)
-
-val crashed : scheme:string -> exn -> outcome
-(** The outcome of a run that raised: a single ["crash"] violation. *)
 
 val run_scheme : Fuzz_spec.t -> scheme:string -> outcome
 (** Propagates simulator exceptions (useful under a debugger). *)

@@ -19,13 +19,6 @@ type t = {
   mutable dropped_data : int;
   mutable inject_drops : int;
   mutable jitter : (Rng.t * Sim_time.t) option;
-  (* Interlink lowering: when set, a serialized packet is handed to this
-     hook at tx-done time — with its full propagation delay, jitter
-     included — instead of being scheduled for local propagation; the
-     hook flattens it onto a ring and the consuming shard replays the
-     propagation (including the in-flight link-down drop check, via
-     [arrive_at]) on its replica of this port. *)
-  mutable interlink : (delay:Sim_time.t -> Packet.t -> unit) option;
   (* Closure-free events: one registered tx-completion/propagation
      callback pair per port; the packet rides the event's obj slot. *)
   mutable cb_tx_done : Engine.callback;
@@ -60,7 +53,6 @@ let set_deliver t f = t.deliver <- f
 let set_jitter t ~rng ~max = t.jitter <- Some (rng, max)
 let has_jitter t = t.jitter <> None
 
-let set_interlink t f = t.interlink <- Some f
 let set_on_dequeue t f = t.on_dequeue <- f
 let set_on_discard t f = t.on_discard <- f
 
@@ -89,20 +81,14 @@ and tx_done t (pkt : Packet.t) =
   t.tx_packets <- t.tx_packets + 1;
   t.tx_bytes <- t.tx_bytes + pkt.Packet.size;
   if t.up then begin
-    (* The jitter draw stays here either way: it consumes this port's
-       private RNG in serialization order, so serial and interlinked
-       executions see identical draws. *)
     let extra =
       match t.jitter with
       | Some (rng, max) when max > 0 -> Rng.int rng (max + 1)
       | Some _ | None -> 0
     in
-    match t.interlink with
-    | Some push -> push ~delay:(t.delay + extra) pkt
-    | None ->
-        ignore
-          (Engine.schedule_call t.engine ~delay:(t.delay + extra) t.cb_propagate
-             ~obj:(Obj.repr pkt))
+    ignore
+      (Engine.schedule_call t.engine ~delay:(t.delay + extra) t.cb_propagate
+         ~obj:(Obj.repr pkt))
   end
   else begin
     record_drop t pkt Event.Link_down;
@@ -143,7 +129,6 @@ let create ~engine ~bandwidth ~delay ~label =
       dropped_data = 0;
       inject_drops = 0;
       jitter = None;
-      interlink = None;
       cb_tx_done = Engine.null_callback;
       cb_propagate = Engine.null_callback;
       drop_labels = [ ("port", label) ];
@@ -223,11 +208,3 @@ let set_bandwidth t r = t.bandwidth <- r
 let label t = t.label
 let deliver_fn t = t.deliver
 let delay t = t.delay
-
-(* Replica-side arrival of a packet that crossed a shard boundary: the
-   port's own propagation event, scheduled at the arrival time, so the
-   in-flight link-down drop is booked on the replica of the transmitting
-   port just as the serial engine books it on the port itself. *)
-let arrive_at t ~time pkt =
-  ignore
-    (Engine.schedule_call_at t.engine ~time t.cb_propagate ~obj:(Obj.repr pkt))

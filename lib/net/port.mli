@@ -46,22 +46,6 @@ val set_on_discard : t -> (Packet.t -> unit) -> unit
 
 val has_jitter : t -> bool
 
-val set_interlink : t -> (delay:Sim_time.t -> Packet.t -> unit) -> unit
-(** Interlink lowering (DESIGN.md §14): serialized packets are handed to
-    the hook at tx-done time instead of being scheduled for local
-    propagation.  [delay] is the full propagation delay of this packet —
-    the link delay plus any per-packet jitter draw (the draw still
-    consumes this port's private RNG in serialization order, so serial
-    and interlinked executions see identical draws).  The hook flattens
-    the packet onto an interlink ring; the consuming shard replays
-    propagation on its replica of this port via {!arrive_at}. *)
-
-val arrive_at : t -> time:Sim_time.t -> Packet.t -> unit
-(** Replica-side arrival of a packet that crossed a shard boundary:
-    schedules this port's propagation event at absolute [time], which
-    delivers the packet if the link is still up and otherwise books the
-    in-flight link-down drop on this (replica) port. *)
-
 val delay : t -> Sim_time.t
 (** Propagation delay of the link direction this port serializes onto. *)
 

@@ -27,37 +27,26 @@ end)
    (and therefore every downstream array layout) identical between
    serial and forked executions of the same job. *)
 
-(* Domain-local (like [Packet.uid_counter]): each simulation shard
-   interns in its own first-touch order.  Interned ids only ever index
-   domain-local arrays — they are never compared across domains and
-   never exported — so per-domain id assignment is behaviour-neutral. *)
 type interner_state = { tbl : int Table.t; mutable next : int }
 
-let interner_key =
-  Domain.DLS.new_key (fun () -> { tbl = Table.create 256; next = 0 })
+let interner = { tbl = Table.create 256; next = 0 }
 
 let intern fl =
-  let s = Domain.DLS.get interner_key in
-  match Table.find_opt s.tbl fl with
+  match Table.find_opt interner.tbl fl with
   | Some id -> id
   | None ->
-      let id = s.next in
-      s.next <- id + 1;
-      Table.add s.tbl fl id;
+      let id = interner.next in
+      interner.next <- id + 1;
+      Table.add interner.tbl fl id;
       id
 
-let lookup_interned fl =
-  Table.find_opt (Domain.DLS.get interner_key).tbl fl
-
-let interned_count () = (Domain.DLS.get interner_key).next
+let lookup_interned fl = Table.find_opt interner.tbl fl
+let interned_count () = interner.next
 
 let reset_interner () =
-  let s = Domain.DLS.get interner_key in
-  Table.reset s.tbl;
-  s.next <- 0
+  Table.reset interner.tbl;
+  interner.next <- 0
 
 let intern_snapshot () =
-  Table.fold
-    (fun fl id acc -> (id, fl) :: acc)
-    (Domain.DLS.get interner_key).tbl []
+  Table.fold (fun fl id acc -> (id, fl) :: acc) interner.tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)

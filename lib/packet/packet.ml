@@ -28,18 +28,13 @@ type t = {
   mutable ecn_echo : bool;
 }
 
-(* Domain-local: every simulation shard numbers its own packets.  Uids
-   never appear in telemetry or on the wire (cross-shard packets are
-   re-assigned a uid by the receiving shard's pool), so per-domain
-   numbering is invisible to the determinism oracle. *)
-let uid_key = Domain.DLS.new_key (fun () -> ref 0)
+let uid_counter = ref 0
 
 let fresh_uid () =
-  let c = Domain.DLS.get uid_key in
-  incr c;
-  !c
+  incr uid_counter;
+  !uid_counter
 
-let reset_uid_counter () = Domain.DLS.get uid_key := 0
+let reset_uid_counter () = uid_counter := 0
 
 let resolve_conn_id conn = function
   | Some id -> id

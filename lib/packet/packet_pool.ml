@@ -4,10 +4,6 @@ open Packet
    array until overwritten, which is harmless retention, not a leak. *)
 type stack = { mutable buf : Packet.t array; mutable len : int }
 
-(* Domain-local: each simulation shard recycles its own packets, so a
-   packet object never migrates between domains through the pool (a
-   cross-shard packet is flattened on the wire and re-materialized from
-   the receiving shard's pool, see Packet_wire). *)
 type pool = {
   free_data : stack;
   free_ctrl : stack;
@@ -15,14 +11,13 @@ type pool = {
   mutable fresh : int;
 }
 
-let pool_key =
-  Domain.DLS.new_key (fun () ->
-      {
-        free_data = { buf = [||]; len = 0 };
-        free_ctrl = { buf = [||]; len = 0 };
-        reused = 0;
-        fresh = 0;
-      })
+let pl =
+  {
+    free_data = { buf = [||]; len = 0 };
+    free_ctrl = { buf = [||]; len = 0 };
+    reused = 0;
+    fresh = 0;
+  }
 
 let push st p =
   if st.len >= Array.length st.buf then begin
@@ -42,14 +37,12 @@ let pop st =
 let release p =
   if not p.pooled then begin
     p.pooled <- true;
-    let pl = Domain.DLS.get pool_key in
     match p.kind with
     | Data _ -> push pl.free_data p
     | Ack _ | Nack _ | Cnp | Pause _ -> push pl.free_ctrl p
   end
 
 let reset () =
-  let pl = Domain.DLS.get pool_key in
   pl.free_data.buf <- [||];
   pl.free_data.len <- 0;
   pl.free_ctrl.buf <- [||];
@@ -57,9 +50,7 @@ let reset () =
   pl.reused <- 0;
   pl.fresh <- 0
 
-let stats () =
-  let pl = Domain.DLS.get pool_key in
-  (pl.reused, pl.fresh)
+let stats () = (pl.reused, pl.fresh)
 
 let resolve_conn_id conn = function
   | Some id -> id
@@ -67,7 +58,6 @@ let resolve_conn_id conn = function
 
 let data ~conn ?conn_id ~sport ~psn ~payload ~last_of_msg
     ?(retransmission = false) ~birth () =
-  let pl = Domain.DLS.get pool_key in
   if pl.free_data.len > 0 then begin
     pl.reused <- pl.reused + 1;
     let p = pop pl.free_data in
@@ -117,7 +107,6 @@ let reuse_control p ~conn ~conn_id ~sport ~size ~birth =
   p
 
 let ack ~conn ~conn_id ~sport ~psn ~birth =
-  let pl = Domain.DLS.get pool_key in
   if pl.free_ctrl.len > 0 then begin
     pl.reused <- pl.reused + 1;
     let p = pop pl.free_ctrl in
@@ -135,7 +124,6 @@ let ack ~conn ~conn_id ~sport ~psn ~birth =
   end
 
 let nack ~conn ~conn_id ~sport ~epsn ~birth =
-  let pl = Domain.DLS.get pool_key in
   if pl.free_ctrl.len > 0 then begin
     pl.reused <- pl.reused + 1;
     let p = pop pl.free_ctrl in
@@ -151,7 +139,6 @@ let nack ~conn ~conn_id ~sport ~epsn ~birth =
   end
 
 let cnp ~conn ~conn_id ~sport ~birth =
-  let pl = Domain.DLS.get pool_key in
   if pl.free_ctrl.len > 0 then begin
     pl.reused <- pl.reused + 1;
     let p = pop pl.free_ctrl in

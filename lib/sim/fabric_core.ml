@@ -24,13 +24,11 @@ type t = {
   link_ports : (int, Port.t * Port.t) Hashtbl.t;
   tor_of_host : int -> int;
   sampler : Sampler.t option;
-  owned : int -> bool;
   mutable themis_ds : Themis_d.t list;
   mutable themis_ss : Themis_s.t list;
 }
 
-let create ~engine ~topo ~routing ~nics ~tor_of_host ?sampler
-    ?(owned = fun (_ : int) -> true) () =
+let create ~engine ~topo ~routing ~nics ~tor_of_host ?sampler () =
   {
     engine;
     topo;
@@ -40,7 +38,6 @@ let create ~engine ~topo ~routing ~nics ~tor_of_host ?sampler
     link_ports = Hashtbl.create 64;
     tor_of_host;
     sampler;
-    owned;
     themis_ds = [];
     themis_ss = [];
   }
@@ -165,18 +162,13 @@ let wire ?jitter t =
          of the same params schedule byte-identical runs. *)
       for link_id = 0 to Topology.link_count topo - 1 do
         let pab, pba = Hashtbl.find t.link_ports link_id in
-        (* A port belongs to the shard that owns its transmitting node;
-           replica builds probe only their own ports, so each port is
-           sampled exactly once fleet-wide. *)
-        let link = Topology.link topo link_id in
         List.iter
-          (fun (src, p) ->
-            if t.owned src then
-              Sampler.add_probe s ~name:"port_queue_bytes"
-                ~labels:[ ("port", Port.label p) ]
-                ~histogram:"port_queue_bytes_dist" (fun () ->
-                  float_of_int (Port.queue_bytes p)))
-          [ (link.Topology.a, pab); (link.Topology.b, pba) ]
+          (fun p ->
+            Sampler.add_probe s ~name:"port_queue_bytes"
+              ~labels:[ ("port", Port.label p) ]
+              ~histogram:"port_queue_bytes_dist" (fun () ->
+                float_of_int (Port.queue_bytes p)))
+          [ pab; pba ]
       done;
       Sampler.start s
 
@@ -187,7 +179,7 @@ let connect t ~src ~dst =
   | Some d -> Themis_d.register_flow d (Rnic.qp_conn qp)
   | None -> ());
   (match t.sampler with
-  | Some s when t.owned src ->
+  | Some s ->
       let sender = Rnic.qp_sender qp in
       let mtu = (Rnic.config t.nics.(src)).Rnic.mtu in
       Sampler.add_probe s ~name:"qp_inflight_bytes"
@@ -195,11 +187,11 @@ let connect t ~src ~dst =
           [ ("conn", Format.asprintf "%a" Flow_id.pp (Rnic.qp_conn qp)) ]
         ~histogram:"qp_inflight_bytes_dist" (fun () ->
           float_of_int (Sender.outstanding sender * mtu))
-  | Some _ | None -> ());
+  | None -> ());
   qp
 
-let themis_totals ts =
-  match List.concat_map (fun t -> t.themis_ds) ts with
+let themis_totals t =
+  match t.themis_ds with
   | [] -> None
   | ds ->
       let z =

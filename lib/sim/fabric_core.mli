@@ -6,11 +6,11 @@
     topology they drive (the fuzz harness) work on it directly. *)
 
 val reset_run_state : unit -> unit
-(** Reset the domain-global per-run state: the packet uid counter, the
+(** Reset the process-global per-run state: the packet uid counter, the
     {!Packet_pool}, the {!Flow_id} interner, the {!Lb_state} globals,
     and the telemetry context (disabled).  Every runner calls this
     before building a fabric, so a run is a pure function of its inputs
-    and serial, forked and sharded runs agree byte for byte. *)
+    and serial and forked runs agree byte for byte. *)
 
 type themis_totals = {
   nacks_seen : int;
@@ -35,12 +35,11 @@ val create :
   nics:Rnic.t array ->
   tor_of_host:(int -> int) ->
   ?sampler:Sampler.t ->
-  ?owned:(int -> bool) ->
   unit ->
   t
 (** A fabric with no switches and no ports yet.  [nics] is indexed by
     host node id.  [sampler] gets a probe per port ({!wire}) and per QP
-    ({!connect}) whose transmitting node is [owned] (default: all). *)
+    ({!connect}). *)
 
 val add_switch : t -> rng:Rng.t -> node:int -> Switch.config -> unit
 (** Create the switch of [node], seeded from the next split of [rng]:
@@ -95,9 +94,9 @@ val connect : t -> src:int -> dst:int -> Rnic.qp
     the destination ToR's Themis-D (the paper's handshake
     interception). *)
 
-val themis_totals : t list -> themis_totals option
-(** Themis-D counters summed over every ToR of the given fabrics (one
-    fabric, or every shard replica); [None] when none runs Themis. *)
+val themis_totals : t -> themis_totals option
+(** Themis-D counters summed over every ToR of the fabric; [None] when
+    none runs Themis. *)
 
 val set_themis_paths : t -> int -> unit
 (** Re-spray every Themis-S and Themis-D over [n] paths (the

@@ -107,5 +107,5 @@ let connect t = Fabric_core.connect t.core
 let run ?until t = Engine.run ?until (engine t)
 let total_retx_packets t = Fabric_core.sum_nics t.core Rnic.retx_packets_sent
 let total_nacks_delivered t = Fabric_core.sum_nics t.core Rnic.nacks_received
-let themis_totals t = Fabric_core.themis_totals [ t.core ]
+let themis_totals t = Fabric_core.themis_totals t.core
 let sprayed_packets t = Fabric_core.sprayed_packets t.core

@@ -71,10 +71,6 @@ type t = {
   core : Fabric_core.t;
   fabric : Leaf_spine.t;
   mutable themis_active : bool;
-  mutable quiet_control : bool;
-      (* Replica shards apply control events (fail_link etc.) without
-         recording telemetry for them, so the fleet logs each exactly
-         once. *)
 }
 
 let lb_of_scheme = function
@@ -95,7 +91,7 @@ let last_hop_rtt (p : params) =
   Fabric_core.last_hop_rtt ~bw:p.fabric.Leaf_spine.host_bw
     ~link_delay:p.fabric.Leaf_spine.link_delay ~mtu:p.nic.Rnic.mtu
 
-let build ?owned (params : params) =
+let build (params : params) =
   let engine = Engine.create () in
   if params.telemetry then ignore (Telemetry.enable ());
   let fabric = Leaf_spine.build params.fabric in
@@ -115,7 +111,7 @@ let build ?owned (params : params) =
   let core =
     Fabric_core.create ~engine ~topo ~routing ~nics
       ~tor_of_host:(Leaf_spine.tor_of_host fabric)
-      ?sampler ?owned ()
+      ?sampler ()
   in
   let add_switch node ~bw =
     Fabric_core.add_switch core ~rng:root_rng ~node
@@ -152,11 +148,10 @@ let build ?owned (params : params) =
     ?jitter:
       (if params.last_hop_jitter > 0 then Some (root_rng, params.last_hop_jitter)
        else None);
-  { core; fabric; themis_active; quiet_control = false }
+  { core; fabric; themis_active }
 
 let core t = t.core
 let engine t = Fabric_core.engine t.core
-let set_quiet_control t q = t.quiet_control <- q
 let link_ports_pair t = Fabric_core.link_ports_pair t.core
 let fabric t = t.fabric
 let routing t = Fabric_core.routing t.core
@@ -193,7 +188,7 @@ let live_spine_count t =
 
 let fail_link ?(mode = `Fallback_ecmp) t ~link_id =
   Topology.set_link_up t.fabric.Leaf_spine.topo ~link_id false;
-  if (not t.quiet_control) && Telemetry.enabled () then begin
+  if Telemetry.enabled () then begin
     Telemetry.incr_counter "link_failures";
     Telemetry.record ~time:(now t)
       (Event.Link_failure { link_id })
@@ -274,7 +269,7 @@ type themis_totals = Fabric_core.themis_totals = {
   queue_overwrites : int;
 }
 
-let themis_totals t = Fabric_core.themis_totals [ t.core ]
+let themis_totals t = Fabric_core.themis_totals t.core
 let sum_nics t = Fabric_core.sum_nics t.core
 let total_data_packets t = sum_nics t Rnic.data_packets_sent
 let total_retx_packets t = sum_nics t Rnic.retx_packets_sent

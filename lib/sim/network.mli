@@ -48,13 +48,7 @@ val last_hop_rtt : params -> Sim_time.t
 
 type t
 
-val build : ?owned:(int -> bool) -> params -> t
-(** [owned] (default: everything) marks the node ids this instance
-    drives — the shard-replica builds of DESIGN.md §14.  Every simulated
-    object is always built (replica state must match the serial build
-    byte for byte); [owned] only gates observers: sampler probes are
-    registered for a port / QP only when its transmitting node is owned,
-    so the fleet samples each exactly once. *)
+val build : params -> t
 
 val core : t -> Fabric_core.t
 (** The topology-independent part: switches, NICs, ports, Themis. *)
@@ -65,15 +59,8 @@ val lb_of_scheme : scheme -> Lb_policy.t
 
 val engine : t -> Engine.t
 
-val set_quiet_control : t -> bool -> unit
-(** Replica shards set this so control-plane operations ({!fail_link})
-    apply their state changes without recording telemetry — the fleet
-    logs each control event exactly once (on the shard that owns it). *)
-
 val link_ports_pair : t -> link_id:int -> (Port.t * Port.t) option
-(** The directional port pair (A->B, B->A) of a link — the hook the
-    shard runtime uses to lower cross-shard ports onto interlink
-    rings. *)
+(** The directional port pair (A->B, B->A) of a link. *)
 
 val fabric : t -> Leaf_spine.t
 val routing : t -> Routing.t

@@ -33,14 +33,12 @@ let ecmp_index_at ~shift ~(pkt : Packet.t) ~n =
 let ecmp_index ~pkt ~n = ecmp_index_at ~shift:0 ~pkt ~n
 
 (* Scratch for [least_loaded]'s second pass, so each candidate's load is
-   probed exactly once per choice; grown to the widest radix seen.
-   Domain-local: shards must not share scratch. *)
-let ll_scratch = Domain.DLS.new_key (fun () -> ref (Array.make 16 0))
+   probed exactly once per choice; grown to the widest radix seen. *)
+let ll_scratch = ref (Array.make 16 0)
 
 let least_loaded rng ~n ~load =
-  let scratch = Domain.DLS.get ll_scratch in
-  if n > Array.length !scratch then scratch := Array.make n 0;
-  let loads = !scratch in
+  if n > Array.length !ll_scratch then ll_scratch := Array.make n 0;
+  let loads = !ll_scratch in
   let best = ref max_int and count = ref 0 in
   for i = 0 to n - 1 do
     let l = load i in
@@ -69,17 +67,15 @@ let least_loaded rng ~n ~load =
   done;
   !result
 
-(* Spritz scratch: damped effective weights, probed once per choice.
-   Domain-local like [ll_scratch]. *)
-let spritz_scratch = Domain.DLS.new_key (fun () -> ref (Array.make 16 0))
+(* Spritz scratch: damped effective weights, probed once per choice. *)
+let spritz_scratch = ref (Array.make 16 0)
 
 (* Weighted pick proportional to per-path shortest-path multiplicity,
    damped by queue depth: eff_j = w_j * (1 + (max_load - load_j)/4KiB),
    which degenerates to the raw path weights on balanced queues. *)
 let spritz_pick rng ~n ~weights:(w : int array) ~load =
-  let scratch = Domain.DLS.get spritz_scratch in
-  if n > Array.length !scratch then scratch := Array.make n 0;
-  let eff = !scratch in
+  if n > Array.length !spritz_scratch then spritz_scratch := Array.make n 0;
+  let eff = !spritz_scratch in
   let max_load = ref 0 in
   for j = 0 to n - 1 do
     let l = load j in

@@ -61,11 +61,8 @@ let flow t id =
       t.flows.(id) <- Some f;
       f
 
-(* --- Invariant counters (domain-wide, reset per run) ----------------- *)
+(* --- Invariant counters (process-wide, reset per run) ---------------- *)
 
-(* Domain-local so parallel shards count independently; the sharded
-   runner sums shard snapshots componentwise when an oracle needs the
-   fleet-wide total. *)
 type globals = {
   mutable reps_recycled : int;
   mutable reps_fresh : int;
@@ -75,40 +72,35 @@ type globals = {
   mutable spritz_picks : int;
 }
 
-let globals_key =
-  Domain.DLS.new_key (fun () ->
-      {
-        reps_recycled = 0;
-        reps_fresh = 0;
-        reps_tainted_recycled = 0;
-        prime_bumps = 0;
-        sprinkler_switches = 0;
-        spritz_picks = 0;
-      })
+let globals =
+  {
+    reps_recycled = 0;
+    reps_fresh = 0;
+    reps_tainted_recycled = 0;
+    prime_bumps = 0;
+    sprinkler_switches = 0;
+    spritz_picks = 0;
+  }
 
 let reset_globals () =
-  let g = Domain.DLS.get globals_key in
-  g.reps_recycled <- 0;
-  g.reps_fresh <- 0;
-  g.reps_tainted_recycled <- 0;
-  g.prime_bumps <- 0;
-  g.sprinkler_switches <- 0;
-  g.spritz_picks <- 0
+  globals.reps_recycled <- 0;
+  globals.reps_fresh <- 0;
+  globals.reps_tainted_recycled <- 0;
+  globals.prime_bumps <- 0;
+  globals.sprinkler_switches <- 0;
+  globals.spritz_picks <- 0
 
 let counters () =
-  let g = Domain.DLS.get globals_key in
   [
-    ("reps_recycled", g.reps_recycled);
-    ("reps_fresh", g.reps_fresh);
-    ("reps_tainted_recycled", g.reps_tainted_recycled);
-    ("prime_bumps", g.prime_bumps);
-    ("sprinkler_switches", g.sprinkler_switches);
-    ("spritz_picks", g.spritz_picks);
+    ("reps_recycled", globals.reps_recycled);
+    ("reps_fresh", globals.reps_fresh);
+    ("reps_tainted_recycled", globals.reps_tainted_recycled);
+    ("prime_bumps", globals.prime_bumps);
+    ("sprinkler_switches", globals.sprinkler_switches);
+    ("spritz_picks", globals.spritz_picks);
   ]
 
-let note_spritz_pick () =
-  let g = Domain.DLS.get globals_key in
-  g.spritz_picks <- g.spritz_picks + 1
+let note_spritz_pick () = globals.spritz_picks <- globals.spritz_picks + 1
 
 (* --- REPS ------------------------------------------------------------ *)
 
@@ -169,16 +161,15 @@ let reps_next t ~conn_id ~rng =
   let f = flow t conn_id in
   if f.rlen > 0 then begin
     let e = ring_pop f in
-    let g = Domain.DLS.get globals_key in
-    g.reps_recycled <- g.reps_recycled + 1;
+    globals.reps_recycled <- globals.reps_recycled + 1;
     (* By construction tainted entropies were evicted from the ring;
        this counter is the invariant the oracle asserts stays 0. *)
-    if tainted_mem f e then g.reps_tainted_recycled <- g.reps_tainted_recycled + 1;
+    if tainted_mem f e then
+      globals.reps_tainted_recycled <- globals.reps_tainted_recycled + 1;
     e
   end
   else begin
-    let g = Domain.DLS.get globals_key in
-    g.reps_fresh <- g.reps_fresh + 1;
+    globals.reps_fresh <- globals.reps_fresh + 1;
     Rng.int rng 0x10000
   end
 
@@ -202,8 +193,7 @@ let prime_adapt t ~conn_id = (flow t conn_id).adapt
 let prime_feedback t ~conn_id ~ce =
   if ce then begin
     (flow t conn_id).adapt <- (flow t conn_id).adapt + 1;
-    let g = Domain.DLS.get globals_key in
-    g.prime_bumps <- g.prime_bumps + 1
+    globals.prime_bumps <- globals.prime_bumps + 1
   end
 
 (* --- Sprinklers ------------------------------------------------------ *)
@@ -246,10 +236,8 @@ let sprinkler_choose t ~conn_id ~bytes ~n ~load =
        done
      with Exit -> ());
     let choice = !choice in
-    if f.cur >= 0 && choice <> f.cur then begin
-      let g = Domain.DLS.get globals_key in
-      g.sprinkler_switches <- g.sprinkler_switches + 1
-    end;
+    if f.cur >= 0 && choice <> f.cur then
+      globals.sprinkler_switches <- globals.sprinkler_switches + 1;
     f.cur <- choice;
     f.stripe_rem <- stripe_quantum + (loads.(choice) - min_all) - bytes;
     choice

@@ -77,8 +77,8 @@ let config t = t.cfg
    per-destination compile after create / attach / recompute).  The
    steady-state fast path contains no probe — and so no counting code —
    at all; bench/engine_bench.ml asserts this stays flat once warm. *)
-let slow_path_probes = Domain.DLS.new_key (fun () -> ref 0)
-let forward_hash_probes () = !(Domain.DLS.get slow_path_probes)
+let slow_path_probes = ref 0
+let forward_hash_probes () = !slow_path_probes
 
 let record_drop t (pkt : Packet.t) reason =
   if Packet.is_data pkt then t.dropped_data <- t.dropped_data + 1;
@@ -168,7 +168,7 @@ let compile_ports t dst =
   let ports =
     Array.map
       (fun (_, link_id) ->
-        incr (Domain.DLS.get slow_path_probes);
+        incr slow_path_probes;
         match Hashtbl.find_opt t.ports link_id with
         | Some (port, _) -> port
         | None ->

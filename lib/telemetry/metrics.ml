@@ -78,35 +78,6 @@ let set g v = g.g <- v
 let gauge_read g = g.g
 let observe h v = Histogram.record h v
 
-(* Additive merge for per-shard registries.  Source keys are visited in
-   the source's registration order, so merging shard registries in
-   shard-id order yields one deterministic registry; export order is
-   independent of it anyway ([snapshot] sorts).  Counters add, gauges
-   add (exactly one shard writes any given gauge; the others hold the
-   registration default 0), histograms bucket-merge. *)
-let merge_into ~into src =
-  List.iter
-    (fun key ->
-      let m = Hashtbl.find src.tbl key in
-      match (m, Hashtbl.find_opt into.tbl key) with
-      | Counter c, None ->
-          Hashtbl.add into.tbl key (Counter { c = c.c });
-          into.rev_keys <- key :: into.rev_keys
-      | Counter c, Some (Counter c') -> c'.c <- c'.c + c.c
-      | Gauge g, None ->
-          Hashtbl.add into.tbl key (Gauge { g = g.g });
-          into.rev_keys <- key :: into.rev_keys
-      | Gauge g, Some (Gauge g') -> g'.g <- g'.g +. g.g
-      | Hist h, None ->
-          Hashtbl.add into.tbl key (Hist (Histogram.copy h));
-          into.rev_keys <- key :: into.rev_keys
-      | Hist h, Some (Hist h') -> Histogram.merge ~into:h' h
-      | (Counter _ | Gauge _ | Hist _), Some _ ->
-          invalid_arg
-            (Printf.sprintf "Metrics.merge_into: %s registered with two types"
-               key.name))
-    (List.rev src.rev_keys)
-
 (* --- Read-out ------------------------------------------------------- *)
 
 let counter_value t ?(labels = []) name =

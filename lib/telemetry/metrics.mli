@@ -38,14 +38,6 @@ val set : gauge -> float -> unit
 val gauge_read : gauge -> float
 val observe : Histogram.t -> float -> unit
 
-val merge_into : into:t -> t -> unit
-(** Additive merge of a source registry (counters add, gauges add,
-    histograms bucket-merge; missing keys are created).  Merging
-    per-shard registries in shard-id order is deterministic; [snapshot]
-    output is additionally independent of merge order because it sorts
-    by (name, labels).  Raises [Invalid_argument] when the same key
-    carries different metric types. *)
-
 (** {2 Read-out} *)
 
 val counter_value : t -> ?labels:labels -> string -> int

@@ -1,32 +1,17 @@
-(** Per-domain telemetry context: a metric registry plus a ring-buffered
-    typed-event sink.
+(** Process-global telemetry context: a metric registry plus a
+    ring-buffered typed-event sink.
 
     Off by default.  Recording sites guard with [enabled ()], so the
-    disabled cost is one domain-local load + branch and zero
-    allocation.  [enable] installs a fresh context for the calling
-    domain (experiments run sequentially within a domain; the last
-    enabler owns the context).  Sharded runs enable one context per
-    domain and {!merge} them deterministically at the end. *)
+    disabled cost is one load + branch and zero allocation.  [enable]
+    installs a fresh context (experiments run sequentially; the last
+    enabler owns the context). *)
 
 type t
 
 val enable : ?event_capacity:int -> unit -> t
 (** Install and return a fresh context.  [event_capacity] bounds the
     retained event ring (default 65536; oldest events are overwritten,
-    see {!events_dropped}).  The context is installed for the calling
-    domain only: each simulation shard owns an independent context
-    (DESIGN.md §14). *)
-
-val use : t -> unit
-(** Install an existing context for the calling domain — e.g. the
-    {!merge} of per-shard contexts, so [Experiment.telemetry_summary]
-    reads the merged view. *)
-
-val merge : t list -> t
-(** Deterministic merge in list (= shard-id) order: metric registries
-    merge additively ({!Metrics.merge_into}), event streams concatenate
-    and stably sort by time, per-kind counts sum.  The merged event ring
-    is sized to hold every retained event, so merging never drops. *)
+    see {!events_dropped}). *)
 
 val disable : unit -> unit
 val enabled : unit -> bool

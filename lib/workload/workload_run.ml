@@ -138,8 +138,7 @@ let run ~scheme (spec : Workload_spec.t) : result =
   let deadline = spec.Workload_spec.deadline_ns in
   (* The settle lets in-flight ACKs and post-completion control traffic
      land. *)
-  Shard.drive engine
-    ~step:(fun ~until -> Engine.run ~until engine)
+  Engine.drive engine
     ~finished:(fun () -> Flow_stream.all_done stream && colls_finished ())
     ~deadline ~settle:(Sim_time.ms 3);
   let stats = Flow_stream.stats stream in

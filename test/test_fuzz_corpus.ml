@@ -99,12 +99,12 @@ let corpus =
        schemes=themis;flows=0>4:300000@0,1>5:300000@1000,2>6:300000@2000,\
        3>7:300000@3000,4>0:300000@4000,5>1:300000@5000,6>2:300000@6000,\
        7>3:300000@7000;faults=;sspine=0:20" );
-    (* A fabric link dies mid-flow on a 4-leaf fabric that a 2-shard
-       run cuts straight through (leaf 0 and spine 1 live on different
-       shards), with asymmetric host/fabric rates so serialization
-       grids never tie.  test_shard replays this exact spec serial vs
-       sharded and asserts outcome identity; freezing it here keeps
-       the serial behaviour pinned under every scheme it names. *)
+    (* A fabric link dies mid-flow on a 4-leaf fabric, with asymmetric
+       host/fabric rates so serialization grids never tie.  The name
+       dates from the removed sharded simulator (DESIGN.md §14), whose
+       2-shard cut ran straight through this link; the entry stays
+       frozen under its old name and keeps the link-down-in-flight
+       behaviour pinned under every scheme it names. *)
     ( "cross-shard link-down mid-flow, asymmetric rates",
       "fz1;seed=13;shape=ls:4:2:2:40:100:1000;tr=sr;qf=100;ppcap=9216;\
        jit=0;drop=0;corr=0;dup=0;dly=0:0;fmode=shrink;dl=2000000000;\
