@@ -45,7 +45,8 @@ bench-engine-smoke:
 # Forwarding fast path in isolation (DESIGN.md §11): a single switch's
 # steady-state packets/sec and words/packet through the compiled
 # per-destination port arrays.  Fails if the steady-state loop touches
-# a hashtable even once (the zero-probe guarantee).
+# a hashtable even once (the zero-probe guarantee) or allocates a single
+# minor word.
 bench-fwd:
 	dune exec bench/engine_bench.exe -- --fwd-only --out BENCH_fwd.json
 

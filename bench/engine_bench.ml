@@ -152,8 +152,9 @@ let bench_incast ~schemes ~fanin ~bytes ~seed ~reps ~expect_events =
    four cross-rack flows in batches small enough to never hit buffer
    admission.  Measures the pure per-packet forwarding cost
    (route lookup + path choice + enqueue + tx/propagate events) as
-   packets/sec and minor words/packet, and asserts the compiled route
-   cache takes zero hashtable probes once warm. *)
+   packets/sec and minor words/packet, and asserts that once warm the
+   compiled route cache takes zero hashtable probes and the loop
+   allocates zero words. *)
 let bench_fwd ~packets ~reps =
   let engine = Engine.create () in
   let ls = Leaf_spine.build Leaf_spine.motivation in
@@ -187,16 +188,17 @@ let bench_fwd ~packets ~reps =
           ~dst:(Leaf_spine.host ls ~leaf:1 ~index:i)
           ~qpn:1)
   in
+  let conn_ids = Array.map Flow_id.intern conns in
   let psn = ref 0 in
   let batch = 128 in
   let run_batch () =
     for i = 0 to batch - 1 do
       let k = i land (nflows - 1) in
       let pkt =
-        Packet_pool.data ~conn:conns.(k)
+        Packet_pool.data ~conn:conns.(k) ~conn_id:conn_ids.(k)
           ~sport:(0x8000 lor k)
           ~psn:(Psn.of_int !psn) ~payload:1000 ~last_of_msg:false
-          ~birth:(Engine.now engine) ()
+          ~retransmission:false ~birth:(Engine.now engine)
       in
       incr psn;
       Switch.receive sw pkt
@@ -213,6 +215,7 @@ let bench_fwd ~packets ~reps =
      the same connections and route cache, so repeats only filter machine
      noise; the probe-free steady-state assertion spans every window. *)
   let best = ref None in
+  let steady_words = ref 0. in
   for _ = 1 to reps do
     let s =
       measure (fun () ->
@@ -221,6 +224,7 @@ let bench_fwd ~packets ~reps =
           done;
           iters * batch)
     in
+    steady_words := !steady_words +. s.minor_words;
     match !best with
     | Some b when b.wall_s <= s.wall_s -> ()
     | _ -> best := Some s
@@ -232,6 +236,14 @@ let bench_fwd ~packets ~reps =
       (Printf.sprintf
          "engine_bench: %d hashtable probes on the steady-state forward path"
          steady_probes);
+  (* Once warm, a pooled packet's trip through the switch (path choice,
+     enqueue, tx and propagation events, release) allocates nothing. *)
+  if !steady_words <> 0. then
+    failwith
+      (Printf.sprintf
+         "engine_bench: %.0f minor words allocated on the steady-state \
+          forward path"
+         !steady_words);
   if Switch.forwarded_packets sw < packets then
     failwith "engine_bench: fwd forwarded fewer packets than fed";
   (s, steady_probes)

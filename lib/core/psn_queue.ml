@@ -51,11 +51,13 @@ let rec pop_until_greater t epsn =
   let v = pop_int t in
   if v < 0 || Psn.gt (Psn.of_int v) epsn then v else pop_until_greater t epsn
 
-let contains t psn =
-  let target = Psn.to_int psn in
-  let cap = capacity t in
-  let rec scan i = i < t.len && (t.slots.((t.head + i) mod cap) = target || scan (i + 1)) in
-  scan 0
+(* Top-level recursion: a local [scan] capturing [t] would allocate its
+   closure on every blocked NACK. *)
+let rec scan t target i =
+  i < t.len
+  && (t.slots.((t.head + i) mod capacity t) = target || scan t target (i + 1))
+
+let contains t psn = scan t (Psn.to_int psn) 0
 
 let clear t =
   t.head <- 0;

@@ -48,19 +48,45 @@ let create ~paths ~queue_capacity ?(compensation = true) ?(node = -1)
 
 (* Telemetry: the registry carries the NACK-verdict breakdown the
    paper's evaluation reports; the event sink gets one typed event per
-   decision so per-flow timelines can be reconstructed offline. *)
-let tm_verdict t verdict ev =
+   decision so per-flow timelines can be reconstructed offline.  Label
+   lists are constants and events are built behind the guard, so a
+   disabled context costs no allocation. *)
+let verdict_underflow = [ ("verdict", "underflow") ]
+let verdict_valid = [ ("verdict", "valid") ]
+let verdict_blocked = [ ("verdict", "blocked") ]
+let comp_cancelled = [ ("action", "cancelled") ]
+let comp_sent = [ ("action", "sent") ]
+
+let tm_passed t (pkt : Packet.t) epsn ~underflow =
   if Telemetry.enabled () then begin
-    Telemetry.incr_counter ~labels:[ ("verdict", verdict) ] "themis_nacks";
-    Telemetry.record ~time:(t.clock ()) ev
+    Telemetry.incr_counter
+      ~labels:(if underflow then verdict_underflow else verdict_valid)
+      "themis_nacks";
+    Telemetry.record ~time:(t.clock ())
+      (Event.Nack_passed
+         { node = t.node; conn = pkt.Packet.conn; epsn = Psn.to_int epsn;
+           underflow })
   end
 
-let tm_compensation t action ev =
+let tm_blocked t (pkt : Packet.t) epsn tpsn =
   if Telemetry.enabled () then begin
-    Telemetry.incr_counter ~labels:[ ("action", action) ] "themis_compensation";
-    match ev with
-    | Some ev -> Telemetry.record ~time:(t.clock ()) ev
-    | None -> ()
+    Telemetry.incr_counter ~labels:verdict_blocked "themis_nacks";
+    Telemetry.record ~time:(t.clock ())
+      (Event.Nack_blocked
+         { node = t.node; conn = pkt.Packet.conn; epsn = Psn.to_int epsn;
+           tpsn = Psn.to_int tpsn })
+  end
+
+let tm_cancelled () =
+  if Telemetry.enabled () then
+    Telemetry.incr_counter ~labels:comp_cancelled "themis_compensation"
+
+let tm_compensated t conn bepsn =
+  if Telemetry.enabled () then begin
+    Telemetry.incr_counter ~labels:comp_sent "themis_compensation";
+    Telemetry.record ~time:(t.clock ())
+      (Event.Nack_compensated
+         { node = t.node; conn; epsn = Psn.to_int bepsn })
   end
 
 let paths t = t.paths
@@ -78,7 +104,7 @@ let check_compensation t (entry : Flow_table.entry) conn conn_id sport psn =
       (* The blocked ePSN packet was merely late, not lost. *)
       entry.Flow_table.valid <- false;
       t.compensation_cancelled <- t.compensation_cancelled + 1;
-      tm_compensation t "cancelled" None
+      tm_cancelled ()
     end
     else if Psn.gt psn bepsn && Spray.same_path ~a:psn ~b:bepsn ~paths:t.paths
     then begin
@@ -86,10 +112,7 @@ let check_compensation t (entry : Flow_table.entry) conn conn_id sport psn =
          Generate the NACK the RNIC can no longer produce. *)
       entry.Flow_table.valid <- false;
       t.compensation_sent <- t.compensation_sent + 1;
-      tm_compensation t "sent"
-        (Some
-           (Event.Nack_compensated
-              { node = t.node; conn; epsn = Psn.to_int bepsn }));
+      tm_compensated t conn bepsn;
       t.inject_nack ~conn ~conn_id ~sport ~epsn:bepsn
     end
   end
@@ -121,39 +144,18 @@ let on_nack t (pkt : Packet.t) =
       | -1 ->
           (* Cannot identify the trigger: err on the side of recovery. *)
           t.nacks_forwarded_underflow <- t.nacks_forwarded_underflow + 1;
-          tm_verdict t "underflow"
-            (Event.Nack_passed
-               {
-                 node = t.node;
-                 conn = pkt.Packet.conn;
-                 epsn = Psn.to_int epsn;
-                 underflow = true;
-               });
+          tm_passed t pkt epsn ~underflow:true;
           Forward
       | tpsn ->
           let tpsn = Psn.of_int tpsn in
           if Spray.nack_is_valid ~tpsn ~epsn ~paths:t.paths then begin
             t.nacks_forwarded_valid <- t.nacks_forwarded_valid + 1;
-            tm_verdict t "valid"
-              (Event.Nack_passed
-                 {
-                   node = t.node;
-                   conn = pkt.Packet.conn;
-                   epsn = Psn.to_int epsn;
-                   underflow = false;
-                 });
+            tm_passed t pkt epsn ~underflow:false;
             Forward
           end
           else begin
             t.nacks_blocked <- t.nacks_blocked + 1;
-            tm_verdict t "blocked"
-              (Event.Nack_blocked
-                 {
-                   node = t.node;
-                   conn = pkt.Packet.conn;
-                   epsn = Psn.to_int epsn;
-                   tpsn = Psn.to_int tpsn;
-                 });
+            tm_blocked t pkt epsn tpsn;
             if t.compensation then
               if Psn_queue.contains entry.Flow_table.queue epsn then begin
                 (* The expected packet already passed the ToR while this
@@ -162,7 +164,7 @@ let on_nack t (pkt : Packet.t) =
                    may ever fire for it. *)
                 entry.Flow_table.valid <- false;
                 t.compensation_cancelled <- t.compensation_cancelled + 1;
-                tm_compensation t "cancelled" None
+                tm_cancelled ()
               end
               else begin
                 entry.Flow_table.bepsn <- epsn;

@@ -29,10 +29,10 @@ let egress_index t (pkt : Packet.t) =
   match (t.mode, pkt.Packet.kind) with
   | Direct_egress, Packet.Data { psn; _ } ->
       t.sprayed <- t.sprayed + 1;
-      Some (Spray.path_for_psn ~psn ~base:(base_path t pkt) ~paths:t.paths)
+      Spray.path_for_psn ~psn ~base:(base_path t pkt) ~paths:t.paths
   | Direct_egress, (Packet.Ack _ | Packet.Nack _ | Packet.Cnp | Packet.Pause _)
   | Sport_rewrite _, _ ->
-      None
+      -1
 
 let apply t (pkt : Packet.t) =
   match (t.mode, pkt.Packet.kind) with

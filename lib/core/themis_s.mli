@@ -34,10 +34,11 @@ val base_path : t -> Packet.t -> int
 (** The flow's ECMP base path index [P_base] (from the packet's connection
     identity and entropy field). *)
 
-val egress_index : t -> Packet.t -> int option
-(** [Direct_egress] mode: [Some (Eq. 1)] for data packets, [None] for
-    control packets (caller falls back to ECMP).  In [Sport_rewrite] mode
-    always [None]. *)
+val egress_index : t -> Packet.t -> int
+(** [Direct_egress] mode: the Eq. 1 path index (in [[0, paths)]) for data
+    packets, [-1] ("no choice") for control packets (caller falls back to
+    ECMP).  In [Sport_rewrite] mode always [-1].  An [int] rather than an
+    option so the per-packet choice allocates nothing. *)
 
 val apply : t -> Packet.t -> unit
 (** [Sport_rewrite] mode: mutate the packet's UDP source port for data

@@ -7,7 +7,9 @@ let to_bps x = x
 let zero = 0.
 let is_zero r = r <= 0.
 
-let tx_time r ~bytes_ =
+(* Inlined so a rate read from a flat float field reaches the division
+   unboxed; an out-of-line call would box it per paced packet. *)
+let[@inline] tx_time r ~bytes_ =
   assert (r > 0.);
   if bytes_ <= 0 then 0
   else

@@ -36,16 +36,12 @@ let fresh_uid () =
 
 let reset_uid_counter () = uid_counter := 0
 
-let resolve_conn_id conn = function
-  | Some id -> id
-  | None -> Flow_id.intern conn
-
-let data ~conn ?conn_id ~sport ~psn ~payload ~last_of_msg
-    ?(retransmission = false) ~birth () =
+let make_data ~conn ~conn_id ~sport ~psn ~payload ~last_of_msg ~retransmission
+    ~birth =
   {
     uid = fresh_uid ();
     conn;
-    conn_id = resolve_conn_id conn conn_id;
+    conn_id;
     src_node = conn.Flow_id.src;
     dst_node = conn.Flow_id.dst;
     kind = Data { psn; payload; last_of_msg };
@@ -59,11 +55,19 @@ let data ~conn ?conn_id ~sport ~psn ~payload ~last_of_msg
     ecn_echo = false;
   }
 
-let control ~conn ?conn_id ~sport ~kind ~size ~birth () =
+let data ~conn ?conn_id ~sport ~psn ~payload ~last_of_msg
+    ?(retransmission = false) ~birth () =
+  let conn_id =
+    match conn_id with Some id -> id | None -> Flow_id.intern conn
+  in
+  make_data ~conn ~conn_id ~sport ~psn ~payload ~last_of_msg ~retransmission
+    ~birth
+
+let make_control ~conn ~conn_id ~sport ~kind ~size ~birth =
   {
     uid = fresh_uid ();
     conn;
-    conn_id = resolve_conn_id conn conn_id;
+    conn_id;
     src_node = conn.Flow_id.dst;
     dst_node = conn.Flow_id.src;
     kind;
@@ -77,14 +81,17 @@ let control ~conn ?conn_id ~sport ~kind ~size ~birth () =
     ecn_echo = false;
   }
 
+let control ~conn ~sport ~kind ~size ~birth =
+  make_control ~conn ~conn_id:(Flow_id.intern conn) ~sport ~kind ~size ~birth
+
 let ack ~conn ~sport ~psn ~birth =
-  control ~conn ~sport ~kind:(Ack { psn }) ~size:Headers.ack_bytes ~birth ()
+  control ~conn ~sport ~kind:(Ack { psn }) ~size:Headers.ack_bytes ~birth
 
 let nack ~conn ~sport ~epsn ~birth =
-  control ~conn ~sport ~kind:(Nack { epsn }) ~size:Headers.ack_bytes ~birth ()
+  control ~conn ~sport ~kind:(Nack { epsn }) ~size:Headers.ack_bytes ~birth
 
 let cnp ~conn ~sport ~birth =
-  control ~conn ~sport ~kind:Cnp ~size:Headers.cnp_bytes ~birth ()
+  control ~conn ~sport ~kind:Cnp ~size:Headers.cnp_bytes ~birth
 
 let is_data t = match t.kind with Data _ -> true | Ack _ | Nack _ | Cnp | Pause _ -> false
 let is_nack t = match t.kind with Nack _ -> true | Data _ | Ack _ | Cnp | Pause _ -> false

@@ -69,6 +69,26 @@ val data :
   unit ->
   t
 
+val make_data :
+  conn:Flow_id.t ->
+  conn_id:int ->
+  sport:int ->
+  psn:Psn.t ->
+  payload:int ->
+  last_of_msg:bool ->
+  retransmission:bool ->
+  birth:Sim_time.t ->
+  t
+(** {!data} with every argument required, so nothing is boxed: the fresh
+    path of {!Packet_pool.data}. *)
+
+val make_control :
+  conn:Flow_id.t -> conn_id:int -> sport:int -> kind:kind -> size:int ->
+  birth:Sim_time.t -> t
+(** A control packet of [kind] and wire [size] from the interned
+    [conn_id], without the lookup {!ack}/{!nack}/{!cnp} make: the fresh
+    path of {!Packet_pool}'s control constructors. *)
+
 val ack : conn:Flow_id.t -> sport:int -> psn:Psn.t -> birth:Sim_time.t -> t
 (** Travels dst -> src of [conn]. *)
 

@@ -4,17 +4,26 @@ open Packet
    array until overwritten, which is harmless retention, not a leak. *)
 type stack = { mutable buf : Packet.t array; mutable len : int }
 
+(* One freelist per kind: a record is only reused as its own kind,
+   because giving it another kind allocates a fresh [kind] block.  CNP
+   is a constant constructor, so PAUSE records may turn into CNPs. *)
 type pool = {
   free_data : stack;
-  free_ctrl : stack;
+  free_ack : stack;
+  free_nack : stack;
+  free_cnp : stack;
   mutable reused : int;
   mutable fresh : int;
 }
 
+let empty () = { buf = [||]; len = 0 }
+
 let pl =
   {
-    free_data = { buf = [||]; len = 0 };
-    free_ctrl = { buf = [||]; len = 0 };
+    free_data = empty ();
+    free_ack = empty ();
+    free_nack = empty ();
+    free_cnp = empty ();
     reused = 0;
     fresh = 0;
   }
@@ -39,32 +48,34 @@ let release p =
     p.pooled <- true;
     match p.kind with
     | Data _ -> push pl.free_data p
-    | Ack _ | Nack _ | Cnp | Pause _ -> push pl.free_ctrl p
+    | Ack _ -> push pl.free_ack p
+    | Nack _ -> push pl.free_nack p
+    | Cnp | Pause _ -> push pl.free_cnp p
   end
 
+let clear st =
+  st.buf <- [||];
+  st.len <- 0
+
 let reset () =
-  pl.free_data.buf <- [||];
-  pl.free_data.len <- 0;
-  pl.free_ctrl.buf <- [||];
-  pl.free_ctrl.len <- 0;
+  clear pl.free_data;
+  clear pl.free_ack;
+  clear pl.free_nack;
+  clear pl.free_cnp;
   pl.reused <- 0;
   pl.fresh <- 0
 
 let stats () = (pl.reused, pl.fresh)
 
-let resolve_conn_id conn = function
-  | Some id -> id
-  | None -> Flow_id.intern conn
-
-let data ~conn ?conn_id ~sport ~psn ~payload ~last_of_msg
-    ?(retransmission = false) ~birth () =
+let data ~conn ~conn_id ~sport ~psn ~payload ~last_of_msg ~retransmission
+    ~birth =
   if pl.free_data.len > 0 then begin
     pl.reused <- pl.reused + 1;
     let p = pop pl.free_data in
     p.pooled <- false;
     p.uid <- Packet.fresh_uid ();
     p.conn <- conn;
-    p.conn_id <- resolve_conn_id conn conn_id;
+    p.conn_id <- conn_id;
     p.src_node <- conn.Flow_id.src;
     p.dst_node <- conn.Flow_id.dst;
     (match p.kind with
@@ -84,8 +95,8 @@ let data ~conn ?conn_id ~sport ~psn ~payload ~last_of_msg
   end
   else begin
     pl.fresh <- pl.fresh + 1;
-    Packet.data ~conn ?conn_id ~sport ~psn ~payload ~last_of_msg
-      ~retransmission ~birth ()
+    Packet.make_data ~conn ~conn_id ~sport ~psn ~payload ~last_of_msg
+      ~retransmission ~birth
   end
 
 (* Control packets travel dst -> src of [conn]; the caller has already
@@ -107,9 +118,9 @@ let reuse_control p ~conn ~conn_id ~sport ~size ~birth =
   p
 
 let ack ~conn ~conn_id ~sport ~psn ~birth =
-  if pl.free_ctrl.len > 0 then begin
+  if pl.free_ack.len > 0 then begin
     pl.reused <- pl.reused + 1;
-    let p = pop pl.free_ctrl in
+    let p = pop pl.free_ack in
     (match p.kind with
     | Ack a -> a.psn <- psn
     | Data _ | Nack _ | Cnp | Pause _ -> p.kind <- Ack { psn });
@@ -117,16 +128,14 @@ let ack ~conn ~conn_id ~sport ~psn ~birth =
   end
   else begin
     pl.fresh <- pl.fresh + 1;
-    (* Fresh allocation is the cold path; [Packet.ack] re-interns [conn],
-       which by construction yields the same id as [conn_id]. *)
-    ignore conn_id;
-    Packet.ack ~conn ~sport ~psn ~birth
+    Packet.make_control ~conn ~conn_id ~sport ~kind:(Ack { psn })
+      ~size:Headers.ack_bytes ~birth
   end
 
 let nack ~conn ~conn_id ~sport ~epsn ~birth =
-  if pl.free_ctrl.len > 0 then begin
+  if pl.free_nack.len > 0 then begin
     pl.reused <- pl.reused + 1;
-    let p = pop pl.free_ctrl in
+    let p = pop pl.free_nack in
     (match p.kind with
     | Nack n -> n.epsn <- epsn
     | Data _ | Ack _ | Cnp | Pause _ -> p.kind <- Nack { epsn });
@@ -134,21 +143,21 @@ let nack ~conn ~conn_id ~sport ~epsn ~birth =
   end
   else begin
     pl.fresh <- pl.fresh + 1;
-    ignore conn_id;
-    Packet.nack ~conn ~sport ~epsn ~birth
+    Packet.make_control ~conn ~conn_id ~sport ~kind:(Nack { epsn })
+      ~size:Headers.ack_bytes ~birth
   end
 
 let cnp ~conn ~conn_id ~sport ~birth =
-  if pl.free_ctrl.len > 0 then begin
+  if pl.free_cnp.len > 0 then begin
     pl.reused <- pl.reused + 1;
-    let p = pop pl.free_ctrl in
+    let p = pop pl.free_cnp in
     p.kind <- Cnp;
     reuse_control p ~conn ~conn_id ~sport ~size:Headers.cnp_bytes ~birth
   end
   else begin
     pl.fresh <- pl.fresh + 1;
-    ignore conn_id;
-    Packet.cnp ~conn ~sport ~birth
+    Packet.make_control ~conn ~conn_id ~sport ~kind:Cnp
+      ~size:Headers.cnp_bytes ~birth
   end
 
 let clone p =

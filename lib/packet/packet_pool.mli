@@ -2,9 +2,10 @@
 
     The data plane allocates one packet record (plus its [kind] inline
     record) per simulated packet; under a sweep that is the dominant
-    minor-heap traffic after events.  This pool keeps two freelists —
-    data packets and control packets (ACK/NACK/CNP share a shape) — and
-    reuses dead records in place, snabb-style.
+    minor-heap traffic after events.  This pool keeps one freelist per
+    kind — data, ACK, NACK and CNP — and reuses dead records in place,
+    snabb-style.  A record is only reused as its own kind, because
+    switching its kind allocates a fresh inline record.
 
     {b Ownership}: a packet has exactly one owner at every instant — the
     component currently holding it (a port queue, an in-flight event, a
@@ -12,8 +13,9 @@
     at tx/propagation events (port -> wire -> deliver target) and at
     delivery (wire -> RNIC/switch).  Whoever owns a packet when it dies
     releases it; the recycle points are the RNIC after dispatching a
-    delivered packet, port/switch drop paths, and the fuzz fault layer's
-    drop/corrupt faults.  After [release] the record must not be touched:
+    delivered packet, port/switch drop paths, [Switch.process] for a
+    NACK that Themis-D blocks, and the fuzz fault layer's drop/corrupt
+    faults.  After [release] the record must not be touched:
     any field may be overwritten by the next constructor call.  Dropped
     packets that tests hold onto (delivered via raw capture hooks) are
     simply never released — unreleased packets are ordinary garbage.
@@ -28,22 +30,23 @@
 
 val data :
   conn:Flow_id.t ->
-  ?conn_id:int ->
+  conn_id:int ->
   sport:int ->
   psn:Psn.t ->
   payload:int ->
   last_of_msg:bool ->
-  ?retransmission:bool ->
+  retransmission:bool ->
   birth:Sim_time.t ->
-  unit ->
   Packet.t
+(** Every label is required: an optional argument would box a [Some] per
+    packet.  {!Packet.data} keeps the optional form for tests. *)
 
 val ack :
   conn:Flow_id.t -> conn_id:int -> sport:int -> psn:Psn.t ->
   birth:Sim_time.t -> Packet.t
-(** Control constructors take the interned [conn_id] explicitly: they
-    are only called from hot paths that have it cached, and making it
-    required keeps the per-packet hash out by construction. *)
+(** Constructors take the interned [conn_id] explicitly: they are only
+    called from hot paths that have it cached, and making it required
+    keeps the per-packet hash out by construction. *)
 
 val nack :
   conn:Flow_id.t -> conn_id:int -> sport:int -> epsn:Psn.t ->
@@ -62,7 +65,7 @@ val clone : Packet.t -> Packet.t
     owned (and independently releasable). *)
 
 val reset : unit -> unit
-(** Drop both freelists and zero the stats; called wherever
+(** Drop every freelist and zero the stats; called wherever
     [Packet.reset_uid_counter] is (per campaign job / fuzz run) so every
     run starts from identical global state. *)
 

@@ -34,20 +34,22 @@ let with_ti_td cfg ~ti_us ~td_us =
     rate_decrease_interval = Sim_time.us_f td_us;
   }
 
+type state = {
+  mutable rc : Rate.t;  (* current rate *)
+  mutable rt : Rate.t;  (* target rate *)
+  mutable alpha : float;
+}
+
 type t = {
   engine : Engine.t;
   conn : Flow_id.t option;  (* telemetry label only *)
   cfg : config;
   line_rate : Rate.t;
-  mutable rc : Rate.t;
-  mutable rt : Rate.t;
-  (* One-element array rather than a mutable field: in this mixed record
-     a [mutable alpha : float] is a boxed float, so the 55µs decay timer
-     — the single most frequent event in a converged run — would
-     allocate on every store.  Flat float-array storage keeps the IEEE
-     arithmetic (and hence every frozen trace) bit-identical while
-     making the store allocation-free. *)
-  alpha : float array;
+  (* The float state lives in its own all-float record, which OCaml
+     stores flat: a [mutable] float field of this mixed record would be
+     boxed, so every rate change and every 55µs alpha decay would
+     allocate. *)
+  st : state;
   mutable last_decrease : Sim_time.t;
   mutable last_nack_decrease : Sim_time.t;
   mutable stage : int;
@@ -60,12 +62,12 @@ type t = {
   mutable cb_alpha : Engine.callback;
 }
 
-let rate t = t.rc
-let target t = t.rt
-let alpha t = t.alpha.(0)
+let rate t = t.st.rc
+let target t = t.st.rt
+let alpha t = t.st.alpha
 let decreases t = t.decreases
 
-let at_line_rate t = Rate.compare t.rc t.line_rate >= 0
+let at_line_rate t = Rate.compare t.st.rc t.line_rate >= 0
 
 (* Only the rate-increase loop parks on full recovery; alpha keeps
    decaying (it terminates itself once negligible), so a long quiet
@@ -76,22 +78,23 @@ let stop_increase_timer t =
 
 (* One rate-increase event (from the TI timer or the byte counter). *)
 let rec increase_event t =
+  let st = t.st in
   t.stage <- t.stage + 1;
   let f = t.cfg.fast_recovery_rounds in
-  if t.stage <= f then t.rc <- Rate.avg t.rc t.rt
+  if t.stage <= f then st.rc <- Rate.avg st.rc st.rt
   else if t.stage <= 2 * f then begin
-    t.rt <- Rate.clamp (Rate.add t.rt t.cfg.rai) ~max:t.line_rate;
-    t.rc <- Rate.avg t.rc t.rt
+    st.rt <- Rate.clamp (Rate.add st.rt t.cfg.rai) ~max:t.line_rate;
+    st.rc <- Rate.avg st.rc st.rt
   end
   else begin
-    t.rt <- Rate.clamp (Rate.add t.rt t.cfg.rhai) ~max:t.line_rate;
-    t.rc <- Rate.avg t.rc t.rt
+    st.rt <- Rate.clamp (Rate.add st.rt t.cfg.rhai) ~max:t.line_rate;
+    st.rc <- Rate.avg st.rc st.rt
   end;
-  t.rc <- Rate.clamp t.rc ~max:t.line_rate;
-  if Rate.to_bps t.rc >= 0.999 *. Rate.to_bps t.line_rate then begin
+  st.rc <- Rate.clamp st.rc ~max:t.line_rate;
+  if Rate.to_bps st.rc >= 0.999 *. Rate.to_bps t.line_rate then begin
     (* Fully recovered; park the control loop until the next signal. *)
-    t.rc <- t.line_rate;
-    t.rt <- t.line_rate;
+    st.rc <- t.line_rate;
+    st.rt <- t.line_rate;
     stop_increase_timer t
   end
   else reschedule_increase t
@@ -103,8 +106,8 @@ and reschedule_increase t =
       t.cb_increase ~obj:(Obj.repr ())
 
 and alpha_decay t =
-  let a = (1. -. t.cfg.g) *. Array.unsafe_get t.alpha 0 in
-  Array.unsafe_set t.alpha 0 a;
+  let a = (1. -. t.cfg.g) *. t.st.alpha in
+  t.st.alpha <- a;
   if a > 1e-4 then reschedule_alpha t else t.alpha_handle <- Engine.none
 
 and reschedule_alpha t =
@@ -120,9 +123,7 @@ let create ~engine ?conn ~config ~line_rate () =
     conn;
     cfg = config;
     line_rate;
-    rc = line_rate;
-    rt = line_rate;
-    alpha = [| 1. |];
+    st = { rc = line_rate; rt = line_rate; alpha = 1. };
     last_decrease = Sim_time.ns (-1_000_000_000);
     last_nack_decrease = Sim_time.ns (-1_000_000_000);
     stage = 0;
@@ -140,23 +141,30 @@ let create ~engine ?conn ~config ~line_rate () =
   t
 
 
+(* Constant label lists: nothing is built per decrease. *)
+let cause_cnp = [ ("cause", "cnp") ]
+let cause_nack = [ ("cause", "nack") ]
+let cause_timeout = [ ("cause", "timeout") ]
+
 let tm_decrease t cause =
   if Telemetry.enabled () then begin
-    let label =
+    let labels =
       match cause with
-      | Event.Cnp -> "cnp"
-      | Event.Nack -> "nack"
-      | Event.Timeout -> "timeout"
+      | Event.Cnp -> cause_cnp
+      | Event.Nack -> cause_nack
+      | Event.Timeout -> cause_timeout
     in
-    Telemetry.incr_counter ~labels:[ ("cause", label) ] "dcqcn_rate_decreases";
+    Telemetry.incr_counter ~labels "dcqcn_rate_decreases";
     match t.conn with
     | None -> ()
     | Some conn ->
         Telemetry.record ~time:(Engine.now t.engine)
-          (Event.Rate_change { conn; gbps = Rate.to_gbps t.rc; cause })
+          (Event.Rate_change { conn; gbps = Rate.to_gbps t.st.rc; cause })
   end
 
-let decrease ?(gate = `Td) t ~factor =
+(* The cut factor is computed here, not passed in: a float argument to
+   this out-of-line function would be boxed on every CNP. *)
+let decrease t ~gate =
   let now = Engine.now t.engine in
   let gate_ok =
     match gate with
@@ -171,9 +179,15 @@ let decrease ?(gate = `Td) t ~factor =
     | `Nack -> t.last_nack_decrease <- now
     | `Td -> ());
     t.decreases <- t.decreases + 1;
-    t.alpha.(0) <- ((1. -. t.cfg.g) *. t.alpha.(0)) +. t.cfg.g;
-    t.rt <- t.rc;
-    t.rc <- Rate.scale t.rc factor;
+    let st = t.st in
+    let factor =
+      match gate with
+      | `Td -> 1. -. (st.alpha /. 2.)
+      | `Nack -> t.cfg.nack_factor
+    in
+    st.alpha <- ((1. -. t.cfg.g) *. st.alpha) +. t.cfg.g;
+    st.rt <- st.rc;
+    st.rc <- Rate.scale st.rc factor;
     t.stage <- 0;
     t.bytes_acc <- 0;
     tm_decrease t (match gate with `Td -> Event.Cnp | `Nack -> Event.Nack);
@@ -181,16 +195,16 @@ let decrease ?(gate = `Td) t ~factor =
     reschedule_alpha t
   end
 
-let on_cnp t = decrease t ~factor:(1. -. (t.alpha.(0) /. 2.))
+let on_cnp t = decrease t ~gate:`Td
 
 let on_nack t =
-  if t.cfg.nack_slow_start then decrease ~gate:`Nack t ~factor:t.cfg.nack_factor
+  if t.cfg.nack_slow_start then decrease t ~gate:`Nack
 
 let on_timeout t =
   t.last_decrease <- Engine.now t.engine;
   t.decreases <- t.decreases + 1;
-  t.rt <- t.rc;
-  t.rc <- Rate.min_rate;
+  t.st.rt <- t.st.rc;
+  t.st.rc <- Rate.min_rate;
   t.stage <- 0;
   t.bytes_acc <- 0;
   tm_decrease t Event.Timeout;

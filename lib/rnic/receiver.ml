@@ -110,19 +110,22 @@ let deliver t payload =
   t.delivered_bytes <- t.delivered_bytes + payload;
   t.actions.deliver ~bytes:payload
 
+(* Top-level recursion, not a local [let rec]: a local recursive
+   function capturing [t] allocates its closure on every in-order
+   packet. *)
+let rec drain t =
+  if ooo_take t t.epsn then begin
+    t.epsn <- t.epsn + 1;
+    t.pending_advance <- t.pending_advance + 1;
+    drain t
+  end
+
 (* Advance the ePSN over the contiguous prefix of the bitmap. *)
 let advance t =
   t.epsn <- t.epsn + 1;
   t.pending_advance <- t.pending_advance + 1;
   t.nacked_current <- false;
-  let rec drain () =
-    if ooo_take t t.epsn then begin
-      t.epsn <- t.epsn + 1;
-      t.pending_advance <- t.pending_advance + 1;
-      drain ()
-    end
-  in
-  drain ()
+  drain t
 
 let on_data t ~seq ~payload ~last_of_msg =
   if seq = t.epsn then begin

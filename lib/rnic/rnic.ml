@@ -194,12 +194,13 @@ let on_data_packet t (pkt : Packet.t) psn payload last_of_msg =
   let seq = Psn.unwrap ~near:(Receiver.epsn ctx.recv) psn in
   Receiver.on_data ctx.recv ~seq ~payload ~last_of_msg
 
-let on_sender_packet t (pkt : Packet.t) f =
+(* [None] for a late control packet of a torn-down QP: dropped.  The
+   caller matches on the result and calls the handler directly, so no
+   closure is built per ACK/NACK/CNP. *)
+let sender_of t (pkt : Packet.t) =
   let id = pkt.Packet.conn_id in
-  if id < Array.length t.senders_by_id then
-    match Array.unsafe_get t.senders_by_id id with
-    | Some snd -> f snd
-    | None -> ()
+  if id < Array.length t.senders_by_id then Array.unsafe_get t.senders_by_id id
+  else None
 
 (* The RNIC is the end of a delivered packet's life: every field needed
    is read during dispatch, and no component downstream retains the
@@ -210,10 +211,12 @@ let receive t (pkt : Packet.t) =
   | Packet.Data { psn; payload; last_of_msg } ->
       t.data_rx <- t.data_rx + 1;
       on_data_packet t pkt psn payload last_of_msg
-  | Packet.Ack { psn } -> on_sender_packet t pkt (fun s -> Sender.on_ack s psn)
-  | Packet.Nack { epsn } ->
-      on_sender_packet t pkt (fun s -> Sender.on_nack s epsn)
-  | Packet.Cnp -> on_sender_packet t pkt Sender.on_cnp
+  | Packet.Ack { psn } -> (
+      match sender_of t pkt with Some s -> Sender.on_ack s psn | None -> ())
+  | Packet.Nack { epsn } -> (
+      match sender_of t pkt with Some s -> Sender.on_nack s epsn | None -> ())
+  | Packet.Cnp -> (
+      match sender_of t pkt with Some s -> Sender.on_cnp s | None -> ())
   | Packet.Pause _ -> ());
   Packet_pool.release pkt
 

@@ -30,7 +30,12 @@ type t = {
   mutable una : int;  (* lowest unacknowledged sequence *)
   mutable end_seq : int;  (* first sequence beyond all posted data *)
   retx : int Fifo.t;
-  retx_pending : (int, unit) Hashtbl.t;
+  (* The set of sequences queued in [retx], so none is queued twice: an
+     exact-key power-of-two ring keyed [seq land mask] ([-1] = empty),
+     like the receiver's out-of-order ring, so queueing allocates
+     nothing.  Membership is only asked of sequences at or above [una],
+     so a slot holding one below [una] is stale and may be overwritten. *)
+  mutable retx_pending : int array;
   mutable pacing : bool;
   mutable rto_handle : Engine.handle;
   (* Closure-free pacing/RTO events (registered once per sender). *)
@@ -79,11 +84,45 @@ let rec msg_find t seq n i =
    and this runs once per transmitted packet. *)
 let msg_of t seq = msg_find t seq (Fifo.length t.msgs) 0
 
+(* Insert [seq] (at or above [una]); [false] when it is already queued.
+   A live sequence in its slot means the queued span outgrew the ring:
+   double it (rehoming the live entries) until the new one fits. *)
+let rec pending_add t seq =
+  let ring = t.retx_pending in
+  let slot = seq land (Array.length ring - 1) in
+  let cur = ring.(slot) in
+  if cur = seq then false
+  else if cur < t.una then begin
+    ring.(slot) <- seq;
+    true
+  end
+  else begin
+    pending_grow t;
+    pending_add t seq
+  end
+
+and pending_grow t =
+  let old = t.retx_pending in
+  t.retx_pending <- Array.make (2 * Array.length old) (-1);
+  Array.iter (fun seq -> if seq >= t.una then ignore (pending_add t seq)) old
+
+let pending_remove t seq =
+  let ring = t.retx_pending in
+  let slot = seq land (Array.length ring - 1) in
+  if ring.(slot) = seq then ring.(slot) <- -1
+
+(* Queue [seq] for retransmission unless it is already queued. *)
+let queue_retx t seq = if pending_add t seq then Fifo.push t.retx seq
+
+let clear_retx t =
+  Fifo.clear t.retx;
+  Array.fill t.retx_pending 0 (Array.length t.retx_pending) (-1)
+
 let rec pick_retx t =
   if Fifo.is_empty t.retx then -1
   else begin
     let seq = Fifo.pop t.retx in
-    Hashtbl.remove t.retx_pending seq;
+    pending_remove t seq;
     if seq >= t.una then (seq lsl 1) lor 1 else pick_retx t
   end
 
@@ -107,14 +146,10 @@ and on_rto t =
     end;
     (match t.cfg.mode with
     | Sr_retx ->
-        if not (Hashtbl.mem t.retx_pending t.una) then begin
-          Hashtbl.add t.retx_pending t.una ();
-          Fifo.push t.retx t.una
-        end
+        queue_retx t t.una
     | Gbn_retx ->
         t.next_seq <- t.una;
-        Fifo.clear t.retx;
-        Hashtbl.reset t.retx_pending);
+        clear_retx t);
     Dcqcn.on_timeout t.cc;
     arm_rto t;
     try_send t
@@ -156,7 +191,7 @@ and try_send t =
           Packet_pool.data ~conn:t.conn ~conn_id:t.conn_id ~sport:t.sport
             ~psn:(Psn.of_int seq)
             ~payload ~last_of_msg:last ~retransmission:is_retx
-            ~birth:(Engine.now t.engine) ()
+            ~birth:(Engine.now t.engine)
         in
         (* [transmit] may synchronously drop (and recycle) the packet;
            everything we need from it is read before the handoff. *)
@@ -201,7 +236,7 @@ let create ~engine ~conn ~sport ~config ~line_rate ~transmit =
     una = 0;
     end_seq = 0;
     retx = Fifo.create ~capacity:16 ();
-    retx_pending = Hashtbl.create 16;
+    retx_pending = Array.make 16 (-1);
     pacing = false;
     rto_handle = Engine.none;
     cb_pace = Engine.null_callback;
@@ -274,19 +309,12 @@ let on_nack t psn =
   (match t.cfg.mode with
   | Sr_retx ->
       (* Retransmit exactly the packet named by the ePSN. *)
-      if
-        seq >= t.una && seq < t.next_seq
-        && not (Hashtbl.mem t.retx_pending seq)
-      then begin
-        Hashtbl.add t.retx_pending seq ();
-        Fifo.push t.retx seq
-      end
+      if seq >= t.una && seq < t.next_seq then queue_retx t seq
   | Gbn_retx ->
       (* Go back: rewind and resend everything from the ePSN. *)
       if seq < t.next_seq then begin
         t.next_seq <- Stdlib.max seq t.una;
-        Fifo.clear t.retx;
-        Hashtbl.reset t.retx_pending
+        clear_retx t
       end);
   (* The slow start the paper blames: a NACK is treated as congestion. *)
   Dcqcn.on_nack t.cc;

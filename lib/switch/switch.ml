@@ -278,18 +278,16 @@ let forward t (pkt : Packet.t) =
           match t.themis_s with
           | Some s when is_local_host t pkt.Packet.src_node -> (
               match Themis_s.mode s with
-              | Themis_s.Direct_egress -> (
-                  match Themis_s.egress_index s pkt with
-                  | Some path -> Some (path mod n)
-                  | None -> None)
+              | Themis_s.Direct_egress ->
+                  let path = Themis_s.egress_index s pkt in
+                  if path >= 0 then path mod n else -1
               | Themis_s.Sport_rewrite _ ->
                   Themis_s.apply s pkt;
-                  None)
-          | Some _ | None -> None
+                  -1)
+          | Some _ | None -> -1
         in
-        match themis_choice with
-        | Some i -> i
-        | None -> (
+        if themis_choice >= 0 then themis_choice
+        else (
             t.load_ports <- ports;
             (* The stateful rivals act only at the flow's source ToR;
                everywhere else they degrade to ECMP hashing of the
@@ -328,7 +326,9 @@ let process t (pkt : Packet.t) =
         | Themis_d.Forward -> false)
     | Some _ | None -> false
   in
-  if not blocked then forward t pkt
+  (* A blocked NACK dies here: Themis-D has read all it needs, so this is
+     a recycle point (DESIGN.md §10). *)
+  if blocked then Packet_pool.release pkt else forward t pkt
 
 let create ~engine ~topo ~routing ~node ~config ~rng =
   let t =

@@ -1,7 +1,8 @@
 (** Process-global telemetry context: a metric registry plus a
     ring-buffered typed-event sink.
 
-    Off by default.  Recording sites guard with [enabled ()], so the
+    Off by default.  Recording sites guard with [enabled ()] and build
+    their event payloads and label lists only inside that guard, so the
     disabled cost is one load + branch and zero allocation.  [enable]
     installs a fresh context (experiments run sequentially; the last
     enabler owns the context). *)

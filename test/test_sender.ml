@@ -113,6 +113,18 @@ let test_sr_nack_retransmits_exactly_epsn () =
   Engine.run engine ~until:(Sim_time.us 150);
   Alcotest.(check (list int)) "re-nack after send retransmits again" [ 2 ] (psns sent)
 
+let test_duplicate_nack_while_pending () =
+  let engine, s, sent = make () in
+  Sender.post s ~bytes:100_000 ~on_complete:(fun _ -> ());
+  (* Mid-stream: the pacer is busy, so a queued retransmission waits. *)
+  Engine.run engine ~until:(Sim_time.us 1);
+  Sender.on_nack s (Psn.of_int 2);
+  Sender.on_nack s (Psn.of_int 2);
+  Engine.run engine ~until:(Sim_time.us 50);
+  Alcotest.(check int) "psn 2 sent once, retransmitted once" 2
+    (List.length (List.filter (( = ) 2) (psns sent)));
+  Alcotest.(check int) "retx counter" 1 (Sender.retx_packets_sent s)
+
 let test_nack_advances_una () =
   let engine, s, _ = make () in
   let completed = ref false in
@@ -203,6 +215,8 @@ let () =
       ( "retransmission",
         [
           Alcotest.test_case "sr nack" `Quick test_sr_nack_retransmits_exactly_epsn;
+          Alcotest.test_case "duplicate nack" `Quick
+            test_duplicate_nack_while_pending;
           Alcotest.test_case "nack advances una" `Quick test_nack_advances_una;
           Alcotest.test_case "gbn rewind" `Quick test_gbn_nack_rewinds;
           Alcotest.test_case "rto" `Quick test_rto_retransmits;

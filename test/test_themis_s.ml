@@ -12,17 +12,15 @@ let test_direct_eq1 () =
   let s = Themis_s.create ~paths:4 ~mode:Themis_s.Direct_egress in
   let base = Themis_s.base_path s (data 0) in
   for psn = 0 to 31 do
-    match Themis_s.egress_index s (data psn) with
-    | Some path ->
-        Alcotest.(check int) "Eq. 1" (((psn mod 4) + base) mod 4) path
-    | None -> Alcotest.fail "data must be sprayed"
+    Alcotest.(check int) "Eq. 1" (((psn mod 4) + base) mod 4)
+      (Themis_s.egress_index s (data psn))
   done;
   Alcotest.(check int) "sprayed count" 32 (Themis_s.sprayed_packets s)
 
 let test_direct_control_passthrough () =
   let s = Themis_s.create ~paths:4 ~mode:Themis_s.Direct_egress in
-  Alcotest.(check bool) "acks not sprayed" true
-    (Themis_s.egress_index s (ack ()) = None);
+  Alcotest.(check int) "acks not sprayed" (-1)
+    (Themis_s.egress_index s (ack ()));
   Alcotest.(check int) "no spray counted" 0 (Themis_s.sprayed_packets s)
 
 let test_direct_apply_noop () =
@@ -35,8 +33,8 @@ let test_direct_apply_noop () =
 let test_rewrite_mode () =
   let map = Path_map.build ~paths:4 in
   let s = Themis_s.create ~paths:4 ~mode:(Themis_s.Sport_rewrite map) in
-  Alcotest.(check bool) "no direct egress" true
-    (Themis_s.egress_index s (data 1) = None);
+  Alcotest.(check int) "no direct egress" (-1)
+    (Themis_s.egress_index s (data 1));
   (* Residue 0 keeps the sport; other residues flip bits. *)
   let p0 = data 0 and p1 = data 1 in
   Themis_s.apply s p0;
@@ -82,9 +80,8 @@ let test_set_paths () =
   Alcotest.(check int) "shrunk" 3 (Themis_s.paths s);
   (* Eq. 1 now cycles over three paths. *)
   let base = Themis_s.base_path s (data 0) in
-  (match Themis_s.egress_index s (data 7) with
-  | Some p -> Alcotest.(check int) "recomputed" (((7 mod 3) + base) mod 3) p
-  | None -> Alcotest.fail "expected spray");
+  Alcotest.(check int) "recomputed" (((7 mod 3) + base) mod 3)
+    (Themis_s.egress_index s (data 7));
   Alcotest.check_raises "invalid"
     (Invalid_argument "Themis_s.set_paths: paths must be positive") (fun () ->
       Themis_s.set_paths s 0)
