@@ -4,7 +4,7 @@
 .PHONY: all build test examples micro bench-engine bench-engine-smoke \
         bench-fwd bench-fwd-smoke fuzz-quick \
         fuzz-soak campaign-quick workload-smoke workload-bench arena \
-        arena-smoke perfbench-smoke cli-bad-input check clean
+        arena-smoke serial-forked perfbench-smoke cli-bad-input check clean
 
 all: build
 
@@ -93,6 +93,18 @@ campaign-refreeze:
 	  dune exec bin/themis_campaign_cli.exe -- freeze --preset $$p || exit 1; \
 	done
 
+# Serial and forked campaign runs must agree byte for byte.  The
+# ablation preset is the gate for the run boundary (DESIGN.md §7): each
+# of its jobs builds 2-5 fabrics, so state one build leaves behind for
+# the next shows up as a diff between the two stores.
+SERIAL_FORKED = _build/serial-forked
+serial-forked:
+	rm -rf $(SERIAL_FORKED)
+	dune exec bin/themis_campaign_cli.exe -- run --preset ablation --workers 1 --force --quiet --store $(SERIAL_FORKED)/w1
+	dune exec bin/themis_campaign_cli.exe -- run --preset ablation --workers 2 --force --quiet --store $(SERIAL_FORKED)/w2
+	diff -r $(SERIAL_FORKED)/w1 $(SERIAL_FORKED)/w2
+	@echo "serial-forked: OK"
+
 # Production-workload gate (DESIGN.md §12): the mix scenario (websearch
 # open-loop + allreduce overlay) over the fork pool, gated against its
 # frozen baseline, then the streaming bench's 50k-flow smoke asserting
@@ -143,7 +155,7 @@ cli-bad-input:
 	want2 $(CLI_BIN)/themis_cli.exe fattree --mb=0; \
 	echo "cli-bad-input: OK"
 
-check: build test examples micro bench-engine-smoke bench-fwd-smoke fuzz-quick campaign-quick workload-smoke arena-smoke perfbench-smoke cli-bad-input
+check: build test examples micro bench-engine-smoke bench-fwd-smoke fuzz-quick campaign-quick workload-smoke arena-smoke serial-forked perfbench-smoke cli-bad-input
 	@echo "check: OK"
 
 clean:

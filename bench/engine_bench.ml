@@ -72,13 +72,12 @@ let bench_mill ~events ~reps =
 (* The incast preset (Experiment.default_incast), replicated here rather
    than called through Experiment so we can read the engine's event count
    for the words/event metric.  Keep in sync with Experiment.run_incast.
-   Best-of-[reps]: each repetition of the scheme sequence starts from
-   Fabric_core.reset_run_state, so every one must replay the same trace:
+   Best-of-[reps]: every Network.build resets the per-run state
+   (Fabric_core.create), so every repetition must replay the same trace:
    a repetition whose event count is not [expect_events] fails the
    bench. *)
 let bench_incast ~schemes ~fanin ~bytes ~seed ~reps ~expect_events =
   let once () =
-    Fabric_core.reset_run_state ();
     let wheel = ref 0 and heap = ref 0 in
     let s =
       measure (fun () ->

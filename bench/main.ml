@@ -125,7 +125,7 @@ let fig5 coll ~mb title =
           let r, result =
             Campaign_runner.fig5 ~fabric:Campaign_spec.Eval8
               ~scheme:(Network.scheme_to_string scheme)
-              ~coll:(Experiment.coll_to_string coll)
+              ~coll:(Schedule.collective_to_string coll)
               ~mb ~ti_us:(int_of_float ti_us) ~td_us:(int_of_float td_us)
               ~seed:11
           in

@@ -138,24 +138,22 @@ let motivation_cmd =
 let fig5_cmd =
   let coll_arg =
     let parse s =
-      match s with
-      | "allreduce" -> Ok Experiment.Allreduce
-      | "hd-allreduce" -> Ok Experiment.Hd_allreduce
-      | "alltoall" -> Ok Experiment.Alltoall
-      | "allgather" -> Ok Experiment.Allgather
-      | "reduce-scatter" -> Ok Experiment.Reduce_scatter
-      | _ ->
-          Error
-            (`Msg "expected allreduce|hd-allreduce|alltoall|allgather|reduce-scatter")
+      Result.map_error (fun e -> `Msg e) (Schedule.collective_of_string s)
     in
-    let print ppf c = Format.pp_print_string ppf (Experiment.coll_to_string c) in
+    let print ppf c =
+      Format.pp_print_string ppf (Schedule.collective_to_string c)
+    in
     Arg.conv (parse, print)
   in
   let coll =
     Arg.(
       value
-      & opt coll_arg Experiment.Allreduce
-      & info [ "coll" ] ~doc:"Collective: allreduce|alltoall|allgather|reduce-scatter.")
+      & opt coll_arg Schedule.Allreduce
+      & info [ "coll" ]
+          ~doc:
+            ("Collective: "
+            ^ String.concat "|" (List.map fst Schedule.collectives)
+            ^ "."))
   in
   let mb =
     Arg.(value & opt float 8. & info [ "mb" ] ~doc:"Collective megabytes per group.")
@@ -171,7 +169,7 @@ let fig5_cmd =
     in
     Format.printf
       "Fig. 5 (%s): %dx%d leaf-spine, %d groups, %.1f MB per group@."
-      (Experiment.coll_to_string coll)
+      (Schedule.collective_to_string coll)
       fabric.Leaf_spine.n_leaves fabric.Leaf_spine.n_spines
       fabric.Leaf_spine.hosts_per_leaf mb;
     Format.printf "%-12s" "scheme";

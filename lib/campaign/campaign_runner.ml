@@ -2,10 +2,10 @@ let ok_exn what = function
   | Ok v -> v
   | Error e -> invalid_arg (Printf.sprintf "Campaign_runner: %s: %s" what e)
 
-(* Fresh global state per job: this is what makes the serial pool path
-   bit-identical to a forked worker (see the .mli). *)
-let with_fresh_context f =
-  Fabric_core.reset_run_state ();
+(* A typed-telemetry context for a Fig. 1/5 or incast job.  Its runs
+   build with [telemetry = false], which leaves this context in place:
+   the job records [tele_*] without the sampler's extra events. *)
+let with_telemetry f =
   ignore (Telemetry.enable ());
   Fun.protect ~finally:Telemetry.disable f
 
@@ -47,7 +47,7 @@ let themis_metrics = function
 (* Fig. 1 (motivation) *)
 
 let fig1 ~transport ~mb ~seed =
-  with_fresh_context (fun () ->
+  with_telemetry (fun () ->
       let tr = ok_exn "transport" (Campaign_spec.transport_of_string transport) in
       let r =
         Experiment.run_motivation
@@ -79,9 +79,9 @@ let fig1 ~transport ~mb ~seed =
 (* Fig. 5 (collectives x DCQCN) *)
 
 let fig5 ~fabric ~scheme ~coll ~mb ~ti_us ~td_us ~seed =
-  with_fresh_context (fun () ->
+  with_telemetry (fun () ->
       let scheme_v = ok_exn "scheme" (Network.scheme_of_string scheme) in
-      let coll_v = ok_exn "coll" (Campaign_spec.coll_of_string coll) in
+      let coll_v = ok_exn "coll" (Schedule.collective_of_string coll) in
       let cfg =
         {
           (Experiment.default_eval
@@ -120,7 +120,7 @@ let fig5 ~fabric ~scheme ~coll ~mb ~ti_us ~td_us ~seed =
 (* Incast *)
 
 let incast ~scheme ~fanin ~mb ~seed =
-  with_fresh_context (fun () ->
+  with_telemetry (fun () ->
       let scheme_v = ok_exn "scheme" (Network.scheme_of_string scheme) in
       let r =
         Experiment.run_incast
@@ -208,15 +208,12 @@ let ablation_metrics ~study ~seed =
   | s -> invalid_arg (Printf.sprintf "Campaign_runner: unknown study %S" s)
 
 let ablation ~study ~seed =
-  with_fresh_context (fun () ->
-      Campaign_result.make
-        ~job:(Campaign_spec.Ablation_job { study; seed })
-        ~metrics:(ablation_metrics ~study ~seed))
+  Campaign_result.make
+    ~job:(Campaign_spec.Ablation_job { study; seed })
+    ~metrics:(ablation_metrics ~study ~seed)
 
 (* ------------------------------------------------------------------ *)
-(* Fuzz sweep: one generated spec, run under every scheme.  Every
-   Fuzz_run run starts with Fabric_core.reset_run_state itself, so no
-   with_fresh_context. *)
+(* Fuzz sweep: one generated spec, run under every scheme. *)
 
 let fuzz ~soak ~seed =
   let profile = if soak then Fuzz_spec.Soak else Fuzz_spec.Quick in
@@ -248,8 +245,7 @@ let fuzz ~soak ~seed =
 
 (* ------------------------------------------------------------------ *)
 (* Workload scenarios: one Workload_spec preset with its load factor and
-   seed overridden, under one scheme.  Workload_run starts with
-   Fabric_core.reset_run_state itself, so no with_fresh_context. *)
+   seed overridden, under one scheme. *)
 
 let workload ~wname ~wscheme ~load ~wseed =
   let spec =
@@ -265,9 +261,7 @@ let workload ~wname ~wscheme ~load ~wseed =
     ~metrics:(Workload_run.metrics r)
 
 (* ------------------------------------------------------------------ *)
-(* LB-scheme arena: one Arena_scen scenario under one scheme.  The fuzz
-   runner starts with Fabric_core.reset_run_state itself, so no
-   with_fresh_context. *)
+(* LB-scheme arena: one Arena_scen scenario under one scheme. *)
 
 let arena ~ascheme ~ascen ~aseed =
   let spec =
@@ -297,7 +291,12 @@ let arena ~ascheme ~ascen ~aseed =
 
 (* ------------------------------------------------------------------ *)
 
-let run_job = function
+(* Every job ends its telemetry context, whoever enabled it (fuzz and
+   arena runs install their own), so no serial job inherits the one
+   before it. *)
+let run_job job =
+  Fun.protect ~finally:Telemetry.disable @@ fun () ->
+  match job with
   | Campaign_spec.Fig1_job { transport; mb; seed } ->
       snd (fig1 ~transport ~mb ~seed)
   | Campaign_spec.Fig5_job { fabric; scheme; coll; mb; ti_us; td_us; seed } ->

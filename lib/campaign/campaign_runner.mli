@@ -1,13 +1,13 @@
 (** Execute one campaign job in the current process.
 
-    Every run starts from a clean global state —
-    {!Fabric_core.reset_run_state}, then a fresh typed-telemetry context
-    installed for the duration of the job — so that executing a job
-    in-process after other jobs (the serial pool path) yields {e exactly}
-    the same result record as executing it in a freshly forked worker.
-    The periodic telemetry sampler is deliberately left off: it would
-    inject engine events and perturb the simulation relative to the
-    plain bench runs.
+    Every fabric a job builds resets the per-run global state itself
+    ({!Fabric_core.create}), and every job's telemetry context ends with
+    the job, so executing a job in-process after other jobs (the serial
+    pool path) yields {e exactly} the same result record as executing it
+    in a freshly forked worker.  The Fig. 1, Fig. 5 and incast jobs run
+    under a fresh typed-telemetry context with the periodic sampler left
+    off: it would inject engine events and perturb the simulation
+    relative to the plain bench runs.
 
     The typed entry points ([fig1], [fig5], [incast]) also return the
     rich experiment record so [bench/main.ml] can keep printing its

@@ -311,14 +311,6 @@ let job_hash j = hash_string (job_to_string j)
 (* ------------------------------------------------------------------ *)
 (* Validation. *)
 
-let coll_of_string = function
-  | "allreduce" -> Ok Experiment.Allreduce
-  | "hd-allreduce" -> Ok Experiment.Hd_allreduce
-  | "alltoall" -> Ok Experiment.Alltoall
-  | "allgather" -> Ok Experiment.Allgather
-  | "reduce-scatter" -> Ok Experiment.Reduce_scatter
-  | s -> Error (Printf.sprintf "unknown collective %S" s)
-
 let transport_of_string = function
   | "sr" -> Ok `Sr
   | "gbn" -> Ok `Gbn
@@ -356,7 +348,7 @@ let validate_job = function
   | Fig1_job { transport; _ } -> check "transport" transport_of_string transport
   | Fig5_job { scheme; coll; _ } ->
       let* () = scheme_ok scheme in
-      check "coll" coll_of_string coll
+      check "coll" Schedule.collective_of_string coll
   | Incast_job { scheme; _ } -> scheme_ok scheme
   | Ablation_job { study; _ } -> check "study" study_of_string study
   | Fuzz_job _ -> Ok ()

@@ -36,7 +36,7 @@ type t = {
   fabrics : fabric list;  (** Fig5 axis. *)
   transports : string list;  (** Fig1 axis: [sr], [gbn], [ideal]. *)
   schemes : string list;  (** Fig5/incast axis ({!Network.scheme} names). *)
-  colls : string list;  (** Fig5 axis ({!Experiment.coll} names). *)
+  colls : string list;  (** Fig5 axis ({!Schedule.collectives} names). *)
   mbs : int list;  (** Megabytes: per flow (fig1) / group (fig5) / sender. *)
   dcqcn : (int * int) list;  (** Fig5 axis: [(TI, TD)] in microseconds. *)
   fanins : int list;  (** Incast axis. *)
@@ -98,7 +98,6 @@ val validate : t -> (unit, string) result
 (** Every axis non-empty for the target, then {!validate_job} on every
     job of the grid. *)
 
-val coll_of_string : string -> (Experiment.coll, string) result
 val transport_of_string : string -> (Rnic.transport, string) result
 val studies_known : string list
 

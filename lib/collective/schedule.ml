@@ -95,6 +95,32 @@ let ring_once ~ranks ~bytes =
   check ~ranks ~bytes;
   [ ring_step ~ranks ~bytes ]
 
+type collective = Allreduce | Hd_allreduce | Alltoall | Allgather | Reduce_scatter
+
+let collectives =
+  [
+    ("allreduce", Allreduce);
+    ("hd-allreduce", Hd_allreduce);
+    ("alltoall", Alltoall);
+    ("allgather", Allgather);
+    ("reduce-scatter", Reduce_scatter);
+  ]
+
+let collective_to_string c =
+  fst (List.find (fun (_, c') -> c' = c) collectives)
+
+let collective_of_string s =
+  match List.assoc_opt s collectives with
+  | Some c -> Ok c
+  | None -> Error (Printf.sprintf "unknown collective %S" s)
+
+let of_collective = function
+  | Allreduce -> ring_allreduce
+  | Hd_allreduce -> halving_doubling_allreduce
+  | Alltoall -> alltoall
+  | Allgather -> ring_allgather
+  | Reduce_scatter -> ring_reduce_scatter
+
 let total_bytes t =
   List.fold_left
     (fun acc step ->

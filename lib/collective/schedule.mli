@@ -33,6 +33,30 @@ val ring_once : ranks:int -> bytes:int -> t
 (** One step in which rank [r] sends [bytes] to rank [r+1] — the
     motivation experiment's traffic pattern (Fig. 1a). *)
 
+(** {2 Named collectives}
+
+    The one table of the collectives a job names: the Fig. 5 campaign
+    axis ([cj1] lines), the workload overlays ([wl1] lines) and
+    [themis_cli fig5 --coll] all spell them this way. *)
+
+type collective = Allreduce | Hd_allreduce | Alltoall | Allgather | Reduce_scatter
+(** [Hd_allreduce] is the halving-doubling variant — fewer, larger steps
+    than the ring; group sizes must be powers of two. *)
+
+val collectives : (string * collective) list
+(** Every collective with its name, in a fixed order: [allreduce],
+    [hd-allreduce], [alltoall], [allgather], [reduce-scatter]. *)
+
+val collective_to_string : collective -> string
+
+val collective_of_string : string -> (collective, string) result
+(** [Error "unknown collective \"...\""] for a name not in
+    {!collectives}. *)
+
+val of_collective : collective -> ranks:int -> bytes:int -> t
+(** The schedule of one collective over [ranks] ranks and [bytes] total
+    payload. *)
+
 val total_bytes : t -> int
 val steps : t -> int
 val transfers : t -> int

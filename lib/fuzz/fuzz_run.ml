@@ -75,19 +75,8 @@ let build (spec : Fuzz_spec.t) ~scheme =
   let per_port_cap = spec.Fuzz_spec.per_port_kb * 1024 in
   let queue_factor = float_of_int spec.Fuzz_spec.queue_factor_pct /. 100. in
   match spec.Fuzz_spec.shape with
-  | Fuzz_spec.Ls
-      { n_leaves; n_spines; hosts_per_leaf; host_gbps; fabric_gbps;
-        link_delay_ns } ->
-      let fabric =
-        {
-          Leaf_spine.n_leaves;
-          n_spines;
-          hosts_per_leaf;
-          host_bw = Rate.gbps (float_of_int host_gbps);
-          fabric_bw = Rate.gbps (float_of_int fabric_gbps);
-          link_delay = link_delay_ns;
-        }
-      in
+  | Fuzz_spec.Ls _ ->
+      let fabric = Fuzz_spec.leaf_spine spec.Fuzz_spec.shape in
       let p0 = Network.default_params ~fabric ~scheme in
       let n =
         Network.build
@@ -326,7 +315,6 @@ let judge (spec : Fuzz_spec.t) ~scheme (view : Fuzz_oracle.view) =
 let run_scheme (spec : Fuzz_spec.t) ~scheme : outcome =
   validate spec;
   let scheme_v = scheme_of scheme in
-  Fabric_core.reset_run_state ();
   let sc = setup spec ~scheme:scheme_v in
   let view = view spec ~scheme:scheme_v sc in
   Engine.drive (Fabric_core.engine sc.core)

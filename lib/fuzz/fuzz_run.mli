@@ -1,12 +1,12 @@
 (** Execute one scenario spec under one (or every) scheme.
 
-    A run resets the process-global run state
-    ({!Fabric_core.reset_run_state}), builds a fresh fabric for the
-    (spec, scheme) pair with a fresh telemetry context, so two runs of
-    the same pair are bit-identical (per-delivery fault layer, link
-    faults, transfers), drives it with {!Engine.drive} until every
-    transfer completes (or the deadline expires) and the fabric settles,
-    and evaluates the {!Fuzz_oracle} invariants. *)
+    A run builds a fresh fabric for the (spec, scheme) pair, which
+    resets the process-global run state ({!Fabric_core.create}), with a
+    fresh telemetry context, so two runs of the same pair are
+    bit-identical (per-delivery fault layer, link faults, transfers),
+    drives it with {!Engine.drive} until every transfer completes (or
+    the deadline expires) and the fabric settles, and evaluates the
+    {!Fuzz_oracle} invariants. *)
 
 type outcome = {
   o_scheme : string;

@@ -47,6 +47,20 @@ let n_hosts_of_shape = function
   | Ls { n_leaves; hosts_per_leaf; _ } -> n_leaves * hosts_per_leaf
   | Ft { k; _ } -> k * k * k / 4
 
+let leaf_spine = function
+  | Ls
+      { n_leaves; n_spines; hosts_per_leaf; host_gbps; fabric_gbps;
+        link_delay_ns } ->
+      {
+        Leaf_spine.n_leaves;
+        n_spines;
+        hosts_per_leaf;
+        host_bw = Rate.gbps (float_of_int host_gbps);
+        fabric_bw = Rate.gbps (float_of_int fabric_gbps);
+        link_delay = link_delay_ns;
+      }
+  | Ft _ -> invalid_arg "Fuzz_spec.leaf_spine: fat tree"
+
 let rack_of_shape shape host =
   match shape with
   | Ls { hosts_per_leaf; _ } -> host / hosts_per_leaf

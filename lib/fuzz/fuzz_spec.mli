@@ -69,6 +69,10 @@ val all_schemes : string list
 
 val n_hosts_of_shape : shape -> int
 
+val leaf_spine : shape -> Leaf_spine.params
+(** The leaf-spine fabric of an [Ls] shape.  Raises [Invalid_argument]
+    on a fat tree. *)
+
 val fabric_link_id : shape -> leaf:int -> spine:int -> int
 (** Link id of a leaf<->spine link in the generated topology (host links
     occupy ids [0 .. n_hosts - 1]).  Leaf-spine shapes only. *)

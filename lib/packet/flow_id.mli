@@ -22,8 +22,8 @@ module Table : Hashtbl.S with type key = t
     is keyed on these so steady-state packet processing indexes arrays
     with zero hashing; the hash is paid once per flow at first touch.
     The interner is global run state like [Packet]'s uid counter and is
-    reset at the same campaign-job / fuzz-run boundaries, making id
-    assignment deterministic and byte-identical across serial and
+    reset with it by every fabric build ([Fabric_core.create]), making
+    id assignment deterministic and byte-identical across serial and
     forked executions. *)
 
 val intern : t -> int
@@ -37,8 +37,8 @@ val interned_count : unit -> int
 (** Number of ids assigned since the last reset; all ids are below it. *)
 
 val reset_interner : unit -> unit
-(** Forget all assignments; called wherever [Packet.reset_uid_counter]
-    is so every run starts from identical global state. *)
+(** Forget all assignments; every fabric build calls it, so every run
+    starts from identical global state. *)
 
 val intern_snapshot : unit -> (int * t) list
 (** Current [(id, flow)] assignment sorted by id — determinism tests

@@ -108,4 +108,5 @@ val fresh_uid : unit -> int
     indistinguishable from fresh ones. *)
 
 val reset_uid_counter : unit -> unit
-(** For test isolation. *)
+(** Restart the uids; every fabric build calls it
+    ([Fabric_core.create]). *)

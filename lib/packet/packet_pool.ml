@@ -12,8 +12,6 @@ type pool = {
   free_ack : stack;
   free_nack : stack;
   free_cnp : stack;
-  mutable reused : int;
-  mutable fresh : int;
 }
 
 let empty () = { buf = [||]; len = 0 }
@@ -24,8 +22,6 @@ let pl =
     free_ack = empty ();
     free_nack = empty ();
     free_cnp = empty ();
-    reused = 0;
-    fresh = 0;
   }
 
 let push st p =
@@ -61,16 +57,11 @@ let reset () =
   clear pl.free_data;
   clear pl.free_ack;
   clear pl.free_nack;
-  clear pl.free_cnp;
-  pl.reused <- 0;
-  pl.fresh <- 0
-
-let stats () = (pl.reused, pl.fresh)
+  clear pl.free_cnp
 
 let data ~conn ~conn_id ~sport ~psn ~payload ~last_of_msg ~retransmission
     ~birth =
   if pl.free_data.len > 0 then begin
-    pl.reused <- pl.reused + 1;
     let p = pop pl.free_data in
     p.pooled <- false;
     p.uid <- Packet.fresh_uid ();
@@ -93,11 +84,9 @@ let data ~conn ~conn_id ~sport ~psn ~payload ~last_of_msg ~retransmission
     p.ecn_echo <- false;
     p
   end
-  else begin
-    pl.fresh <- pl.fresh + 1;
+  else
     Packet.make_data ~conn ~conn_id ~sport ~psn ~payload ~last_of_msg
       ~retransmission ~birth
-  end
 
 (* Control packets travel dst -> src of [conn]; the caller has already
    set [p.kind]. *)
@@ -119,46 +108,37 @@ let reuse_control p ~conn ~conn_id ~sport ~size ~birth =
 
 let ack ~conn ~conn_id ~sport ~psn ~birth =
   if pl.free_ack.len > 0 then begin
-    pl.reused <- pl.reused + 1;
     let p = pop pl.free_ack in
     (match p.kind with
     | Ack a -> a.psn <- psn
     | Data _ | Nack _ | Cnp | Pause _ -> p.kind <- Ack { psn });
     reuse_control p ~conn ~conn_id ~sport ~size:Headers.ack_bytes ~birth
   end
-  else begin
-    pl.fresh <- pl.fresh + 1;
+  else
     Packet.make_control ~conn ~conn_id ~sport ~kind:(Ack { psn })
       ~size:Headers.ack_bytes ~birth
-  end
 
 let nack ~conn ~conn_id ~sport ~epsn ~birth =
   if pl.free_nack.len > 0 then begin
-    pl.reused <- pl.reused + 1;
     let p = pop pl.free_nack in
     (match p.kind with
     | Nack n -> n.epsn <- epsn
     | Data _ | Ack _ | Cnp | Pause _ -> p.kind <- Nack { epsn });
     reuse_control p ~conn ~conn_id ~sport ~size:Headers.ack_bytes ~birth
   end
-  else begin
-    pl.fresh <- pl.fresh + 1;
+  else
     Packet.make_control ~conn ~conn_id ~sport ~kind:(Nack { epsn })
       ~size:Headers.ack_bytes ~birth
-  end
 
 let cnp ~conn ~conn_id ~sport ~birth =
   if pl.free_cnp.len > 0 then begin
-    pl.reused <- pl.reused + 1;
     let p = pop pl.free_cnp in
     p.kind <- Cnp;
     reuse_control p ~conn ~conn_id ~sport ~size:Headers.cnp_bytes ~birth
   end
-  else begin
-    pl.fresh <- pl.fresh + 1;
+  else
     Packet.make_control ~conn ~conn_id ~sport ~kind:Cnp
       ~size:Headers.cnp_bytes ~birth
-  end
 
 let clone p =
   let kind =

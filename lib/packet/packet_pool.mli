@@ -65,9 +65,8 @@ val clone : Packet.t -> Packet.t
     owned (and independently releasable). *)
 
 val reset : unit -> unit
-(** Drop every freelist and zero the stats; called wherever
-    [Packet.reset_uid_counter] is (per campaign job / fuzz run) so every
-    run starts from identical global state. *)
-
-val stats : unit -> int * int
-(** [(reused, fresh)] constructor counts since the last [reset]. *)
+(** Drop every freelist.  Runs do not need it: the freelists carry over
+    from one fabric build to the next, which cannot change a trace
+    because a recycled record is indistinguishable from a fresh one.
+    It returns the heap to its start-of-process state, for benchmarks
+    that measure allocation per run. *)

@@ -220,14 +220,8 @@ let run_motivation (cfg : motivation_config) =
 
 (* --- Figure 5: collectives under DCQCN parameter sweep ---------------- *)
 
-type coll = Allreduce | Hd_allreduce | Alltoall | Allgather | Reduce_scatter
-
-let coll_to_string = function
-  | Allreduce -> "allreduce"
-  | Hd_allreduce -> "hd-allreduce"
-  | Alltoall -> "alltoall"
-  | Allgather -> "allgather"
-  | Reduce_scatter -> "reduce-scatter"
+type coll = Schedule.collective =
+  | Allreduce | Hd_allreduce | Alltoall | Allgather | Reduce_scatter
 
 type eval_config = {
   fabric : Leaf_spine.params;
@@ -271,16 +265,6 @@ type eval_result = {
   themis : Network.themis_totals option;
 }
 
-let schedule_of cfg ~ranks =
-  match cfg.coll with
-  | Allreduce -> Schedule.ring_allreduce ~ranks ~bytes:cfg.bytes_per_group
-  | Hd_allreduce ->
-      Schedule.halving_doubling_allreduce ~ranks ~bytes:cfg.bytes_per_group
-  | Alltoall -> Schedule.alltoall ~ranks ~bytes:cfg.bytes_per_group
-  | Allgather -> Schedule.ring_allgather ~ranks ~bytes:cfg.bytes_per_group
-  | Reduce_scatter ->
-      Schedule.ring_reduce_scatter ~ranks ~bytes:cfg.bytes_per_group
-
 let run_collective (cfg : eval_config) =
   let params =
     let base = Network.default_params ~fabric:cfg.fabric ~scheme:cfg.scheme in
@@ -305,7 +289,10 @@ let run_collective (cfg : eval_config) =
   let runs =
     Array.mapi
       (fun g members ->
-        let schedule = schedule_of cfg ~ranks:(Array.length members) in
+        let schedule =
+          Schedule.of_collective cfg.coll ~ranks:(Array.length members)
+            ~bytes:cfg.bytes_per_group
+        in
         Workload.launch_group ~net ~members ~schedule ~group:g
           ~on_complete:(fun ~group time -> completions.(group) <- Some time))
       groups

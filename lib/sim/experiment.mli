@@ -85,11 +85,9 @@ val run_motivation : motivation_config -> motivation_result
 
 (** {1 Collective-communication evaluation (Section 5, Figure 5)} *)
 
-type coll = Allreduce | Hd_allreduce | Alltoall | Allgather | Reduce_scatter
-(** [Hd_allreduce] is the halving-doubling variant — fewer, larger steps
-    than the ring; group sizes must be powers of two. *)
-
-val coll_to_string : coll -> string
+type coll = Schedule.collective =
+  | Allreduce | Hd_allreduce | Alltoall | Allgather | Reduce_scatter
+(** The collectives and their names live in {!Schedule}. *)
 
 val scaled_eval_fabric : Leaf_spine.params
 (** The paper's 16x16 evaluation fabric scaled to 8x8 for simulation

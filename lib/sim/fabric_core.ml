@@ -1,10 +1,3 @@
-let reset_run_state () =
-  Packet.reset_uid_counter ();
-  Packet_pool.reset ();
-  Flow_id.reset_interner ();
-  Lb_state.reset_globals ();
-  Telemetry.disable ()
-
 type themis_totals = {
   nacks_seen : int;
   nacks_blocked : int;
@@ -28,7 +21,12 @@ type t = {
   mutable themis_ss : Themis_s.t list;
 }
 
+(* The run boundary (see the .mli): only state that can steer or label
+   a run.  The packet pool and the telemetry context stay. *)
 let create ~engine ~topo ~routing ~nics ~tor_of_host ?sampler () =
+  Packet.reset_uid_counter ();
+  Flow_id.reset_interner ();
+  Lb_state.reset_globals ();
   {
     engine;
     topo;

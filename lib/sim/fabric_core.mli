@@ -3,14 +3,12 @@
     per link direction, and the Themis middleware on the ToRs.
     {!Network} (leaf–spine) and {!Fat_tree_net} (3-tier fat tree) build
     their topology onto one of these; runners that do not care which
-    topology they drive (the fuzz harness) work on it directly. *)
+    topology they drive (the fuzz harness) work on it directly.
 
-val reset_run_state : unit -> unit
-(** Reset the process-global per-run state: the packet uid counter, the
-    {!Packet_pool}, the {!Flow_id} interner, the {!Lb_state} globals,
-    and the telemetry context (disabled).  Every runner calls this
-    before building a fabric, so a run is a pure function of its inputs
-    and serial and forked runs agree byte for byte. *)
+    Building a fabric is the run boundary: {!create} resets the
+    process-global state that can steer or label a run, so a run is a
+    pure function of its inputs whatever was built before it, and
+    serial and forked campaign jobs agree byte for byte. *)
 
 type themis_totals = {
   nacks_seen : int;
@@ -37,9 +35,13 @@ val create :
   ?sampler:Sampler.t ->
   unit ->
   t
-(** A fabric with no switches and no ports yet.  [nics] is indexed by
-    host node id.  [sampler] gets a probe per port ({!wire}) and per QP
-    ({!connect}). *)
+(** A fabric with no switches and no ports yet; first resets the packet
+    uid counter, the {!Flow_id} interner and the {!Lb_state} counters.
+    It leaves two things alone: the {!Packet_pool} freelists, because a
+    recycled record cannot be told from a fresh one, and the telemetry
+    context, which observes and never steers and so belongs to whoever
+    enabled it.  [nics] is indexed by host node id.  [sampler] gets a
+    probe per port ({!wire}) and per QP ({!connect}). *)
 
 val add_switch : t -> rng:Rng.t -> node:int -> Switch.config -> unit
 (** Create the switch of [node], seeded from the next split of [rng]:

@@ -2,8 +2,8 @@
    (REPS / PRIME / Sprinklers).  One [t] lives inside each switch; flows
    are keyed by interned [conn_id] (dense per run, so a growable slot
    array suffices).  Module-level counters feed the policy invariant
-   oracles and must be reset at fuzz-run / campaign-job boundaries
-   ([reset_globals], same discipline as [Packet.reset_uid_counter]). *)
+   oracles; every fabric build resets them ([reset_globals], called by
+   Fabric_core.create with the packet uid counter). *)
 
 let ring_cap = 16
 let tainted_cap = 32

@@ -3,9 +3,9 @@
 
     The module-level counters back the policy invariant oracles (e.g.
     REPS must never recycle a tainted entropy); like the packet uid
-    counter and the flow-id interner they are process-wide and must be
-    reset at fuzz-run and campaign-job boundaries via {!reset_globals}
-    or serial-vs-forked byte-identity breaks. *)
+    counter and the flow-id interner they are process-wide; every fabric
+    build resets them via {!reset_globals} ([Fabric_core.create]), or
+    serial-vs-forked byte-identity would break. *)
 
 type t
 

@@ -24,40 +24,18 @@ type result = {
 
 let fabric_of_shape = function
   | Fuzz_spec.Ft _ -> fail "workloads run on leaf-spine shapes only"
-  | Fuzz_spec.Ls
-      { n_leaves; n_spines; hosts_per_leaf; host_gbps; fabric_gbps;
-        link_delay_ns } ->
-      {
-        Leaf_spine.n_leaves;
-        n_spines;
-        hosts_per_leaf;
-        host_bw = Rate.gbps (float_of_int host_gbps);
-        fabric_bw = Rate.gbps (float_of_int fabric_gbps);
-        link_delay = link_delay_ns;
-      }
+  | Fuzz_spec.Ls _ as shape -> Fuzz_spec.leaf_spine shape
 
 let capacity_bps (spec : Workload_spec.t) =
   Leaf_spine.bisection_bw (fabric_of_shape spec.Workload_spec.shape)
 
 let schedule_of (c : Workload_spec.collective_job) =
   let one =
-    match c.Workload_spec.coll with
-    | "allreduce" ->
-        Schedule.ring_allreduce ~ranks:c.Workload_spec.ranks
+    match Schedule.collective_of_string c.Workload_spec.coll with
+    | Ok coll ->
+        Schedule.of_collective coll ~ranks:c.Workload_spec.ranks
           ~bytes:c.Workload_spec.coll_bytes
-    | "hd-allreduce" ->
-        Schedule.halving_doubling_allreduce ~ranks:c.Workload_spec.ranks
-          ~bytes:c.Workload_spec.coll_bytes
-    | "alltoall" ->
-        Schedule.alltoall ~ranks:c.Workload_spec.ranks
-          ~bytes:c.Workload_spec.coll_bytes
-    | "allgather" ->
-        Schedule.ring_allgather ~ranks:c.Workload_spec.ranks
-          ~bytes:c.Workload_spec.coll_bytes
-    | "reduce-scatter" ->
-        Schedule.ring_reduce_scatter ~ranks:c.Workload_spec.ranks
-          ~bytes:c.Workload_spec.coll_bytes
-    | s -> fail "unknown collective %S" s
+    | Error e -> fail "%s" e
   in
   (* Back-to-back training iterations: the step barrier of the runner
      already separates them, so repetition is plain concatenation. *)
@@ -79,10 +57,6 @@ let run ~scheme (spec : Workload_spec.t) : result =
     | Ok s -> s
     | Error e -> fail "bad scheme: %s" e
   in
-  (* Global state hygiene: a (spec, scheme) run is a pure function, so
-     the campaign determinism oracle can demand bit-equality between the
-     serial and forked paths. *)
-  Fabric_core.reset_run_state ();
   let fabric = fabric_of_shape spec.Workload_spec.shape in
   let params =
     {

@@ -4,9 +4,9 @@
     the collective jobs ({!Workload.launch_group} over {!Runner}s),
     starts the open-loop {!Flow_stream}, and drives the engine in
     bounded steps until everything completes or the spec's deadline
-    passes.  Resets all ambient global state (packet uids, pools, flow
-    interner, telemetry) on entry, so a (spec, scheme) run is a pure
-    function — the property the campaign serial==forked oracle checks. *)
+    passes.  The build resets the per-run global state
+    ({!Fabric_core.create}), so a (spec, scheme) run is a pure function —
+    the property the campaign serial==forked oracle checks. *)
 
 exception Bad_workload of string
 

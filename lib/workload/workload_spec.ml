@@ -31,9 +31,6 @@ type t = {
 
 let equal = ( = )
 
-let colls_known =
-  [ "allreduce"; "hd-allreduce"; "alltoall"; "allgather"; "reduce-scatter" ]
-
 (* ------------------------------------------------------------------ *)
 (* Serialization: one line, all-integer fields, exact round-trip (the
    fz1/cp1 conventions). *)
@@ -122,12 +119,12 @@ let validate t =
   let* () =
     Spec_line.map_result
       (fun c ->
-        if not (List.mem c.coll colls_known) then
-          Error (Printf.sprintf "unknown collective %S" c.coll)
-        else if c.ranks < 2 || c.ranks > n_hosts then
+        let* coll = Schedule.collective_of_string c.coll in
+        if c.ranks < 2 || c.ranks > n_hosts then
           Error (Printf.sprintf "collective ranks %d out of [2, %d]" c.ranks
                    n_hosts)
-        else if c.coll = "hd-allreduce" && c.ranks land (c.ranks - 1) <> 0 then
+        else if coll = Schedule.Hd_allreduce && c.ranks land (c.ranks - 1) <> 0
+        then
           Error "hd-allreduce needs a power-of-two rank count"
         else if c.coll_bytes <= 0 || c.iters <= 0 || c.coll_start_ns < 0 then
           Error (Printf.sprintf "bad collective %S" (coll_to_string c))

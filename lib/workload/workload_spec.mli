@@ -13,7 +13,7 @@
     the campaign presets build on. *)
 
 type collective_job = {
-  coll : string;  (** allreduce / hd-allreduce / alltoall / ... *)
+  coll : string;  (** A {!Schedule.collectives} name. *)
   ranks : int;
   coll_bytes : int;  (** Total payload per iteration. *)
   iters : int;  (** Back-to-back iterations (training steps). *)
@@ -46,7 +46,6 @@ type t = {
 }
 
 val equal : t -> t -> bool
-val colls_known : string list
 
 val validate : t -> (unit, string) result
 (** Structural checks: leaf-spine shape, load in (0, 200], collective

@@ -399,12 +399,13 @@ let test_pool_byte_identity () =
         (Option.get (Campaign_store.raw_bytes forked b)))
     hs hf
 
-(* Interning determinism at the job boundary: Campaign_runner's fresh
-   context resets the flow-id interner, so the id assignment after a job
-   is a pure function of the job — unaffected by whatever was interned
-   before it (earlier jobs in the same worker, or nothing at all in a
-   freshly forked one).  This is the in-process half of the guarantee
-   the serial-vs-forked byte-identity test observes externally. *)
+(* Interning determinism at the job boundary: every fabric build resets
+   the flow-id interner (Fabric_core.create), so the id assignment after
+   a job is a pure function of the job — unaffected by whatever was
+   interned before it (earlier jobs in the same worker, or nothing at
+   all in a freshly forked one).  This is the in-process half of the
+   guarantee the serial-vs-forked byte-identity test observes
+   externally. *)
 let test_intern_reset_at_job_boundary () =
   let j = List.hd mini_jobs in
   let store1 = Campaign_store.open_ ~dir:(fresh_dir "intern1") in
@@ -424,7 +425,7 @@ let test_intern_reset_at_job_boundary () =
 
 (* Arena cells run a whole fuzz scenario per job — scheme state (REPS
    caches, Sprinklers stripes) lives in Lb_state globals, so this is the
-   test that the with_fresh_context reset covers them: a forked worker
+   test that the reset at each fabric build covers them: a forked worker
    starts pristine, a serial worker inherits whatever the previous cell
    left behind, and the bytes must still match. *)
 let test_arena_pool_byte_identity () =

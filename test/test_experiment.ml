@@ -69,7 +69,7 @@ let test_collective_all_types_run () =
     (fun coll ->
       let r = Experiment.run_collective (tiny_eval Network.Ecmp coll) in
       Alcotest.(check bool)
-        (Experiment.coll_to_string coll ^ " completes")
+        (Schedule.collective_to_string coll ^ " completes")
         true
         (r.Experiment.tail_ct_ms > 0.))
     [ Experiment.Allreduce; Experiment.Hd_allreduce; Experiment.Alltoall;

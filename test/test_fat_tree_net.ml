@@ -146,6 +146,28 @@ let test_invalid_k () =
     (Invalid_argument "Fat_tree_net.build: k/2 must be a power of two, k >= 4")
     (fun () -> ignore (build ~k:6 ~themis:true ()))
 
+(* The build restarts the flow interner, whatever was built before it:
+   the first flow of a fat tree made after a leaf-spine with three flows
+   gets id 0. *)
+let test_build_restarts_interner () =
+  let ls = Network.build
+      (Network.default_params ~fabric:Leaf_spine.motivation
+         ~scheme:Network.Ecmp)
+  in
+  List.iter
+    (fun dst -> ignore (Network.connect ls ~src:0 ~dst))
+    [ 1; 2; 3 ];
+  Alcotest.(check bool) "leaf-spine flows interned" true
+    (Flow_id.interned_count () >= 3);
+  let net = build ~themis:true () in
+  Alcotest.(check int) "fresh interner" 0 (Flow_id.interned_count ());
+  let src, dst = inter_pod_pair net in
+  let qp = Fat_tree_net.connect net ~src ~dst in
+  Alcotest.(check (list int)) "first flow is id 0" [ 0 ]
+    (List.map fst (Flow_id.intern_snapshot ()));
+  Alcotest.(check (option int)) "its id" (Some 0)
+    (Flow_id.lookup_interned (Rnic.qp_conn qp))
+
 let () =
   Alcotest.run "fat_tree_net"
     [
@@ -159,5 +181,7 @@ let () =
           Alcotest.test_case "plain ecmp" `Quick test_plain_ecmp_fat_tree;
           Alcotest.test_case "k=8" `Quick test_k8_builds;
           Alcotest.test_case "invalid k" `Quick test_invalid_k;
+          Alcotest.test_case "build restarts interner" `Quick
+            test_build_restarts_interner;
         ] );
     ]

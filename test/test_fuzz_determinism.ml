@@ -62,8 +62,8 @@ let test_harness_det_check () =
         | v :: _ -> v.Fuzz_oracle.detail
         | [] -> "?")
 
-(* Flow-id interning is global run state: Fuzz_run must reset it at the
-   run boundary so id assignment is a pure function of the spec.  A
+(* Flow-id interning is global run state: the fabric build resets it at
+   the run boundary so id assignment is a pure function of the spec.  A
    foreign flow interned between two runs must leave no trace — same
    dense ids, same snapshot, same output bytes. *)
 let test_intern_reset_at_run_boundary () =

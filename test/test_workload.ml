@@ -61,7 +61,7 @@ let gen_coll ~n_hosts =
         { Workload_spec.coll; ranks; coll_bytes; iters; coll_start_ns })
       (pair
          (pair
-            (pair (oneofl Workload_spec.colls_known) (int_range 2 n_hosts))
+            (pair (oneofl (List.map fst Schedule.collectives)) (int_range 2 n_hosts))
             (int_range 1 1_000_000))
          (pair (int_range 1 3) (int_range 0 1_000_000))))
 
