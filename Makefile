@@ -127,9 +127,10 @@ perfbench-smoke:
 
 # Bad input on the command line must exit 2 with a message naming the
 # field or name, never 0 (a silently ignored typo) or 125 (an uncaught
-# exception): four cj1 job lines whose names do not resolve, then a
-# cp1, fz1 and wl1 line each with a misspelled key, then out-of-range
-# numeric flags of themis_cli.
+# exception): four cj1 job lines whose names do not resolve, seven whose
+# sizes, fan-in or fabric counts cannot run, then a cp1, fz1 and wl1
+# line each with a misspelled key, then out-of-range numeric flags of
+# themis_cli.
 CLI_BIN = _build/default/bin
 cli-bad-input:
 	dune build $(CLI_BIN)/themis_campaign_cli.exe $(CLI_BIN)/themis_fuzz_cli.exe \
@@ -141,6 +142,13 @@ cli-bad-input:
 	exec_job 'cj1;fig5;fab=eval8;scheme=warp;coll=allreduce;mb=1;ti=900;td=4;seed=11'; \
 	exec_job 'cj1;arena;scheme=themis;scen=nope;seed=1'; \
 	exec_job 'cj1;workload;wl=nope;scheme=themis;load=30;seed=1'; \
+	exec_job 'cj1;incast;scheme=themis;fanin=0;mb=1;seed=3'; \
+	exec_job 'cj1;incast;scheme=themis;fanin=2;mb=0;seed=3'; \
+	exec_job 'cj1;fig1;tr=sr;mb=0;seed=7'; \
+	exec_job 'cj1;fig5;fab=eval8;scheme=themis;coll=allreduce;mb=0;ti=900;td=4;seed=11'; \
+	exec_job 'cj1;fig5;fab=ls:0:1:1:100;scheme=themis;coll=allreduce;mb=1;ti=900;td=4;seed=11'; \
+	exec_job 'cj1;fig5;fab=ls:2:1:1:0;scheme=themis;coll=allreduce;mb=1;ti=900;td=4;seed=11'; \
+	exec_job 'cj1;fig5;fab=ls:1:1:2:100;scheme=themis;coll=allreduce;mb=1;ti=900;td=4;seed=11'; \
 	want2 $(CLI_BIN)/themis_campaign_cli.exe jobs --store _build/cli-bad-input --spec \
 	  'cp1;name=quick;target=fig5;fab=eval8;tr=;schemes=ecmp+adaptive+themis;colls=allreduce;mb=1;dcqcn=900:4,10:50;fanins=;studies=;wl=;loads=;scen=sym;profile=quick;seeds=11'; \
 	want2 $(CLI_BIN)/themis_fuzz_cli.exe replay \

@@ -25,7 +25,10 @@ let band_checks ~tol_pct ~baseline ~lookup =
   List.iter
     (fun (b : Campaign_result.t) ->
       match Campaign_spec.job_of_string b.job with
-      | Error _ -> ()  (* free-form record (bench micro): not gated *)
+      | Error e ->
+          issues :=
+            { i_job = b.job; i_what = "baseline job does not parse: " ^ e }
+            :: !issues
       | Ok job -> (
           match lookup b.hash with
           | None ->

@@ -2,13 +2,14 @@
 
     Two families of checks:
 
-    - {b Tolerance bands}: for every baseline result whose job string
-      parses, the current store must hold a result whose headline
-      metrics ({!Campaign_runner.headline_metrics}) sit within
-      [tol_pct] percent of the frozen value.  Deterministic seeds mean
-      the simulator reproduces baselines exactly on an unchanged tree;
-      the band absorbs intentional model evolution while still
-      catching order-of-magnitude regressions.
+    - {b Tolerance bands}: for every baseline result, the current store
+      must hold a result whose headline metrics
+      ({!Campaign_runner.headline_metrics}) sit within [tol_pct] percent
+      of the frozen value.  A baseline job string that does not parse
+      is an issue.  Deterministic seeds mean the simulator reproduces
+      baselines exactly on an unchanged tree; the band absorbs
+      intentional model evolution while still catching
+      order-of-magnitude regressions.
 
     - {b Shape invariants}: the paper's qualitative results must hold
       regardless of absolute numbers — for every Fig. 5 grid point,

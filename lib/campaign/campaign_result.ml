@@ -8,9 +8,6 @@ let make ~job ~metrics =
   let job = Campaign_spec.job_to_string job in
   { job; hash = Campaign_spec.hash_string job; metrics }
 
-let make_raw ~id ~metrics =
-  { job = id; hash = Campaign_spec.hash_string id; metrics }
-
 let metric t name = List.assoc_opt name t.metrics
 
 let to_json_string t =

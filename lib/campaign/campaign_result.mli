@@ -8,9 +8,7 @@
     summary instead. *)
 
 type t = {
-  job : string;  (** Canonical job string ({!Campaign_spec.job_to_string}),
-                     or a free-form id for non-campaign records (bench
-                     micro rows). *)
+  job : string;  (** Canonical job string ({!Campaign_spec.job_to_string}). *)
   hash : string;  (** {!Campaign_spec.hash_string} of [job] — store key. *)
   metrics : (string * float) list;
       (** Ordered; names are [[a-z0-9_]+].  Counters are stored as exact
@@ -18,7 +16,6 @@ type t = {
 }
 
 val make : job:Campaign_spec.job -> metrics:(string * float) list -> t
-val make_raw : id:string -> metrics:(string * float) list -> t
 
 val metric : t -> string -> float option
 

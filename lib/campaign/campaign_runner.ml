@@ -2,12 +2,13 @@ let ok_exn what = function
   | Ok v -> v
   | Error e -> invalid_arg (Printf.sprintf "Campaign_runner: %s: %s" what e)
 
-(* A typed-telemetry context for a Fig. 1/5 or incast job.  Its runs
-   build with [telemetry = false], which leaves this context in place:
-   the job records [tele_*] without the sampler's extra events. *)
+(* A typed-telemetry context for a Fig. 1/5 or incast job ([run_job]
+   ends it).  Its runs build with [telemetry = false], which leaves this
+   context in place: the job records [tele_*] without the sampler's
+   extra events. *)
 let with_telemetry f =
   ignore (Telemetry.enable ());
-  Fun.protect ~finally:Telemetry.disable f
+  f ()
 
 let i = float_of_int
 
@@ -70,10 +71,9 @@ let fig1 ~transport ~mb ~seed =
         @ themis_metrics r.Experiment.motivation_themis
         @ tele_metrics (Experiment.telemetry_summary ())
       in
-      ( r,
-        Campaign_result.make
-          ~job:(Campaign_spec.Fig1_job { transport; mb; seed })
-          ~metrics ))
+      Campaign_result.make
+        ~job:(Campaign_spec.Fig1_job { transport; mb; seed })
+        ~metrics)
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 5 (collectives x DCQCN) *)
@@ -109,12 +109,10 @@ let fig5 ~fabric ~scheme ~coll ~mb ~ti_us ~td_us ~seed =
         @ themis_metrics r.Experiment.themis
         @ tele_metrics (Experiment.telemetry_summary ())
       in
-      ( r,
-        Campaign_result.make
-          ~job:
-            (Campaign_spec.Fig5_job
-               { fabric; scheme; coll; mb; ti_us; td_us; seed })
-          ~metrics ))
+      Campaign_result.make
+        ~job:
+          (Campaign_spec.Fig5_job { fabric; scheme; coll; mb; ti_us; td_us; seed })
+        ~metrics)
 
 (* ------------------------------------------------------------------ *)
 (* Incast *)
@@ -142,10 +140,9 @@ let incast ~scheme ~fanin ~mb ~seed =
         ]
         @ tele_metrics (Experiment.telemetry_summary ())
       in
-      ( r,
-        Campaign_result.make
-          ~job:(Campaign_spec.Incast_job { scheme; fanin; mb; seed })
-          ~metrics ))
+      Campaign_result.make
+        ~job:(Campaign_spec.Incast_job { scheme; fanin; mb; seed })
+        ~metrics)
 
 (* ------------------------------------------------------------------ *)
 (* Ablation studies *)
@@ -297,12 +294,11 @@ let arena ~ascheme ~ascen ~aseed =
 let run_job job =
   Fun.protect ~finally:Telemetry.disable @@ fun () ->
   match job with
-  | Campaign_spec.Fig1_job { transport; mb; seed } ->
-      snd (fig1 ~transport ~mb ~seed)
+  | Campaign_spec.Fig1_job { transport; mb; seed } -> fig1 ~transport ~mb ~seed
   | Campaign_spec.Fig5_job { fabric; scheme; coll; mb; ti_us; td_us; seed } ->
-      snd (fig5 ~fabric ~scheme ~coll ~mb ~ti_us ~td_us ~seed)
+      fig5 ~fabric ~scheme ~coll ~mb ~ti_us ~td_us ~seed
   | Campaign_spec.Incast_job { scheme; fanin; mb; seed } ->
-      snd (incast ~scheme ~fanin ~mb ~seed)
+      incast ~scheme ~fanin ~mb ~seed
   | Campaign_spec.Ablation_job { study; seed } -> ablation ~study ~seed
   | Campaign_spec.Fuzz_job { soak; seed } -> fuzz ~soak ~seed
   | Campaign_spec.Workload_job { wname; wscheme; load; wseed } ->

@@ -6,25 +6,7 @@
     pool path) yields {e exactly} the same result record as executing it
     in a freshly forked worker.  The Fig. 1, Fig. 5 and incast jobs run
     under a fresh typed-telemetry context with the periodic sampler left
-    off: it would inject engine events and perturb the simulation
-    relative to the plain bench runs.
-
-    The typed entry points ([fig1], [fig5], [incast]) also return the
-    rich experiment record so [bench/main.ml] can keep printing its
-    tables from a single run while saving the canonical result. *)
-
-val fig1 :
-  transport:string -> mb:int -> seed:int ->
-  Experiment.motivation_result * Campaign_result.t
-
-val fig5 :
-  fabric:Campaign_spec.fabric -> scheme:string -> coll:string -> mb:int ->
-  ti_us:int -> td_us:int -> seed:int ->
-  Experiment.eval_result * Campaign_result.t
-
-val incast :
-  scheme:string -> fanin:int -> mb:int -> seed:int ->
-  Experiment.incast_result * Campaign_result.t
+    off: it would inject engine events and perturb the simulation. *)
 
 val run_job : Campaign_spec.job -> Campaign_result.t
 (** Dispatch on the job kind.  Raises [Invalid_argument] on unresolvable
@@ -34,7 +16,3 @@ val run_job : Campaign_spec.job -> Campaign_result.t
 val headline_metrics : Campaign_spec.job -> string list
 (** The metrics {!Campaign_gate} holds inside the tolerance band for
     this job kind (e.g. [tail_ct_ms] for Fig. 5 cells). *)
-
-val tele_metrics :
-  Experiment.telemetry_summary option -> (string * float) list
-(** Flatten a telemetry summary into [tele_*] metrics ([[]] on [None]). *)

@@ -344,12 +344,32 @@ let check what valid name =
 
 let scheme_ok = check "scheme" Network.scheme_of_string
 
+let at_least what lo n =
+  if n >= lo then Ok ()
+  else Error (Printf.sprintf "%s %d must be at least %d" what n lo)
+
+(* A Fig. 5 group has one rank per leaf, and a collective needs two. *)
+let fabric_ok = function
+  | Eval8 | Paper -> Ok ()
+  | Ls_fab { leaves; spines; hosts; gbps } ->
+      let* () = at_least "fabric leaves" 2 leaves in
+      let* () = at_least "fabric spines" 1 spines in
+      let* () = at_least "fabric hosts" 1 hosts in
+      at_least "fabric gbps" 1 gbps
+
 let validate_job = function
-  | Fig1_job { transport; _ } -> check "transport" transport_of_string transport
-  | Fig5_job { scheme; coll; _ } ->
+  | Fig1_job { transport; mb; _ } ->
+      let* () = check "transport" transport_of_string transport in
+      at_least "mb" 1 mb
+  | Fig5_job { fabric; scheme; coll; mb; _ } ->
+      let* () = fabric_ok fabric in
       let* () = scheme_ok scheme in
-      check "coll" Schedule.collective_of_string coll
-  | Incast_job { scheme; _ } -> scheme_ok scheme
+      let* () = check "coll" Schedule.collective_of_string coll in
+      at_least "mb" 1 mb
+  | Incast_job { scheme; fanin; mb; _ } ->
+      let* () = scheme_ok scheme in
+      let* () = at_least "fanin" 1 fanin in
+      at_least "mb" 1 mb
   | Ablation_job { study; _ } -> check "study" study_of_string study
   | Fuzz_job _ -> Ok ()
   | Workload_job { wname; wscheme; load; _ } ->
@@ -425,12 +445,17 @@ let empty name target =
     seeds = [];
   }
 
-let fig5_schemes = [ "ecmp"; "adaptive"; "themis" ]
-let full_dcqcn = [ (900, 4); (300, 4); (10, 4); (10, 50); (10, 200) ]
+(* The Fig. 5 axes are Experiment's, which `themis_cli fig5` sweeps. *)
+let fig5_schemes = List.map Network.scheme_to_string Experiment.fig5_schemes
+
+let full_dcqcn =
+  List.map
+    (fun (ti, td) -> (int_of_float ti, int_of_float td))
+    Experiment.dcqcn_sweep
 
 (* Seeds match the entry points' defaults (Experiment.default_eval 11,
-   default_motivation 7, default_incast 3, Ablation 5) so bench-emitted
-   results and campaign results share store keys. *)
+   default_motivation 7, default_incast 3, Ablation 5), so a preset job
+   is the run `themis_cli` makes with its defaults. *)
 let presets =
   [
     ( "quick",

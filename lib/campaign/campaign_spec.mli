@@ -87,12 +87,14 @@ val job_hash : job -> string
 (** 16-hex-digit FNV-1a 64 of [job_to_string] — the store key. *)
 
 val hash_string : string -> string
-(** The same hash over an arbitrary string (used by bench for result
-    records whose id is not a campaign job). *)
+(** The same hash over an arbitrary string: {!Campaign_result} checks a
+    stored record's [hash] against its [job] string with it. *)
 
 val validate_job : job -> (unit, string) result
 (** Every name in the job resolvable (scheme, collective, transport,
-    study, workload, scenario) and a workload load in (0, 200]. *)
+    study, workload, scenario), [mb] and [fanin] at least 1, every
+    [ls:] fabric count and its gbps at least 1 with at least 2 leaves,
+    and a workload load in (0, 200]. *)
 
 val validate : t -> (unit, string) result
 (** Every axis non-empty for the target, then {!validate_job} on every

@@ -26,11 +26,18 @@ let violations_line vs =
 
 let det_violation = { Fuzz_oracle.oracle = "determinism"; detail = "" }
 
-let determinism_check ~log ~seed spec ~scheme =
-  let a = Fuzz_run.run_scheme_safe spec ~scheme in
-  let b = Fuzz_run.run_scheme_safe spec ~scheme in
-  let summaries_differ = a.Fuzz_run.o_summary <> b.Fuzz_run.o_summary in
-  let events_differ = a.Fuzz_run.o_events_jsonl <> b.Fuzz_run.o_events_jsonl in
+let log_summary log run = function
+  | None -> log (Printf.sprintf "  run %s summary: none" run)
+  | Some s ->
+      log (Printf.sprintf "  run %s summary:" run);
+      String.split_on_char '\n'
+        (Format.asprintf "%a" Experiment.pp_telemetry_summary s)
+      |> List.iter (fun line -> log ("    " ^ line))
+
+let divergence ~log ~seed spec ~scheme (a : Fuzz_run.outcome)
+    (b : Fuzz_run.outcome) =
+  let summaries_differ = a.o_summary <> b.o_summary in
+  let events_differ = a.o_events_jsonl <> b.o_events_jsonl in
   if summaries_differ || events_differ then begin
     let detail =
       Printf.sprintf
@@ -40,6 +47,8 @@ let determinism_check ~log ~seed spec ~scheme =
         (if events_differ then "differ" else "equal")
     in
     log (Printf.sprintf "DETERMINISM FAILURE: %s" detail);
+    log_summary log "1" a.o_summary;
+    log_summary log "2" b.o_summary;
     log ("  " ^ repro_line { spec with Fuzz_spec.schemes = [ scheme ] });
     Some
       {
@@ -51,6 +60,11 @@ let determinism_check ~log ~seed spec ~scheme =
       }
   end
   else None
+
+let determinism_check ~log ~seed spec ~scheme =
+  let a = Fuzz_run.run_scheme_safe spec ~scheme in
+  let b = Fuzz_run.run_scheme_safe spec ~scheme in
+  divergence ~log ~seed spec ~scheme a b
 
 let run_seeds ?(profile = Fuzz_spec.Quick) ?(det_every = 10) ?(minimize = true)
     ?(budget_s = 0.) ?(log = ignore) ~seeds () =

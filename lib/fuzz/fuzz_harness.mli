@@ -32,11 +32,18 @@ val ok : report -> bool
 val repro_line : Fuzz_spec.t -> string
 (** The [dune exec bin/themis_fuzz_cli.exe -- replay '...'] one-liner. *)
 
+val divergence :
+  log:(string -> unit) -> seed:int -> Fuzz_spec.t -> scheme:string ->
+  Fuzz_run.outcome -> Fuzz_run.outcome -> failure option
+(** Compare two runs of [spec] under [scheme]: [Some _] iff their
+    telemetry summaries or JSONL event dumps differ.  On a difference it
+    logs both summaries ({!Experiment.pp_telemetry_summary}) and a
+    [replay] line. *)
+
 val determinism_check :
   log:(string -> unit) -> seed:int -> Fuzz_spec.t -> scheme:string ->
   failure option
-(** Run [spec] twice under [scheme]; [Some _] iff the telemetry
-    summaries or JSONL event dumps differ. *)
+(** Run [spec] twice under [scheme] and compare with {!divergence}. *)
 
 val run_seeds :
   ?profile:Fuzz_spec.profile ->

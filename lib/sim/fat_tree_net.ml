@@ -7,7 +7,6 @@ type params = {
   scheme : Network.scheme;
   buffer_capacity : int;
   per_port_cap : int;
-  ecn_enabled : bool;
   queue_factor : float;
   ft_seed : int;
 }
@@ -24,7 +23,6 @@ let default_params ?(k = 4) ~themis () =
       (if themis then Network.Themis { compensation = true } else Network.Ecmp);
     buffer_capacity = 64 * 1024 * 1024;
     per_port_cap = 9 * 1024 * 1024;
-    ecn_enabled = true;
     queue_factor = 1.5;
     ft_seed = 42;
   }
@@ -68,12 +66,9 @@ let build (params : params) =
     Fabric_core.add_switch core ~rng:root_rng ~node
       {
         Switch.lb = Network.lb_of_scheme params.scheme;
-        ecn =
-          (if params.ecn_enabled then Some (Ecn.scaled_to params.fabric_bw)
-           else None);
+        ecn = Some (Ecn.scaled_to params.fabric_bw);
         buffer_capacity = params.buffer_capacity;
         per_port_cap = params.per_port_cap;
-        fwd_delay = Sim_time.zero;
         pfc = None;
         ecmp_shift = shift;
       }

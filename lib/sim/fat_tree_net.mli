@@ -33,7 +33,6 @@ type params = {
           {!Network.lb_of_scheme} policy at every tier. *)
   buffer_capacity : int;
   per_port_cap : int;
-  ecn_enabled : bool;
   queue_factor : float;
   ft_seed : int;
 }

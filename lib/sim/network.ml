@@ -40,7 +40,6 @@ type params = {
   nic : Rnic.config;
   buffer_capacity : int;
   per_port_cap : int;
-  ecn_enabled : bool;
   pfc : Switch.pfc_config option;
   queue_factor : float;
   last_hop_jitter : Sim_time.t;
@@ -58,7 +57,6 @@ let default_params ~fabric ~scheme =
     nic = Rnic.default_config ~line_rate:fabric.Leaf_spine.host_bw;
     buffer_capacity = 64 * 1024 * 1024;
     per_port_cap = 9 * 1024 * 1024;
-    ecn_enabled = true;
     pfc = None;
     queue_factor = 1.5;
     last_hop_jitter = Sim_time.zero;
@@ -117,10 +115,9 @@ let build (params : params) =
     Fabric_core.add_switch core ~rng:root_rng ~node
       {
         Switch.lb = lb_of_scheme params.scheme;
-        ecn = (if params.ecn_enabled then Some (Ecn.scaled_to bw) else None);
+        ecn = Some (Ecn.scaled_to bw);
         buffer_capacity = params.buffer_capacity;
         per_port_cap = params.per_port_cap;
-        fwd_delay = Sim_time.zero;
         pfc = params.pfc;
         ecmp_shift = 0;
       }

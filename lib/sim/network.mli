@@ -26,7 +26,6 @@ type params = {
   nic : Rnic.config;
   buffer_capacity : int;  (** Per-switch shared buffer (paper: 64 MB). *)
   per_port_cap : int;
-  ecn_enabled : bool;
   pfc : Switch.pfc_config option;
   queue_factor : float;  (** Themis-D ring sizing factor F. *)
   last_hop_jitter : Sim_time.t;

@@ -66,27 +66,3 @@ let launch_group ~net ~members ~schedule ~on_complete ~group =
     runner;
     qps = Hashtbl.fold (fun _ qp acc -> qp :: acc) pairs [];
   }
-
-let permutation_pairs_array (ls : Leaf_spine.t) ~rng =
-  let hosts = Array.copy ls.Leaf_spine.hosts in
-  let ok perm =
-    Array.for_all2
-      (fun a b ->
-        Leaf_spine.leaf_index_of_host ls a
-        <> Leaf_spine.leaf_index_of_host ls b)
-      hosts perm
-  in
-  let perm = Array.copy hosts in
-  let attempts = ref 0 in
-  Rng.shuffle_in_place rng perm;
-  while (not (ok perm)) && !attempts < 1000 do
-    Rng.shuffle_in_place rng perm;
-    incr attempts
-  done;
-  if not (ok perm) then
-    (* Fall back to a rotation by one leaf, always cross-rack. *)
-    Array.mapi
-      (fun i h ->
-        (h, hosts.((i + ls.Leaf_spine.hosts_per_leaf) mod Array.length hosts)))
-      hosts
-  else Array.map2 (fun a b -> (a, b)) hosts perm

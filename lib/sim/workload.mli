@@ -34,8 +34,3 @@ val launch_group :
   group_run
 (** Create the QPs a schedule needs between group members (one per ordered
     pair that ever communicates) and start a {!Runner} over them. *)
-
-val permutation_pairs_array : Leaf_spine.t -> rng:Rng.t -> (int * int) array
-(** A random cross-rack permutation: every host sends to exactly one host
-    of another leaf (used by ablation workloads).  Returned as an array;
-    callers iterate it directly. *)

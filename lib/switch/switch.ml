@@ -5,7 +5,6 @@ type config = {
   ecn : Ecn.config option;
   buffer_capacity : int;
   per_port_cap : int;
-  fwd_delay : Sim_time.t;
   pfc : pfc_config option;
   ecmp_shift : int;
 }
@@ -16,7 +15,6 @@ let default_config ~bw lb =
     ecn = Some (Ecn.scaled_to bw);
     buffer_capacity = 64 * 1024 * 1024;
     per_port_cap = 9 * 1024 * 1024;
-    fwd_delay = Sim_time.zero;
     pfc = None;
     ecmp_shift = 0;
   }
@@ -62,9 +60,6 @@ type t = {
   mutable dropped_data : int;
   mutable ecn_marked : int;
   mutable nacks_blocked : int;
-  (* Closure-free fwd-delay events; the packet rides the obj slot. *)
-  mutable cb_process : Engine.callback;
-  mutable cb_forward : Engine.callback;
   (* Preformatted drop location and switch_dropped_packets labels. *)
   drop_loc : string;
   drop_labels : Metrics.labels;
@@ -361,17 +356,11 @@ let create ~engine ~topo ~routing ~node ~config ~rng =
     dropped_data = 0;
     ecn_marked = 0;
     nacks_blocked = 0;
-    cb_process = Engine.null_callback;
-    cb_forward = Engine.null_callback;
     drop_loc = Printf.sprintf "sw%d" node;
     drop_labels = [ ("node", string_of_int node) ];
   }
   in
   t.load_fn <- (fun i -> Port.queue_bytes t.load_ports.(i));
-  t.cb_process <-
-    Engine.register_callback engine (fun obj -> process t (Obj.obj obj));
-  t.cb_forward <-
-    Engine.register_callback engine (fun obj -> forward t (Obj.obj obj));
   (* Register the row now so metric exports list it even at zero. *)
   if Telemetry.enabled () then
     Telemetry.add_counter ~labels:t.drop_labels "switch_dropped_packets" 0;
@@ -379,18 +368,9 @@ let create ~engine ~topo ~routing ~node ~config ~rng =
 
 let receive t pkt =
   t.rx_packets <- t.rx_packets + 1;
-  if t.cfg.fwd_delay = Sim_time.zero then process t pkt
-  else
-    ignore
-      (Engine.schedule_call t.engine ~delay:t.cfg.fwd_delay t.cb_process
-         ~obj:(Obj.repr pkt))
+  process t pkt
 
-let inject t pkt =
-  if t.cfg.fwd_delay = Sim_time.zero then forward t pkt
-  else
-    ignore
-      (Engine.schedule_call t.engine ~delay:t.cfg.fwd_delay t.cb_forward
-         ~obj:(Obj.repr pkt))
+let inject = forward
 
 let rx_packets t = t.rx_packets
 let forwarded_packets t = t.forwarded

@@ -23,7 +23,6 @@ type config = {
   ecn : Ecn.config option;
   buffer_capacity : int;  (** Shared pool, bytes. *)
   per_port_cap : int;
-  fwd_delay : Sim_time.t;  (** Pipeline latency applied to every packet. *)
   pfc : pfc_config option;
   ecmp_shift : int;
       (** Which bit window of the flow hash this switch's ECMP consumes —
@@ -33,7 +32,7 @@ type config = {
 
 val default_config : bw:Rate.t -> Lb_policy.t -> config
 (** 64 MB shared buffer ([Memory_model.tofino_sram_bytes]-class chip),
-    9 MB per-port cap, ECN scaled to [bw], no PFC, zero pipeline delay. *)
+    9 MB per-port cap, ECN scaled to [bw], no PFC. *)
 
 type t
 
@@ -68,8 +67,9 @@ val set_upstream_ports : t -> Port.t list -> unit
     PFC is configured. *)
 
 val receive : t -> Packet.t -> unit
-(** A packet arriving from a link.  NACKs from locally attached receivers
-    pass through Themis-D here. *)
+(** A packet arriving from a link, forwarded within the same call (the
+    switch adds no pipeline latency).  NACKs from locally attached
+    receivers pass through Themis-D here. *)
 
 val inject : t -> Packet.t -> unit
 (** Originate a packet at this switch (Themis-D compensation NACKs);

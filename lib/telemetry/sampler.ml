@@ -1,9 +1,9 @@
 (* Engine-driven periodic sampler.
 
-   Each probe is a closure read once per tick; samples accumulate in a
-   per-probe growable series and, when a histogram name is given, also
-   feed an aggregated histogram in the current registry (e.g. the p99
-   of every port's queue depth over the whole run).
+   Each probe is a closure read once per tick; the sample sets the
+   probe's gauge and, when a histogram name is given, also feeds an
+   aggregated histogram in the current registry (e.g. the p99 of every
+   port's queue depth over the whole run).
 
    The tick reschedules itself only while the engine still has other
    pending work, so a finished simulation drains naturally instead of
@@ -14,32 +14,23 @@ type probe = {
   labels : Metrics.labels;
   read : unit -> float;
   histogram : string option;
-  series : (Sim_time.t * float) Vec.t;
 }
 
 type t = {
   engine : Engine.t;
   interval : Sim_time.t;
   mutable probes : probe list;  (* newest first *)
-  mutable ticks : int;
   mutable started : bool;
   mutable cb_tick : Engine.callback;
 }
 
-let interval t = t.interval
-let ticks t = t.ticks
-
 let add_probe t ?(labels = []) ?histogram ~name read =
-  t.probes <-
-    { name; labels; read; histogram; series = Vec.create () } :: t.probes
+  t.probes <- { name; labels; read; histogram } :: t.probes
 
-let sample_once t =
-  t.ticks <- t.ticks + 1;
-  let now = Engine.now t.engine in
+let sample t =
   List.iter
     (fun p ->
       let v = p.read () in
-      ignore (Vec.push p.series (now, v));
       (match p.histogram with
       | Some h -> Telemetry.observe ~labels:p.labels h v
       | None -> ());
@@ -49,7 +40,7 @@ let sample_once t =
     t.probes
 
 let rec tick t =
-  sample_once t;
+  sample t;
   (* Only instrumentation left in the queue: let the run end. *)
   if Engine.pending t.engine > 0 then schedule t
 
@@ -64,7 +55,6 @@ let create ~engine ~interval =
       engine;
       interval;
       probes = [];
-      ticks = 0;
       started = false;
       cb_tick = Engine.null_callback;
     }
@@ -77,9 +67,3 @@ let start t =
     t.started <- true;
     schedule t
   end
-
-let series t =
-  List.rev_map
-    (fun p ->
-      (p.name, p.labels, Array.init (Vec.length p.series) (Vec.get p.series)))
-    t.probes

@@ -1,8 +1,8 @@
 (** Periodic snapshotting of instantaneous quantities (queue depths,
-    in-flight bytes) into per-probe time series.
+    in-flight bytes).
 
     Probes may be added at any time, including after [start].  Each tick
-    also mirrors the latest value into a registry gauge and, when
+    mirrors every probe's current value into a registry gauge and, when
     [histogram] is given, feeds the sample into that aggregated
     histogram of the current telemetry context.
 
@@ -12,8 +12,6 @@
 type t
 
 val create : engine:Engine.t -> interval:Sim_time.t -> t
-val interval : t -> Sim_time.t
-val ticks : t -> int
 
 val add_probe :
   t -> ?labels:Metrics.labels -> ?histogram:string -> name:string ->
@@ -21,9 +19,3 @@ val add_probe :
 
 val start : t -> unit
 (** Schedule the first tick [interval] from now.  Idempotent. *)
-
-val sample_once : t -> unit
-(** Take one sample immediately (also used by each tick). *)
-
-val series : t -> (string * Metrics.labels * (Sim_time.t * float) array) list
-(** One entry per probe, samples in chronological order. *)

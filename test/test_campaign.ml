@@ -261,6 +261,30 @@ let test_parse_errors () =
       "cj1;arena;scheme=themis;scen=nope;seed=1";
       "cj1;workload;wl=nope;scheme=themis;load=30;seed=1";
     ];
+  (* Numbers the simulator cannot run are validation errors too, not an
+     exception out of the runner. *)
+  let fig5 fab mb =
+    Printf.sprintf
+      "cj1;fig5;fab=%s;scheme=themis;coll=allreduce;mb=%d;ti=900;td=4;seed=11"
+      fab mb
+  in
+  List.iter
+    (fun (l, want) ->
+      let got =
+        Result.bind (Campaign_spec.job_of_string l) Campaign_spec.validate_job
+      in
+      Alcotest.(check (result unit string)) l (Error want) got)
+    [
+      ("cj1;incast;scheme=themis;fanin=0;mb=1;seed=3", "fanin 0 must be at least 1");
+      ("cj1;incast;scheme=themis;fanin=2;mb=0;seed=3", "mb 0 must be at least 1");
+      ("cj1;fig1;tr=sr;mb=0;seed=7", "mb 0 must be at least 1");
+      (fig5 "eval8" 0, "mb 0 must be at least 1");
+      (fig5 "ls:0:1:1:100" 1, "fabric leaves 0 must be at least 2");
+      (fig5 "ls:1:1:2:100" 1, "fabric leaves 1 must be at least 2");
+      (fig5 "ls:2:0:1:100" 1, "fabric spines 0 must be at least 1");
+      (fig5 "ls:2:1:0:100" 1, "fabric hosts 0 must be at least 1");
+      (fig5 "ls:2:1:1:0" 1, "fabric gbps 0 must be at least 1");
+    ];
   let no_seeds =
     { (Option.get (Campaign_spec.preset "quick")) with Campaign_spec.seeds = [] }
   in
@@ -542,10 +566,20 @@ let test_gate_missing_result () =
   in
   let v = Campaign_gate.check ~baseline:[ absent ] ~lookup ~jobs:[] () in
   check_bool "missing current result is an issue" false (Campaign_gate.ok v);
-  (* Free-form records (bench micro rows) are never gated. *)
-  let raw = Campaign_result.make_raw ~id:"bench:micro" ~metrics:[ ("x_ns", 1.) ] in
-  let v' = Campaign_gate.check ~baseline:[ raw ] ~lookup ~jobs:[] () in
-  check_bool "free-form record skipped" true (Campaign_gate.ok v')
+  (* A baseline line whose job does not parse is reported, not skipped. *)
+  let bad =
+    {
+      Campaign_result.job = "not-a-job";
+      hash = Campaign_spec.hash_string "not-a-job";
+      metrics = [ ("x_ns", 1.) ];
+    }
+  in
+  let v' = Campaign_gate.check ~baseline:[ bad ] ~lookup ~jobs:[] () in
+  check_int "unparsable baseline job is one issue" 1
+    (List.length v'.Campaign_gate.g_issues);
+  check_bool "issue says it does not parse" true
+    (contains (List.hd v'.Campaign_gate.g_issues).Campaign_gate.i_what
+       "does not parse")
 
 (* ------------------------------------------------------------------ *)
 
@@ -590,7 +624,7 @@ let () =
         [
           Alcotest.test_case "clean passes, perturbed fails" `Quick
             test_gate_clean_and_perturbed;
-          Alcotest.test_case "missing result / free-form skip" `Quick
+          Alcotest.test_case "missing result / unparsable job" `Quick
             test_gate_missing_result;
         ] );
     ]

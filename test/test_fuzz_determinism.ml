@@ -62,6 +62,66 @@ let test_harness_det_check () =
         | v :: _ -> v.Fuzz_oracle.detail
         | [] -> "?")
 
+(* On a mismatch the harness logs both summaries, so the differing
+   counter is visible in the failure report. *)
+let test_divergence_logs_both_summaries () =
+  let spec = Fuzz_spec.generate ~seed:3 () in
+  let summary retx =
+    {
+      Experiment.tele_data_packets = 100;
+      tele_retx_packets = retx;
+      tele_nacks_generated = 2;
+      tele_nacks_valid = 1;
+      tele_nacks_blocked = 1;
+      tele_nacks_underflow = 0;
+      tele_comp_sent = 0;
+      tele_comp_cancelled = 0;
+      tele_flows_completed = 2;
+      tele_fct_p50_us = 10.;
+      tele_fct_p99_us = 20.;
+      tele_ecn_marks = 0;
+      tele_buffer_drops = 0;
+      tele_events = 50;
+      tele_events_dropped = 0;
+    }
+  in
+  let outcome retx =
+    {
+      Fuzz_run.o_scheme = "themis";
+      o_violations = [];
+      o_summary = Some (summary retx);
+      o_events_jsonl = "{}\n";
+      o_completed_us = 30.;
+      o_data_packets = 100;
+      o_retx_packets = retx;
+      o_drops = 0;
+      o_ooo = 0;
+      o_tail_fct_us = 20.;
+      o_themis = None;
+    }
+  in
+  let lines = ref [] in
+  let log l = lines := l :: !lines in
+  let compare a b =
+    Fuzz_harness.divergence ~log ~seed:3 spec ~scheme:"themis" (outcome a)
+      (outcome b)
+  in
+  Alcotest.(check bool) "equal runs pass" true (compare 4 4 = None);
+  Alcotest.(check int) "equal runs log nothing" 0 (List.length !lines);
+  (match compare 4 5 with
+  | Some f ->
+      Alcotest.(check (list string)) "determinism violation" [ "determinism" ]
+        (List.map (fun v -> v.Fuzz_oracle.oracle) f.Fuzz_harness.f_violations)
+  | None -> Alcotest.fail "one differing counter passed");
+  let logged = List.rev !lines in
+  List.iter
+    (fun want ->
+      Alcotest.(check bool) want true (List.mem want logged))
+    [
+      "  run 1 summary:"; "    data 100 retx 4"; "  run 2 summary:";
+      "    data 100 retx 5";
+    ]
+
 (* Flow-id interning is global run state: the fabric build resets it at
    the run boundary so id assignment is a pure function of the spec.  A
    foreign flow interned between two runs must leave no trace — same
@@ -187,6 +247,8 @@ let () =
             (test_with is_ft ~name:"fat-tree");
           Alcotest.test_case "harness double-run check" `Quick
             test_harness_det_check;
+          Alcotest.test_case "divergence logs both summaries" `Quick
+            test_divergence_logs_both_summaries;
           Alcotest.test_case "fat tree pinned under every scheme" `Quick
             test_fat_tree_pinned;
         ] );

@@ -36,7 +36,6 @@ let build ?(lb = Lb_policy.Ecmp) ?(ecn = None) ?(buffer = 64 * 1024 * 1024)
       ecn;
       buffer_capacity = buffer;
       per_port_cap = per_port;
-      fwd_delay = Sim_time.zero;
       pfc;
       ecmp_shift = 0;
     }
