@@ -129,8 +129,9 @@ perfbench-smoke:
 # field or name, never 0 (a silently ignored typo) or 125 (an uncaught
 # exception): four cj1 job lines whose names do not resolve, seven whose
 # sizes, fan-in or fabric counts cannot run, then a cp1, fz1 and wl1
-# line each with a misspelled key, then out-of-range numeric flags of
-# themis_cli.
+# line each with a misspelled key, four fz1 and three wl1 lines whose
+# fabric shape has a zero count or rate or is not a wirable fat tree,
+# then out-of-range numeric flags of themis_cli.
 CLI_BIN = _build/default/bin
 cli-bad-input:
 	dune build $(CLI_BIN)/themis_campaign_cli.exe $(CLI_BIN)/themis_fuzz_cli.exe \
@@ -155,6 +156,17 @@ cli-bad-input:
 	  'fz1;seed=5;shape=ls:4:4:2:100:100:1254;tr=sr;qf=25;ppcap=9216;jit=1403;drop=0;corr=0;dup=254;dly=4062:19615;fmode=ecmp;dl=2000000000;schemes=ecmp+spray+ar+themis;flows=5>1:91722@80292,7>1:91722@59216;faults=;sspin=0:10'; \
 	want2 $(CLI_BIN)/themis_workload_cli.exe describe --spec \
 	  'wl1;seed=21;shape=ls:2:2:4:25:25:500;dist=websearch;arr=poisson;load=30;flows=120;colls=;faults=;dl=400000000;lod=40'; \
+	fz1_shape() { want2 $(CLI_BIN)/themis_fuzz_cli.exe replay \
+	  "fz1;seed=5;shape=$$1;tr=sr;qf=25;ppcap=9216;jit=0;drop=0;corr=0;dup=0;dly=0:0;fmode=ecmp;dl=2000000000;schemes=ecmp;flows=5>1:91722@80292;faults="; }; \
+	fz1_shape ls:4:4:2:0:100:1254; \
+	fz1_shape ls:4:0:2:100:100:1254; \
+	fz1_shape ft:3:100:1254; \
+	fz1_shape ft:4:0:1254; \
+	wl1_shape() { want2 $(CLI_BIN)/themis_workload_cli.exe $$1 --spec \
+	  "wl1;seed=21;shape=$$2;dist=websearch;arr=poisson;load=30;flows=10;colls=;faults=;dl=400000000"; }; \
+	wl1_shape describe ls:2:2:4:0:25:500; \
+	wl1_shape run ls:2:2:4:25:0:500; \
+	wl1_shape run ls:2:0:4:25:25:500; \
 	want2 $(CLI_BIN)/themis_cli.exe motivation --msg-mb=0; \
 	want2 $(CLI_BIN)/themis_cli.exe motivation --msg-mb=-1; \
 	want2 $(CLI_BIN)/themis_cli.exe incast --mb=0; \

@@ -1,5 +1,6 @@
 (* Engine hot-path benchmark: events/sec, minor-heap words per simulated
-   event and wall-clock for the quick/incast presets (DESIGN.md §10).
+   event and wall-clock for the quick/incast presets (DESIGN.md §10),
+   plus the fabric build cost (§11).
 
    Emits BENCH_engine.json so perf is tracked PR-over-PR; every number
    is re-measured on every invocation, and only same-box A/B runs are
@@ -263,6 +264,47 @@ let bench_quick () =
   in
   (s, List.length jobs)
 
+(* Fabric build cost (DESIGN.md §11): [Network.build] and
+   [Routing.recompute] on the 8x8 eval fabric and the paper's 16x16.
+   Every repetition starts after a [Gc.full_major], so no major slice
+   owed by earlier garbage lands inside it; the spread is reported as
+   the quartiles of the per-repetition times. *)
+type cost = { p25_us : float; median_us : float; p75_us : float; words : float }
+
+let cost ~reps f =
+  let times = Array.make reps 0. and words = ref 0. in
+  for i = 0 to reps - 1 do
+    Gc.full_major ();
+    let w0 = Gc.minor_words () in
+    let t0 = Unix.gettimeofday () in
+    f ();
+    times.(i) <- (Unix.gettimeofday () -. t0) *. 1e6;
+    words := !words +. (Gc.minor_words () -. w0)
+  done;
+  Array.sort compare times;
+  let at q = times.(int_of_float (q *. float_of_int (reps - 1) +. 0.5)) in
+  {
+    p25_us = at 0.25;
+    median_us = at 0.5;
+    p75_us = at 0.75;
+    words = !words /. float_of_int reps;
+  }
+
+let bench_build ~reps =
+  let scheme =
+    match Network.scheme_of_string "themis" with
+    | Ok s -> s
+    | Error e -> failwith e
+  in
+  List.map
+    (fun (name, fabric) ->
+      let params = Network.default_params ~fabric ~scheme in
+      let build = cost ~reps (fun () -> ignore (Network.build params)) in
+      let routing = Network.routing (Network.build params) in
+      let recompute = cost ~reps (fun () -> Routing.recompute routing) in
+      (name, build, recompute))
+    [ ("eval8", Experiment.scaled_eval_fabric); ("paper16", Leaf_spine.paper_eval) ]
+
 (* --- JSON ------------------------------------------------------------- *)
 
 let j_sample s =
@@ -296,7 +338,28 @@ let j_fwd (s, probes) =
       ("steady_state_hash_probes", Campaign_json.Num (float_of_int probes));
     ]
 
-let emit ~mill ~incast ~quick ~fwd =
+let j_cost c =
+  Campaign_json.Obj
+    [
+      ("median_us", Campaign_json.Num c.median_us);
+      ("p25_us", Campaign_json.Num c.p25_us);
+      ("p75_us", Campaign_json.Num c.p75_us);
+      ("minor_words", Campaign_json.Num c.words);
+    ]
+
+let j_build rows =
+  Campaign_json.Obj
+    (List.map
+       (fun (name, build, recompute) ->
+         ( name,
+           Campaign_json.Obj
+             [
+               ("network_build", j_cost build);
+               ("routing_recompute", j_cost recompute);
+             ] ))
+       rows)
+
+let emit ~mill ~incast ~quick ~fwd ~build =
   let quick_fields =
     match quick with
     | Some (q, jobs) ->
@@ -320,7 +383,8 @@ let emit ~mill ~incast ~quick ~fwd =
       @ opt "mill" j_sample mill
       @ opt "incast" j_incast incast
       @ quick_fields
-      @ opt "fwd" j_fwd fwd)
+      @ opt "fwd" j_fwd fwd
+      @ opt "build" j_build build)
   in
   let oc = open_out !out_path in
   output_string oc (Campaign_json.to_string doc);
@@ -373,7 +437,7 @@ let () =
   let reps = if !smoke then 1 else 3 in
   let fwd = bench_fwd ~packets:(if !smoke then 12_800 else 1_280_000) ~reps in
   if !fwd_only then begin
-    emit ~mill:None ~incast:None ~quick:None ~fwd:(Some fwd);
+    emit ~mill:None ~incast:None ~quick:None ~fwd:(Some fwd) ~build:None;
     validate_output ~keys:[ "bench"; "mode"; "fwd" ];
     Printf.printf "engine_bench: %s\n" (pp_fwd fwd)
   end
@@ -389,8 +453,10 @@ let () =
           ~fanin:8 ~bytes:1_000_000 ~seed:3 ~reps ~expect_events:330_667
     in
     let quick = if !smoke then None else Some (bench_quick ()) in
-    emit ~mill:(Some mill) ~incast:(Some incast) ~quick ~fwd:(Some fwd);
-    validate_output ~keys:[ "bench"; "mode"; "mill"; "incast"; "fwd" ];
+    let build = bench_build ~reps:(if !smoke then 3 else 101) in
+    emit ~mill:(Some mill) ~incast:(Some incast) ~quick ~fwd:(Some fwd)
+      ~build:(Some build);
+    validate_output ~keys:[ "bench"; "mode"; "mill"; "incast"; "fwd"; "build" ];
     Printf.printf
       "engine_bench: mill %.0f ev/s, %.2f w/ev | incast %d ev, %.0f ev/s, \
        %.2f w/ev, wheel %.2f%% (%d/%d) | %s%s\n"
@@ -399,6 +465,14 @@ let () =
       wheel (wheel + heap) (pp_fwd fwd)
       (match quick with
       | Some (q, jobs) -> Printf.sprintf " | quick %d jobs %.2f s" jobs q.wall_s
-      | None -> "")
+      | None -> "");
+    List.iter
+      (fun (name, b, r) ->
+        Printf.printf
+          "engine_bench: build %s: Network.build %.0f us (p25 %.0f, p75 %.0f, \
+           %.0f minor words), Routing.recompute %.1f us (p25 %.1f, p75 %.1f)\n"
+          name b.median_us b.p25_us b.p75_us b.words r.median_us r.p25_us
+          r.p75_us)
+      build
   end;
   Printf.printf "engine_bench: wrote %s\n" !out_path

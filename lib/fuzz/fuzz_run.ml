@@ -25,6 +25,9 @@ let scheme_of name =
   | Error e -> raise (Bad_spec e)
 
 let validate (spec : Fuzz_spec.t) =
+  (match Fuzz_spec.validate_shape spec.Fuzz_spec.shape with
+  | Ok () -> ()
+  | Error e -> raise (Bad_spec e));
   let n = Fuzz_spec.n_hosts_of_shape spec.Fuzz_spec.shape in
   List.iter
     (fun (tr : Fuzz_spec.transfer) ->

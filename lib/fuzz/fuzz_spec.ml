@@ -265,6 +265,28 @@ let to_string t =
     | Some (spine, gbps) -> Printf.sprintf "%d:%d" spine gbps);
   Buffer.contents buf
 
+(* Every count and rate at least 1; a fat tree also needs k/2 a power
+   of two, k >= 4 (Fat_tree_net.build).  Link delays may be 0. *)
+let validate_shape shape =
+  match shape with
+  | Ls { n_leaves; n_spines; hosts_per_leaf; host_gbps; fabric_gbps; _ } ->
+      if List.for_all (fun v -> v >= 1)
+           [ n_leaves; n_spines; hosts_per_leaf; host_gbps; fabric_gbps ]
+      then Ok ()
+      else
+        Error
+          (Printf.sprintf "shape %s: every leaf-spine count and rate must be >= 1"
+             (shape_to_string shape))
+  | Ft { k; gbps; _ } ->
+      if k >= 4 && k mod 2 = 0 && (k / 2) land ((k / 2) - 1) = 0 && gbps >= 1
+      then Ok ()
+      else
+        Error
+          (Printf.sprintf
+             "shape %s: fat tree needs k >= 4 with k/2 a power of two, and \
+              rate >= 1"
+             (shape_to_string shape))
+
 let ( let* ) = Result.bind
 
 let shape_of_string s =

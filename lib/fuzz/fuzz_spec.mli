@@ -84,6 +84,10 @@ val shape_to_string : shape -> string
 
 val shape_of_string : string -> (shape, string) result
 
+val validate_shape : shape -> (unit, string) result
+(** Every [ls:] count and rate >= 1; [ft:] needs k >= 4 with k/2 a power
+    of two, and rate >= 1.  Link delays are unchecked. *)
+
 val packets_of_bytes : t -> int -> int
 (** Messages are segmented at the (fixed, 1500 B) MTU. *)
 

@@ -13,12 +13,22 @@ let rows =
   in
   Array.init 16 (fun i -> (1 lsl i) lor (seeds.(i) land mask_above i))
 
-let linear16 x =
+let linear16_bits x =
   let acc = ref 0 in
   for i = 0 to 15 do
     if x land (1 lsl i) <> 0 then acc := !acc lxor rows.(i)
   done;
   !acc
+
+(* The map is GF(2)-linear, so it splits over the two input bytes: one
+   256-entry table per byte, built with the bit loop, and two lookups
+   per hash instead of sixteen bit tests. *)
+let lo = Array.init 256 linear16_bits
+let hi = Array.init 256 (fun b -> linear16_bits (b lsl 8))
+
+let linear16 x =
+  Array.unsafe_get lo (x land 0xFF)
+  lxor Array.unsafe_get hi ((x lsr 8) land 0xFF)
 
 let mix x =
   let z =

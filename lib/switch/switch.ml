@@ -157,21 +157,30 @@ let is_local_host t node =
    [Routing.next_hops] order ((peer, link_id) sorted by peer id — the
    stable path indexing shared with the PSN-spraying policy).  Cold
    path: resolve each link id to its port handle once; every later
-   forward to [dst] indexes the compiled row directly. *)
+   forward to [dst] indexes the compiled row directly.  Reads the
+   candidates through the allocation-free accessors, so the compile
+   allocates only the rows it stores. *)
+let resolve_port t ~dst i =
+  let link_id = Routing.next_hop_link t.routing ~node:t.node ~dst i in
+  incr slow_path_probes;
+  match Hashtbl.find t.ports link_id with
+  | port, _ -> port
+  | exception Not_found ->
+      invalid_arg
+        (Printf.sprintf "Switch %d: no port attached for link %d (wiring bug)"
+           t.node link_id)
+
 let compile_ports t dst =
-  let cands = Routing.next_hops t.routing ~node:t.node ~dst in
+  let n = Routing.next_hop_count t.routing ~node:t.node ~dst in
   let ports =
-    Array.map
-      (fun (_, link_id) ->
-        incr slow_path_probes;
-        match Hashtbl.find_opt t.ports link_id with
-        | Some (port, _) -> port
-        | None ->
-            invalid_arg
-              (Printf.sprintf
-                 "Switch %d: no port attached for link %d (wiring bug)" t.node
-                 link_id))
-      cands
+    if n = 0 then [||]
+    else begin
+      let ports = Array.make n (resolve_port t ~dst 0) in
+      for i = 1 to n - 1 do
+        ports.(i) <- resolve_port t ~dst i
+      done;
+      ports
+    end
   in
   t.next_ports.(dst) <- Some ports;
   t.next_weights.(dst) <- Some (Routing.path_weights t.routing ~node:t.node ~dst);
@@ -188,11 +197,12 @@ let candidate_ports t dst =
     match Array.unsafe_get t.next_ports dst with
     | Some ports -> ports
     | None -> compile_ports t dst
-  else
-    (* Out of range: not a host; [Routing.next_hops] raises the
+  else begin
+    (* Out of range: not a host; [Routing.next_hop_count] raises the
        canonical invalid_arg without touching [next_ports]. *)
-    Array.map (fun _ -> assert false)
-      (Routing.next_hops t.routing ~node:t.node ~dst)
+    ignore (Routing.next_hop_count t.routing ~node:t.node ~dst);
+    assert false
+  end
 
 let compiled_next_ports t ~dst = candidate_ports t dst
 

@@ -102,6 +102,7 @@ let validate t =
     | Fuzz_spec.Ls _ -> Ok ()
     | Fuzz_spec.Ft _ -> Error "workloads run on leaf-spine shapes only"
   in
+  let* () = Fuzz_spec.validate_shape t.shape in
   let n_hosts = Fuzz_spec.n_hosts_of_shape t.shape in
   let* () = if n_hosts >= 2 then Ok () else Error "fabric needs >= 2 hosts" in
   let* () =

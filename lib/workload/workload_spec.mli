@@ -48,7 +48,8 @@ type t = {
 val equal : t -> t -> bool
 
 val validate : t -> (unit, string) result
-(** Structural checks: leaf-spine shape, load in (0, 200], collective
+(** Structural checks: leaf-spine shape with every count and rate >= 1
+    ({!Fuzz_spec.validate_shape}), load in (0, 200], collective
     ranks fit the fabric, flap/spine/storm parameters sane and unable to
     disconnect any host permanently on their own. *)
 

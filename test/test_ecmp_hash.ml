@@ -17,6 +17,24 @@ let test_linear16_injective () =
     seen.(v) <- true
   done
 
+(* The bit loop over the frozen matrix rows: the byte-table
+   [linear16] must equal it on every 16-bit input. *)
+let test_linear16_tables () =
+  let rows =
+    [|
+      0x9E37; 0x79BA; 0x7F4C; 0x7C18; 0xBF50; 0x4760; 0x1CC0; 0xE580;
+      0x9500; 0x4A00; 0x1400; 0x1800; 0xD000; 0xE000; 0x4000; 0x8000;
+    |]
+  in
+  for x = 0 to 65_535 do
+    let want = ref 0 in
+    for i = 0 to 15 do
+      if x land (1 lsl i) <> 0 then want := !want lxor rows.(i)
+    done;
+    let got = Ecmp_hash.linear16 x in
+    if got <> !want then Alcotest.failf "linear16 %d = %d, bit loop %d" x got !want
+  done
+
 let prop_linear16_linearity =
   QCheck.Test.make ~name:"E(a xor b) = E(a) xor E(b)" ~count:1000
     QCheck.(pair (int_range 0 65_535) (int_range 0 65_535))
@@ -79,6 +97,7 @@ let () =
           Alcotest.test_case "zero" `Quick test_linear16_zero;
           Alcotest.test_case "range" `Quick test_linear16_range;
           Alcotest.test_case "injective" `Quick test_linear16_injective;
+          Alcotest.test_case "byte tables" `Quick test_linear16_tables;
           QCheck_alcotest.to_alcotest prop_linear16_linearity;
         ] );
       ( "flow_hash",

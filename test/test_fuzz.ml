@@ -138,9 +138,39 @@ let test_bad_specs_rejected () =
         [ { Fuzz_spec.fault_link = 0; down_ns = 0; up_ns = 0 } ];
     }
   in
-  match Fuzz_run.run_scheme bad_fault ~scheme:"ecmp" with
+  (match Fuzz_run.run_scheme bad_fault ~scheme:"ecmp" with
   | exception Fuzz_run.Bad_spec _ -> ()
-  | _ -> Alcotest.fail "host-link fault accepted"
+  | _ -> Alcotest.fail "host-link fault accepted");
+  (* Shapes the fabric builders cannot wire are a bad spec, not a
+     simulator crash. *)
+  let ls_msg =
+    Printf.sprintf "shape %s: every leaf-spine count and rate must be >= 1"
+  and ft_msg =
+    Printf.sprintf
+      "shape %s: fat tree needs k >= 4 with k/2 a power of two, and rate >= 1"
+  in
+  List.iter
+    (fun (shape, msg) ->
+      let spec =
+        match
+          Fuzz_spec.of_string
+            (Printf.sprintf
+               "fz1;seed=5;shape=%s;tr=sr;qf=25;ppcap=9216;jit=0;drop=0;corr=0;dup=0;dly=0:0;fmode=ecmp;dl=2000000000;schemes=ecmp;flows=5>1:91722@80292;faults="
+               shape)
+        with
+        | Ok spec -> spec
+        | Error e -> Alcotest.failf "%s: %s" shape e
+      in
+      match Fuzz_run.run_scheme spec ~scheme:"ecmp" with
+      | exception Fuzz_run.Bad_spec e -> Alcotest.(check string) shape (msg shape) e
+      | _ -> Alcotest.failf "shape %s accepted" shape)
+    [
+      ("ls:4:4:2:0:100:1254", ls_msg);
+      ("ls:4:0:2:100:100:1254", ls_msg);
+      ("ft:3:100:1254", ft_msg);
+      ("ft:4:0:1254", ft_msg);
+      ("ft:6:100:1254", ft_msg);
+    ]
 
 (* Minimizing a passing spec is a no-op that stays within budget. *)
 let test_shrink_passing_is_noop () =

@@ -190,7 +190,21 @@ let test_parse_errors () =
       (mix ^ ";lod=40", "unknown field \"lod\"");
       (mix ^ ";load=40", "duplicate field \"load\"");
       (mix ^ ";flows", "field \"flows\" has no '='");
-    ]
+    ];
+  (* Zero counts and rates are rejected by the shared shape check. *)
+  List.iter
+    (fun shape ->
+      let l =
+        Printf.sprintf
+          "wl1;seed=21;shape=%s;dist=websearch;arr=poisson;load=30;flows=10;colls=;faults=;dl=400000000"
+          shape
+      in
+      Alcotest.(check (result unit string)) l
+        (Error
+           (Printf.sprintf
+              "shape %s: every leaf-spine count and rate must be >= 1" shape))
+        (Result.map ignore (Workload_spec.of_string l)))
+    [ "ls:2:2:4:0:25:500"; "ls:2:2:4:25:0:500"; "ls:2:0:4:25:25:500" ]
 
 (* ------------------------------------------------------------------ *)
 (* Flow sizes. *)
