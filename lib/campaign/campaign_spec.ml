@@ -344,9 +344,7 @@ let check what valid name =
 
 let scheme_ok = check "scheme" Network.scheme_of_string
 
-let at_least what lo n =
-  if n >= lo then Ok ()
-  else Error (Printf.sprintf "%s %d must be at least %d" what n lo)
+let at_least = Spec_line.at_least
 
 (* A Fig. 5 group has one rank per leaf, and a collective needs two. *)
 let fabric_ok = function
@@ -361,10 +359,12 @@ let validate_job = function
   | Fig1_job { transport; mb; _ } ->
       let* () = check "transport" transport_of_string transport in
       at_least "mb" 1 mb
-  | Fig5_job { fabric; scheme; coll; mb; _ } ->
+  | Fig5_job { fabric; scheme; coll; mb; ti_us; td_us; _ } ->
       let* () = fabric_ok fabric in
       let* () = scheme_ok scheme in
       let* () = check "coll" Schedule.collective_of_string coll in
+      let* () = at_least "ti" 1 ti_us in
+      let* () = at_least "td" 1 td_us in
       at_least "mb" 1 mb
   | Incast_job { scheme; fanin; mb; _ } ->
       let* () = scheme_ok scheme in

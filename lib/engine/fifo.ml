@@ -40,8 +40,10 @@ let push q x =
 let pop q =
   if q.len = 0 then invalid_arg "Fifo.pop: empty";
   let i = q.head in
+  (* The slot is left holding [x]: every reader is bounded by [len],
+     so a stale slot is never read, and skipping the store skips its
+     write barrier. *)
   let x = q.buf.(i) in
-  q.buf.(i) <- obj_unit;
   let h = i + 1 in
   q.head <- (if h >= Array.length q.buf then 0 else h);
   q.len <- q.len - 1;
@@ -73,12 +75,7 @@ let drain q f =
     f (pop q)
   done
 
+(* Like [pop], leaves the stale slots in place. *)
 let clear q =
-  let cap = Array.length q.buf in
-  for k = 0 to q.len - 1 do
-    let i = q.head + k in
-    let i = if i >= cap then i - cap else i in
-    q.buf.(i) <- obj_unit
-  done;
   q.head <- 0;
   q.len <- 0

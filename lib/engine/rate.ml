@@ -14,7 +14,11 @@ let[@inline] tx_time r ~bytes_ =
   if bytes_ <= 0 then 0
   else
     let ns = float_of_int (bytes_ * 8) *. 1e9 /. r in
-    Int.max 1 (int_of_float (Float.round ns))
+    (* Round half away from zero without [Float.round]'s libc call: for
+       [ns > 0] the fraction [ns -. float i] is exact, so this equals
+       [Float.round ns] bit for bit. *)
+    let i = int_of_float ns in
+    Int.max 1 (if ns -. float_of_int i >= 0.5 then i + 1 else i)
 
 let bytes_in r d = int_of_float (r *. float_of_int d /. 8e9)
 let min_rate = 100e6

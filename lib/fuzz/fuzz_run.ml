@@ -25,7 +25,7 @@ let scheme_of name =
   | Error e -> raise (Bad_spec e)
 
 let validate (spec : Fuzz_spec.t) =
-  (match Fuzz_spec.validate_shape spec.Fuzz_spec.shape with
+  (match Fuzz_spec.validate spec with
   | Ok () -> ()
   | Error e -> raise (Bad_spec e));
   let n = Fuzz_spec.n_hosts_of_shape spec.Fuzz_spec.shape in
@@ -41,7 +41,9 @@ let validate (spec : Fuzz_spec.t) =
         raise (Bad_spec (Printf.sprintf "flow %d>%d is a self-loop"
                            tr.Fuzz_spec.src tr.Fuzz_spec.dst));
       if tr.Fuzz_spec.bytes <= 0 then
-        raise (Bad_spec "flow with non-positive byte count"))
+        raise (Bad_spec "flow with non-positive byte count");
+      if tr.Fuzz_spec.start_ns < 0 then
+        raise (Bad_spec "flow with negative start time"))
     spec.Fuzz_spec.transfers;
   match spec.Fuzz_spec.shape with
   | Fuzz_spec.Ft _ ->
@@ -68,7 +70,9 @@ let validate (spec : Fuzz_spec.t) =
                     lf.Fuzz_spec.fault_link));
           if lf.Fuzz_spec.fault_link >= n_links then
             raise (Bad_spec (Printf.sprintf "link %d not in topology"
-                               lf.Fuzz_spec.fault_link)))
+                               lf.Fuzz_spec.fault_link));
+          if lf.Fuzz_spec.down_ns < 0 then
+            raise (Bad_spec "link fault with negative down time"))
         spec.Fuzz_spec.link_faults
 
 (* The fabric plus, on leaf-spine shapes, the Network.t behind it for the

@@ -289,6 +289,22 @@ let validate_shape shape =
 
 let ( let* ) = Result.bind
 
+let ppm what v =
+  if v >= 0 && v <= 1_000_000 then Ok ()
+  else Error (Printf.sprintf "%s %d ppm out of [0, 1000000]" what v)
+
+let validate t =
+  let at_least = Spec_line.at_least in
+  let* () = validate_shape t.shape in
+  let* () = at_least "qf" 1 t.queue_factor_pct in
+  let* () = at_least "ppcap" 1 t.per_port_kb in
+  let* () = at_least "jit" 0 t.jitter_ns in
+  let* () = ppm "drop" t.drop_ppm in
+  let* () = ppm "corr" t.corrupt_ppm in
+  let* () = ppm "dup" t.dup_ppm in
+  let* () = ppm "dly" t.delay_ppm in
+  at_least "dly max" 0 t.delay_max_ns
+
 let shape_of_string s =
   match String.split_on_char ':' s with
   | [ "ls"; a; b; c; d; e; f ] ->

@@ -88,6 +88,12 @@ val validate_shape : shape -> (unit, string) result
 (** Every [ls:] count and rate >= 1; [ft:] needs k >= 4 with k/2 a power
     of two, and rate >= 1.  Link delays are unchecked. *)
 
+val validate : t -> (unit, string) result
+(** {!validate_shape} plus the scalar ranges: [qf] and [ppcap] >= 1,
+    [jit] and the [dly] maximum >= 0, and each ppm rate ([drop],
+    [corr], [dup], [dly]) within [0, 1000000].  The fabric-relative
+    checks (flow endpoints, fault links) are [Fuzz_run]'s. *)
+
 val packets_of_bytes : t -> int -> int
 (** Messages are segmented at the (fixed, 1500 B) MTU. *)
 

@@ -19,6 +19,10 @@ let int_of ~what s =
   | Some i -> Ok i
   | None -> Error (Printf.sprintf "bad integer %S in %s" s what)
 
+let at_least what lo n =
+  if n >= lo then Ok ()
+  else Error (Printf.sprintf "%s %d must be at least %d" what n lo)
+
 let rec of_fields acc = function
   | [] -> Ok (List.rev acc)
   | f :: rest -> (

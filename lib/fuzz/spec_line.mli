@@ -42,6 +42,10 @@ val close : t -> (unit, string) result
 val int_of : what:string -> string -> (int, string) result
 (** ["bad integer %S in %s"] unless the (trimmed) string is an int. *)
 
+val at_least : string -> int -> int -> (unit, string) result
+(** [at_least what lo n]: ["%s %d must be at least %d"] unless
+    [n >= lo]. *)
+
 val list :
   ?sep:char -> (string -> ('a, string) result) -> string ->
   ('a list, string) result

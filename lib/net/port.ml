@@ -157,6 +157,13 @@ let enqueue t pkt =
     t.on_discard pkt;
     Packet_pool.release pkt
   end
+  else if
+    (not t.busy) && (not t.paused)
+    && Fifo.is_empty t.ctrl_queue && Fifo.is_empty t.data_queue
+  then
+    (* Idle cut-through: [start_tx] would pop this very packet straight
+       back, so skip the round trip through the lane. *)
+    transmit t pkt
   else begin
     if Packet.is_data pkt then begin
       Fifo.push t.data_queue pkt;

@@ -284,6 +284,10 @@ let test_parse_errors () =
       (fig5 "ls:2:0:1:100" 1, "fabric spines 0 must be at least 1");
       (fig5 "ls:2:1:0:100" 1, "fabric hosts 0 must be at least 1");
       (fig5 "ls:2:1:1:0" 1, "fabric gbps 0 must be at least 1");
+      ( "cj1;fig5;fab=eval8;scheme=themis;coll=allreduce;mb=1;ti=0;td=4;seed=11",
+        "ti 0 must be at least 1" );
+      ( "cj1;fig5;fab=eval8;scheme=themis;coll=allreduce;mb=1;ti=900;td=-4;seed=11",
+        "td -4 must be at least 1" );
     ];
   let no_seeds =
     { (Option.get (Campaign_spec.preset "quick")) with Campaign_spec.seeds = [] }

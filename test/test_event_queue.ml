@@ -227,6 +227,34 @@ let prop_model =
         handles;
       !ok)
 
+(* A freed slot keeps its old payload until [add] overwrites it; [add]
+   skips the store only when the payload is the same.  Recycle one slot
+   from a block payload to a unit payload and back: each pop must see
+   exactly the payload its own [add] passed. *)
+let test_recycled_slot_payload () =
+  let q = Event_queue.create ~capacity:4 () in
+  let pkt = Obj.repr (ref 42) and other = Obj.repr (ref 7) in
+  let unit_obj = Obj.repr () in
+  let round time obj =
+    ignore (Event_queue.add q ~time ~cb:0 ~obj);
+    let s = Event_queue.pop q in
+    let got = Event_queue.slot_obj q s in
+    Event_queue.release q s;
+    (s, got)
+  in
+  let s0, got = round 1 pkt in
+  Alcotest.(check bool) "block payload" true (got == pkt);
+  let s1, got = round 2 unit_obj in
+  Alcotest.(check int) "LIFO freelist reuses the slot" s0 s1;
+  Alcotest.(check bool) "unit payload delivers ()" true (got == unit_obj);
+  Alcotest.(check unit) "as unit" () (Obj.obj got);
+  let _, got = round 3 pkt in
+  Alcotest.(check bool) "block again" true (got == pkt);
+  let _, got = round 4 pkt in
+  Alcotest.(check bool) "same block, store skipped" true (got == pkt);
+  let _, got = round 5 other in
+  Alcotest.(check bool) "a different block" true (got == other)
+
 let () =
   Alcotest.run "event_queue"
     [
@@ -244,5 +272,7 @@ let () =
             test_stale_handle_no_resurrection;
           Alcotest.test_case "clear" `Quick test_clear;
           QCheck_alcotest.to_alcotest prop_model;
+          Alcotest.test_case "recycled slot payload" `Quick
+            test_recycled_slot_payload;
         ] );
     ]

@@ -68,6 +68,91 @@ let test_drain_push_during () =
   Alcotest.(check int) "requeued order" 10 (Fifo.pop q);
   Alcotest.(check int) "requeued order 2" 20 (Fifo.pop q)
 
+(* List model: every observation of the ring equals the list's.  Pushed
+   values are distinct and [pop]/[clear] leave stale slots behind, so
+   a read past [length] or from a stale slot shows up as a mismatch.
+   Small initial capacities make pushes wrap and grow mid-wrap. *)
+type op = Push | Pop | Peek | Get of int | Iter | Drain | Clear
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, return Push);
+        (3, return Pop);
+        (1, return Peek);
+        (1, map (fun i -> Get i) (int_range (-1) 8));
+        (1, return Iter);
+        (1, return Drain);
+        (1, return Clear);
+      ])
+
+let op_print = function
+  | Push -> "push"
+  | Pop -> "pop"
+  | Peek -> "peek"
+  | Get i -> Printf.sprintf "get %d" i
+  | Iter -> "iter"
+  | Drain -> "drain"
+  | Clear -> "clear"
+
+let prop_list_model =
+  QCheck.Test.make ~name:"model: ring equals list" ~count:500
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "capacity %d: %s" cap
+           (String.concat "; " (List.map op_print ops)))
+       QCheck.Gen.(pair (int_range 1 4) (list_size (int_range 0 80) op_gen)))
+    (fun (capacity, ops) ->
+      let q = Fifo.create ~capacity () in
+      let next = ref 0 in
+      let obs f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+      let step model op =
+        match op with
+        | Push ->
+            incr next;
+            Fifo.push q !next;
+            (model @ [ !next ], true)
+        | Pop -> (
+            match model with
+            | [] -> ([], obs (fun () -> Fifo.pop q) = Error "Fifo.pop: empty")
+            | x :: rest -> (rest, obs (fun () -> Fifo.pop q) = Ok x))
+        | Peek -> (
+            ( model,
+              match model with
+              | [] -> obs (fun () -> Fifo.peek q) = Error "Fifo.peek: empty"
+              | x :: _ -> obs (fun () -> Fifo.peek q) = Ok x ))
+        | Get i ->
+            ( model,
+              if i >= 0 && i < List.length model then
+                obs (fun () -> Fifo.get q i) = Ok (List.nth model i)
+              else
+                obs (fun () -> Fifo.get q i)
+                = Error "Fifo.get: out of bounds" )
+        | Iter ->
+            let seen = ref [] in
+            Fifo.iter (fun x -> seen := x :: !seen) q;
+            (model, List.rev !seen = model)
+        | Drain ->
+            let seen = ref [] in
+            Fifo.drain q (fun x -> seen := x :: !seen);
+            ([], List.rev !seen = model)
+        | Clear ->
+            Fifo.clear q;
+            ([], true)
+      in
+      let rec go model = function
+        | [] -> true
+        | op :: rest ->
+            let model, ok = step model op in
+            ok
+            && Fifo.length q = List.length model
+            && Fifo.is_empty q = (model = [])
+            && Fifo.capacity q >= Fifo.length q
+            && go model rest
+      in
+      go [] ops)
+
 let () =
   Alcotest.run "fifo"
     [
@@ -77,5 +162,6 @@ let () =
           Alcotest.test_case "wraparound growth" `Quick test_wraparound;
           Alcotest.test_case "iter/clear" `Quick test_iter_clear;
           Alcotest.test_case "drain push-during" `Quick test_drain_push_during;
+          QCheck_alcotest.to_alcotest prop_list_model;
         ] );
     ]

@@ -170,7 +170,33 @@ let test_bad_specs_rejected () =
       ("ft:3:100:1254", ft_msg);
       ("ft:4:0:1254", ft_msg);
       ("ft:6:100:1254", ft_msg);
-    ]
+    ];
+  (* One scalar field out of range, on a line that otherwise runs. *)
+  let line ?(qf = "25") ?(ppcap = "9216") ?(jit = "0") ?(drop = "0")
+      ?(dly = "0:0") ?(start = "80292") ?(faults = "") () =
+    Printf.sprintf
+      "fz1;seed=5;shape=ls:4:4:2:100:100:1254;tr=sr;qf=%s;ppcap=%s;jit=%s;drop=%s;corr=0;dup=0;dly=%s;fmode=ecmp;dl=2000000000;schemes=themis;flows=5>1:91722@%s;faults=%s"
+      qf ppcap jit drop dly start faults
+  in
+  List.iter
+    (fun (l, want) ->
+      match Fuzz_spec.of_string l with
+      | Error e -> Alcotest.failf "%s: %s" l e
+      | Ok spec -> (
+          match Fuzz_run.run_scheme spec ~scheme:"themis" with
+          | exception Fuzz_run.Bad_spec e -> Alcotest.(check string) l want e
+          | _ -> Alcotest.failf "accepted %s" l))
+    [
+      (line ~ppcap:"0" (), "ppcap 0 must be at least 1");
+      (line ~qf:"-3" (), "qf -3 must be at least 1");
+      (line ~jit:"-5" (), "jit -5 must be at least 0");
+      (line ~drop:"2000000" (), "drop 2000000 ppm out of [0, 1000000]");
+      (line ~dly:"5:-1" (), "dly max -1 must be at least 0");
+      (line ~start:"-5" (), "flow with negative start time");
+      (line ~faults:"16:-5:0" (), "link fault with negative down time");
+    ];
+  Alcotest.(check (result unit string)) "the unmodified line validates" (Ok ())
+    (Result.bind (Fuzz_spec.of_string (line ())) Fuzz_spec.validate)
 
 (* Minimizing a passing spec is a no-op that stays within budget. *)
 let test_shrink_passing_is_noop () =

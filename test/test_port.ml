@@ -194,6 +194,213 @@ let test_deliver_unset_fails () =
     (Failure "Port: deliver callback not set (missing set_deliver)") (fun () ->
       Engine.run engine)
 
+(* Random schedules of enqueues, pauses and link flaps against a
+   reference serializer.  The reference is the port without the idle
+   cut-through: every packet is appended to its lane (control or data)
+   and [start_tx] pops control first, each lane FIFO.  It replays the
+   engine's (time, insertion) event order, and calls the dequeue hook
+   before the serializer goes busy, as [Port.transmit] does.  Some
+   enqueues arm that hook to enqueue one more packet on the same port
+   when they leave the queue: with the port not yet busy, that is the
+   one enqueue that can find an idle port with a non-empty lane, so a
+   cut-through that skips either lane check reorders deliveries. *)
+type kind = D of int | C  (* data with its payload, or an ACK *)
+
+type op =
+  | Enq of kind * kind option  (* the packet, and what its dequeue enqueues *)
+  | Pause
+  | Resume
+  | Down
+  | Up
+
+let model_bw = Rate.gbps 100.
+let model_delay = 700
+let wire_size = function D p -> p + Headers.data_overhead | C -> Headers.ack_bytes
+
+(* Observed after every operation and once more at the end. *)
+type snap = {
+  data_b : int;
+  ctrl_b : int;
+  pkts : int;
+  busy_ : bool;
+  txp : int;
+  txb : int;
+  drops : int;
+  drops_d : int;
+}
+
+let snap_port p =
+  {
+    data_b = Port.queue_bytes p;
+    ctrl_b = Port.ctrl_queue_bytes p;
+    pkts = Port.queue_packets p;
+    busy_ = Port.busy p;
+    txp = Port.tx_packets p;
+    txb = Port.tx_bytes p;
+    drops = Port.dropped_packets p;
+    drops_d = Port.dropped_data_packets p;
+  }
+
+(* Packet ids: op index for scheduled enqueues, 1000 + the trigger's id
+   for hook enqueues. *)
+let run_port sched =
+  let engine = Engine.create () in
+  let port = Port.create ~engine ~bandwidth:model_bw ~delay:model_delay ~label:"m" in
+  let ids = Hashtbl.create 64 and hooks = Hashtbl.create 64 in
+  let mk id kind =
+    let p = match kind with D payload -> data ~payload id | C -> ack () in
+    Hashtbl.replace ids p.Packet.uid id;
+    p
+  in
+  let delivered = ref [] and snaps = ref [] in
+  Port.set_deliver port (fun p ->
+      delivered := (Engine.now engine, Hashtbl.find ids p.Packet.uid) :: !delivered);
+  Port.set_on_dequeue port (fun p ->
+      let id = Hashtbl.find ids p.Packet.uid in
+      match Hashtbl.find_opt hooks id with
+      | Some k -> Port.enqueue port (mk (1000 + id) k)
+      | None -> ());
+  List.iteri
+    (fun i (time, op) ->
+      ignore
+        (Engine.schedule_at engine ~time (fun () ->
+             (match op with
+             | Enq (k, hook) ->
+                 Option.iter (Hashtbl.replace hooks i) hook;
+                 Port.enqueue port (mk i k)
+             | Pause -> Port.set_paused port true
+             | Resume -> Port.set_paused port false
+             | Down -> Port.set_up port false
+             | Up -> Port.set_up port true);
+             snaps := snap_port port :: !snaps)))
+    sched;
+  Engine.run engine;
+  (List.rev !delivered, List.rev (snap_port port :: !snaps))
+
+type mpkt = { id : int; kind : kind; hook : kind option }
+type ev = Op of int * op | Tx_done of mpkt | Arrive of mpkt
+
+let run_model sched =
+  let events = ref [] and seq = ref 0 and now = ref 0 in
+  let schedule time ev =
+    let rec ins = function
+      | ((t, _, _) as e) :: rest when t <= time -> e :: ins rest
+      | l -> (time, !seq, ev) :: l
+    in
+    events := ins !events;
+    incr seq
+  in
+  let ctrl = Queue.create () and dataq = Queue.create () in
+  let busy = ref false and paused = ref false and up = ref true in
+  let txp = ref 0 and txb = ref 0 and drops = ref 0 and drops_d = ref 0 in
+  let delivered = ref [] and snaps = ref [] in
+  let is_data p = match p.kind with D _ -> true | C -> false in
+  let lane_bytes q = Queue.fold (fun a p -> a + wire_size p.kind) 0 q in
+  let snap () =
+    {
+      data_b = lane_bytes dataq;
+      ctrl_b = lane_bytes ctrl;
+      pkts = Queue.length ctrl + Queue.length dataq;
+      busy_ = !busy;
+      txp = !txp;
+      txb = !txb;
+      drops = !drops;
+      drops_d = !drops_d;
+    }
+  in
+  let drop p =
+    incr drops;
+    if is_data p then incr drops_d
+  in
+  let rec start_tx () =
+    if (not !busy) && (not !paused) && !up then
+      if not (Queue.is_empty ctrl) then transmit (Queue.pop ctrl)
+      else if not (Queue.is_empty dataq) then transmit (Queue.pop dataq)
+  and transmit p =
+    Option.iter (fun k -> enqueue { id = 1000 + p.id; kind = k; hook = None }) p.hook;
+    busy := true;
+    schedule (!now + Rate.tx_time model_bw ~bytes_:(wire_size p.kind)) (Tx_done p)
+  and enqueue p =
+    if not !up then drop p
+    else begin
+      Queue.push p (if is_data p then dataq else ctrl);
+      start_tx ()
+    end
+  in
+  List.iteri (fun i (time, op) -> schedule time (Op (i, op))) sched;
+  let rec loop () =
+    match !events with
+    | [] -> ()
+    | (time, _, ev) :: rest ->
+        events := rest;
+        now := time;
+        (match ev with
+        | Op (i, op) ->
+            (match op with
+            | Enq (kind, hook) -> enqueue { id = i; kind; hook }
+            | Pause -> paused := true
+            | Resume ->
+                paused := false;
+                start_tx ()
+            | Down ->
+                up := false;
+                Queue.iter drop ctrl;
+                Queue.iter drop dataq;
+                Queue.clear ctrl;
+                Queue.clear dataq
+            | Up ->
+                up := true;
+                start_tx ());
+            snaps := snap () :: !snaps
+        | Tx_done p ->
+            busy := false;
+            incr txp;
+            txb := !txb + wire_size p.kind;
+            if !up then schedule (time + model_delay) (Arrive p) else drop p;
+            start_tx ()
+        | Arrive p -> if !up then delivered := (time, p.id) :: !delivered else drop p);
+        loop ()
+  in
+  loop ();
+  (List.rev !delivered, List.rev (snap () :: !snaps))
+
+let kind_gen =
+  QCheck.Gen.(
+    frequency [ (2, map (fun p -> D p) (oneofl [ 64; 512; 1500 ])); (1, return C) ])
+
+let sched_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 40)
+      (pair (int_range 0 3_000)
+         (frequency
+            [
+              (8, map2 (fun k h -> Enq (k, h)) kind_gen (opt kind_gen));
+              (2, return Pause);
+              (2, return Resume);
+              (1, return Down);
+              (1, return Up);
+            ])))
+
+let sched_print sched =
+  let kind = function D p -> Printf.sprintf "D%d" p | C -> "C" in
+  String.concat "; "
+    (List.map
+       (fun (t, op) ->
+         Printf.sprintf "%d:%s" t
+           (match op with
+           | Enq (k, None) -> kind k
+           | Enq (k, Some h) -> kind k ^ ">" ^ kind h
+           | Pause -> "pause"
+           | Resume -> "resume"
+           | Down -> "down"
+           | Up -> "up"))
+       sched)
+
+let prop_serializer_model =
+  QCheck.Test.make ~name:"model: strict-priority FIFO serializer" ~count:1000
+    (QCheck.make ~print:sched_print sched_gen)
+    (fun sched -> run_port sched = run_model sched)
+
 let () =
   Alcotest.run "port"
     [
@@ -215,5 +422,6 @@ let () =
           Alcotest.test_case "stats" `Quick test_stats;
           Alcotest.test_case "jitter" `Quick test_jitter_delays_delivery;
           Alcotest.test_case "unset deliver" `Quick test_deliver_unset_fails;
+          QCheck_alcotest.to_alcotest prop_serializer_model;
         ] );
     ]

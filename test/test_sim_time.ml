@@ -76,6 +76,32 @@ let prop_tx_time_rate_antitone =
       let slow = Rate.gbps (min a b) and fast = Rate.gbps (max a b) in
       Rate.tx_time fast ~bytes_:10_000 <= Rate.tx_time slow ~bytes_:10_000)
 
+(* [tx_time] rounds by truncate-and-compare; the reference is the
+   [Float.round] form it replaced, which must agree bit for bit. *)
+let tx_time_round r ~bytes_ =
+  if bytes_ <= 0 then 0
+  else
+    let ns = float_of_int (bytes_ * 8) *. 1e9 /. Rate.to_bps r in
+    Int.max 1 (int_of_float (Float.round ns))
+
+let test_tx_time_matches_round () =
+  List.iter
+    (fun g ->
+      let r = Rate.gbps g in
+      for b = 1 to 9216 do
+        if Rate.tx_time r ~bytes_:b <> tx_time_round r ~bytes_:b then
+          Alcotest.failf "%d B at %g Gb/s: %d, Float.round gives %d" b g
+            (Rate.tx_time r ~bytes_:b) (tx_time_round r ~bytes_:b)
+      done)
+    [ 25.; 100.; 400.; 800. ]
+
+let prop_tx_time_matches_round =
+  QCheck.Test.make ~name:"tx_time equals the Float.round form" ~count:2000
+    QCheck.(pair (float_range 1e8 2e12) (int_range 1 1_000_000))
+    (fun (bps, b) ->
+      let r = Rate.bps bps in
+      Rate.tx_time r ~bytes_:b = tx_time_round r ~bytes_:b)
+
 let () =
   Alcotest.run "sim_time"
     [
@@ -94,5 +120,8 @@ let () =
           Alcotest.test_case "scale/clamp" `Quick test_scale_clamp;
           QCheck_alcotest.to_alcotest prop_tx_time_monotone;
           QCheck_alcotest.to_alcotest prop_tx_time_rate_antitone;
+          Alcotest.test_case "tx_time equals Float.round" `Quick
+            test_tx_time_matches_round;
+          QCheck_alcotest.to_alcotest prop_tx_time_matches_round;
         ] );
     ]
