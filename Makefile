@@ -106,12 +106,16 @@ serial-forked:
 	@echo "serial-forked: OK"
 
 # Production-workload gate (DESIGN.md §12): the mix scenario (websearch
-# open-loop + allreduce overlay) over the fork pool, gated against its
-# frozen baseline, then the streaming bench's 50k-flow smoke asserting
-# the O(active-flows) live high-water mark and full completion.
+# open-loop + allreduce overlay) and the failures scenario (link flaps,
+# spine death and drop storms through Failure_script) over the fork
+# pool, each gated against its frozen baseline, then the streaming
+# bench's 50k-flow smoke asserting the O(active-flows) live high-water
+# mark and full completion.
 workload-smoke:
 	dune exec bin/themis_campaign_cli.exe -- run --preset mix --workers 2 --force --quiet
 	dune exec bin/themis_campaign_cli.exe -- gate --preset mix
+	dune exec bin/themis_campaign_cli.exe -- run --preset failures --workers 2 --force --quiet
+	dune exec bin/themis_campaign_cli.exe -- gate --preset failures
 	dune exec bench/workload_bench.exe -- --smoke --out _build/BENCH_workload.smoke.json
 
 # Full streaming proof: 1M Poisson arrivals; memory must stay O(active).

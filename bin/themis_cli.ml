@@ -156,7 +156,7 @@ let fig5_cmd =
             ^ "."))
   in
   let mb =
-    Arg.(value & opt float 8. & info [ "mb" ] ~doc:"Collective megabytes per group.")
+    Arg.(value & opt float 4. & info [ "mb" ] ~doc:"Collective megabytes per group.")
   in
   let full =
     Arg.(value & flag & info [ "paper-scale" ] ~doc:"Use the 16x16 fabric of the paper.")
@@ -206,7 +206,7 @@ let ablation_cmd =
     Format.printf "== compensation on/off under %d forced drops ==@." 4;
     List.iter
       (fun r ->
-        Format.printf "  compensation %-3s: completion %8.1f us, %d timeouts, %d generated NACKs@."
+        Format.printf "  compensation %-3s: completion %8.1f us, %d timeouts, %d compensation NACKs@."
           (if r.Ablation.comp_enabled then "on" else "off")
           r.Ablation.completion_us r.Ablation.timeouts r.Ablation.compensations)
       (Ablation.compensation ~seed ());

@@ -51,7 +51,7 @@ val create :
     [inject_nack] must put a NACK for [conn] on the path back to the
     sender.  [node] (the owning ToR id) and [clock] only feed telemetry:
     when the telemetry context is enabled, every NACK verdict and
-    compensation action is recorded as a typed event timestamped with
+    compensation action is recorded as a typed event at time
     [clock ()] (defaults: [-1] and a clock stuck at zero). *)
 
 val paths : t -> int

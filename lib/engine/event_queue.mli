@@ -1,4 +1,4 @@
-(** A stable priority queue of timestamped events, allocation-free in
+(** A stable priority queue of events keyed by time, allocation-free in
     steady state.
 
     Ordering is [(time, sequence)]: the sequence number makes same-time

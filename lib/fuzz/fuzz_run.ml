@@ -130,6 +130,19 @@ type scenario = {
   flows : Fuzz_oracle.flow_probe list;
 }
 
+let schedule_link_faults net ~mode faults =
+  let eng = Network.engine net in
+  List.iter
+    (fun (lf : Fuzz_spec.link_fault) ->
+      ignore
+        (Engine.schedule_at eng ~time:lf.Fuzz_spec.down_ns (fun () ->
+             Network.fail_link ~mode net ~link_id:lf.Fuzz_spec.fault_link));
+      if lf.Fuzz_spec.up_ns > lf.Fuzz_spec.down_ns then
+        ignore
+          (Engine.schedule_at eng ~time:lf.Fuzz_spec.up_ns (fun () ->
+               Network.restore_link net ~link_id:lf.Fuzz_spec.fault_link)))
+    faults
+
 let setup (spec : Fuzz_spec.t) ~scheme =
   let core, ls = build spec ~scheme in
   let eng = Fabric_core.engine core in
@@ -141,18 +154,10 @@ let setup (spec : Fuzz_spec.t) ~scheme =
   (match ls with
   | None -> ()
   | Some n ->
-      let mode =
-        if spec.Fuzz_spec.shrink_pathset then `Shrink_pathset else `Fallback_ecmp
-      in
-      List.iter
-        (fun (lf : Fuzz_spec.link_fault) ->
-          ignore
-            (Engine.schedule_at eng ~time:lf.Fuzz_spec.down_ns (fun () ->
-                 Network.fail_link ~mode n ~link_id:lf.Fuzz_spec.fault_link));
-          if lf.Fuzz_spec.up_ns > lf.Fuzz_spec.down_ns then
-            ignore
-              (Engine.schedule_at eng ~time:lf.Fuzz_spec.up_ns (fun () ->
-                   Network.restore_link n ~link_id:lf.Fuzz_spec.fault_link)))
+      schedule_link_faults n
+        ~mode:
+          (if spec.Fuzz_spec.shrink_pathset then `Shrink_pathset
+           else `Fallback_ecmp)
         spec.Fuzz_spec.link_faults);
   let flows =
     List.mapi

@@ -33,6 +33,15 @@ exception Bad_spec of string
 (** The spec references hosts or links the shape does not have (only
     reachable through hand-written replay strings). *)
 
+val schedule_link_faults :
+  Network.t ->
+  mode:[ `Fallback_ecmp | `Shrink_pathset ] ->
+  Fuzz_spec.link_fault list ->
+  unit
+(** Put each fault on the engine timeline, in list order: its
+    {!Network.fail_link} (under [mode]) at [down_ns] and, when [up_ns]
+    is later, its {!Network.restore_link} at [up_ns]. *)
+
 val schemes_of : Fuzz_spec.t -> string list
 
 val run_scheme : Fuzz_spec.t -> scheme:string -> outcome

@@ -3,12 +3,11 @@ type t = {
   mutable bandwidth : Rate.t;
   delay : Sim_time.t;
   label : string;
-  ctrl_queue : Packet.t Fifo.t;  (* ACK/NACK/CNP/pause: strict priority *)
+  ctrl_queue : Packet.t Fifo.t;  (* ACK/NACK/CNP: strict priority *)
   data_queue : Packet.t Fifo.t;
   mutable data_bytes : int;
   mutable ctrl_bytes : int;
   mutable busy : bool;
-  mutable paused : bool;
   mutable up : bool;
   mutable deliver : Packet.t -> unit;
   mutable on_dequeue : Packet.t -> unit;
@@ -57,7 +56,7 @@ let set_on_dequeue t f = t.on_dequeue <- f
 let set_on_discard t f = t.on_discard <- f
 
 let rec start_tx t =
-  if (not t.busy) && (not t.paused) && t.up then
+  if (not t.busy) && t.up then
     if not (Fifo.is_empty t.ctrl_queue) then begin
       let pkt = Fifo.pop t.ctrl_queue in
       t.ctrl_bytes <- t.ctrl_bytes - pkt.Packet.size;
@@ -118,7 +117,6 @@ let create ~engine ~bandwidth ~delay ~label =
       data_bytes = 0;
       ctrl_bytes = 0;
       busy = false;
-      paused = false;
       up = true;
       deliver = no_deliver;
       on_dequeue = ignore;
@@ -158,8 +156,7 @@ let enqueue t pkt =
     Packet_pool.release pkt
   end
   else if
-    (not t.busy) && (not t.paused)
-    && Fifo.is_empty t.ctrl_queue && Fifo.is_empty t.data_queue
+    (not t.busy) && Fifo.is_empty t.ctrl_queue && Fifo.is_empty t.data_queue
   then
     (* Idle cut-through: [start_tx] would pop this very packet straight
        back, so skip the round trip through the lane. *)
@@ -180,12 +177,6 @@ let queue_bytes t = t.data_bytes
 let ctrl_queue_bytes t = t.ctrl_bytes
 let queue_packets t = Fifo.length t.data_queue + Fifo.length t.ctrl_queue
 let busy t = t.busy
-
-let set_paused t p =
-  t.paused <- p;
-  if not p then start_tx t
-
-let paused t = t.paused
 
 let flush_discard t q =
   Fifo.drain q (fun pkt ->

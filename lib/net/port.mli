@@ -1,7 +1,7 @@
 (** An egress port: FIFOs of packets being serialized onto a directed link.
 
     One [Port.t] models one direction of a full-duplex link.  Control
-    packets (ACK / NACK / CNP / pause) ride a strict-priority lane over
+    packets (ACK / NACK / CNP) ride a strict-priority lane over
     data, as deployed RoCE fabrics assign acknowledgements a dedicated
     traffic class; this bounds the last-hop control RTT that sizes the
     Themis-D PSN queue.  Within a lane ordering is FIFO.  The transmitter
@@ -10,8 +10,7 @@
     (multiple packets may be in flight concurrently, as on a real wire).
 
     Admission control (buffer limits, ECN marking) is the caller's job —
-    [enqueue] never drops on an up link.  PFC pauses the transmitter
-    between packets. *)
+    [enqueue] never drops on an up link. *)
 
 type t
 
@@ -64,12 +63,6 @@ val queue_bytes : t -> int
 val ctrl_queue_bytes : t -> int
 val queue_packets : t -> int
 val busy : t -> bool
-
-val set_paused : t -> bool -> unit
-(** PFC: stop/resume draining.  The packet currently serializing
-    finishes. *)
-
-val paused : t -> bool
 
 val set_up : t -> bool -> unit
 (** Link failure: while down, queued packets are discarded and future

@@ -7,7 +7,6 @@ let icrc_bytes = 4
 let data_overhead = ethernet_bytes + ipv4_bytes + udp_bytes + bth_bytes + icrc_bytes
 let ack_bytes = data_overhead + aeth_bytes
 let cnp_bytes = data_overhead + aeth_bytes
-let pause_bytes = 64
 let roce_dst_port = 4791
 
 type ecn = Not_ect | Ect | Ce

@@ -31,9 +31,6 @@ val ack_bytes : int
 val cnp_bytes : int
 (** Total size of a Congestion Notification Packet. *)
 
-val pause_bytes : int
-(** PFC pause frame size (64). *)
-
 val roce_dst_port : int
 (** UDP destination port for RoCEv2 (4791). *)
 

@@ -29,7 +29,10 @@ type kind =
       (** Out-of-sequence NACK carrying only the expected PSN (the
           commodity-RNIC behaviour of Section 2.2). *)
   | Cnp  (** DCQCN congestion notification. *)
-  | Pause of { stop : bool }  (** PFC pause/resume (hop-local). *)
+  | Pause of { stop : bool }
+      (** A PFC pause/resume frame.  The fabric is lossy and models no
+          PFC, so nothing builds one; the constructor stays because the
+          benchmark package ([perfbench/ledger.ml]) matches on it. *)
 
 type t = {
   mutable uid : int;

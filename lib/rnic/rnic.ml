@@ -29,7 +29,7 @@ type rctx = {
   r_conn_id : int;
   r_sport : int;
   (* Entropy echo (REPS): the udp_sport / CE mark of the most recent
-     data arrival, stamped onto the ACK/NACK it triggers so the source
+     data arrival, copied onto the ACK/NACK it triggers so the source
      ToR can recycle clean entropies. *)
   r_last_entropy : int ref;
   r_last_ce : bool ref;
@@ -231,23 +231,11 @@ let cc_config cfg =
   | `Ideal -> { cfg.cc with Dcqcn.nack_slow_start = false }
   | `Sr | `Gbn -> cfg.cc
 
-let connect t ~dst ?qpn ?sport () =
-  let qpn =
-    match qpn with
-    | Some q -> q
-    | None ->
-        let q = t.next_qpn in
-        t.next_qpn <- t.next_qpn + 1;
-        q
-  in
+let connect t ~dst =
+  let qpn = t.next_qpn in
+  t.next_qpn <- t.next_qpn + 1;
   let conn = Flow_id.make ~src:t.node ~dst:dst.node ~qpn in
-  let sport =
-    match sport with
-    | Some s -> s
-    | None -> 0x8000 lor (Ecmp_hash.mix (Flow_id.hash conn) land 0x7FFF)
-  in
-  if Flow_id.Table.mem t.senders conn then
-    invalid_arg "Rnic.connect: QP already exists";
+  let sport = 0x8000 lor (Ecmp_hash.mix (Flow_id.hash conn) land 0x7FFF) in
   let snd =
     Sender.create ~engine:t.engine ~conn ~sport
       ~config:

@@ -42,10 +42,11 @@ val config : t -> config
 val receive : t -> Packet.t -> unit
 (** Entry point for packets delivered by the host link. *)
 
-val connect : t -> dst:t -> ?qpn:int -> ?sport:int -> unit -> qp
+val connect : t -> dst:t -> qp
 (** Create a QP to [dst]: allocates the send context here and the receive
-    context there.  [qpn] defaults to a fresh number per destination NIC;
-    [sport] defaults to a deterministic per-connection entropy value. *)
+    context there.  The QP number is the next one of this NIC's counter
+    (1, 2, ...), and the UDP source port a deterministic per-connection
+    entropy value. *)
 
 val post_send : qp -> bytes:int -> on_complete:(Sim_time.t -> unit) -> unit
 

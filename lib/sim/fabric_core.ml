@@ -77,7 +77,7 @@ let last_hop_rtt ~bw ~link_delay ~mtu =
   + Rate.tx_time bw ~bytes_:Headers.ack_bytes
 
 let install_themis t ~tors ~paths ~mode ~compensation ~bw ~link_delay ~mtu
-    ~factor ~stamped =
+    ~factor =
   let queue_capacity =
     Psn_queue.capacity_for ~bw
       ~rtt:(last_hop_rtt ~bw ~link_delay ~mtu)
@@ -88,9 +88,8 @@ let install_themis t ~tors ~paths ~mode ~compensation ~bw ~link_delay ~mtu
       let sw = switch t ~node:tor in
       let themis_s = Themis_s.create ~paths ~mode in
       let themis_d =
-        Themis_d.create ~paths ~queue_capacity ~compensation
-          ?node:(if stamped then Some tor else None)
-          ?clock:(if stamped then Some (fun () -> Engine.now t.engine) else None)
+        Themis_d.create ~paths ~queue_capacity ~compensation ~node:tor
+          ~clock:(fun () -> Engine.now t.engine)
           ~inject_nack:(fun ~conn ~conn_id ~sport ~epsn ->
             Switch.inject sw
               (Packet_pool.nack ~conn ~conn_id ~sport ~epsn
@@ -116,13 +115,6 @@ let wire ?jitter t =
       fun pkt -> Switch.receive sw pkt
     end
   in
-  (* switch node -> ports transmitting towards it (for PFC) *)
-  let inbound_ports = Hashtbl.create 64 in
-  let note_inbound node port =
-    if not (Topology.is_host topo node) then
-      Hashtbl.replace inbound_ports node
-        (port :: Option.value ~default:[] (Hashtbl.find_opt inbound_ports node))
-  in
   for link_id = 0 to Topology.link_count topo - 1 do
     let link = Topology.link topo link_id in
     let make_dir src dst =
@@ -132,7 +124,6 @@ let wire ?jitter t =
           ~label:(Printf.sprintf "%d->%d" src dst)
       in
       Port.set_deliver port (deliver_to dst);
-      note_inbound dst port;
       (if Topology.is_host topo src then begin
          Rnic.set_port t.nics.(src) port;
          match jitter with
@@ -146,12 +137,6 @@ let wire ?jitter t =
     let pba = make_dir link.Topology.b link.Topology.a in
     Hashtbl.replace t.link_ports link_id (pab, pba)
   done;
-  Hashtbl.iter
-    (fun node sw ->
-      match Hashtbl.find_opt inbound_ports node with
-      | Some ports -> Switch.set_upstream_ports sw ports
-      | None -> ())
-    t.switches;
   match t.sampler with
   | None -> ()
   | Some s ->
@@ -171,7 +156,7 @@ let wire ?jitter t =
       Sampler.start s
 
 let connect t ~src ~dst =
-  let qp = Rnic.connect t.nics.(src) ~dst:t.nics.(dst) () in
+  let qp = Rnic.connect t.nics.(src) ~dst:t.nics.(dst) in
   (* Handshake interception: the destination ToR learns the QP. *)
   (match Switch.themis_d (switch t ~node:(t.tor_of_host dst)) with
   | Some d -> Themis_d.register_flow d (Rnic.qp_conn qp)

@@ -57,18 +57,16 @@ val install_themis :
   link_delay:Sim_time.t ->
   mtu:int ->
   factor:float ->
-  stamped:bool ->
   unit
 (** Themis-S and Themis-D on every ToR in [tors], with the Themis-D ring
     sized from the last-hop RTT bound and expansion factor [factor].
-    [stamped] gives Themis-D telemetry its ToR id and the engine clock;
-    without it events carry node [-1] and time 0, as fat-tree traces
-    always have. *)
+    Themis-D telemetry events carry their ToR's node id and the engine
+    clock. *)
 
 val wire : ?jitter:Rng.t * Sim_time.t -> t -> unit
 (** One {!Port} per link direction, in link-id order: delivery into the
     receiving RNIC or switch, host ports attached to their RNIC, switch
-    ports to their switch, PFC upstream lists, then the sampler's port
+    ports to their switch, then the sampler's port
     probes (and the sampler started).  [jitter = (rng, max)] gives every
     host port a uniform extra delay in [\[0, max\]] from its own split of
     [rng], in link-id order. *)

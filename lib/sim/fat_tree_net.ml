@@ -5,7 +5,6 @@ type params = {
   link_delay : Sim_time.t;
   nic : Rnic.config;
   scheme : Network.scheme;
-  buffer_capacity : int;
   per_port_cap : int;
   queue_factor : float;
   ft_seed : int;
@@ -21,7 +20,6 @@ let default_params ?(k = 4) ~themis () =
     nic = Rnic.default_config ~line_rate:host_bw;
     scheme =
       (if themis then Network.Themis { compensation = true } else Network.Ecmp);
-    buffer_capacity = 64 * 1024 * 1024;
     per_port_cap = 9 * 1024 * 1024;
     queue_factor = 1.5;
     ft_seed = 42;
@@ -65,11 +63,10 @@ let build (params : params) =
   let add_switch ~shift node =
     Fabric_core.add_switch core ~rng:root_rng ~node
       {
-        Switch.lb = Network.lb_of_scheme params.scheme;
-        ecn = Some (Ecn.scaled_to params.fabric_bw);
-        buffer_capacity = params.buffer_capacity;
+        (Switch.default_config ~bw:params.fabric_bw
+           (Network.lb_of_scheme params.scheme))
+        with
         per_port_cap = params.per_port_cap;
-        pfc = None;
         ecmp_shift = shift;
       }
   in
@@ -81,7 +78,7 @@ let build (params : params) =
       Fabric_core.install_themis core ~tors:ft.Fat_tree.edges ~paths:n_paths
         ~mode:(Themis_s.Sport_rewrite (Path_map.build ~paths:n_paths))
         ~compensation ~bw:params.host_bw ~link_delay:params.link_delay
-        ~mtu:params.nic.Rnic.mtu ~factor:params.queue_factor ~stamped:false
+        ~mtu:params.nic.Rnic.mtu ~factor:params.queue_factor
   | Network.Ecmp | Adaptive | Random_spray | Psn_spray_only | Reps | Prime
   | Sprinklers | Spritz ->
       ());

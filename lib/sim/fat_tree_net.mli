@@ -31,8 +31,9 @@ type params = {
           ECMP below it, since sport-rewrite steering requires hash-based
           next-hop choice); any other scheme is its
           {!Network.lb_of_scheme} policy at every tier. *)
-  buffer_capacity : int;
   per_port_cap : int;
+      (** Per-port share of each switch's 64 MB shared buffer
+          ({!Switch.default_config}). *)
   queue_factor : float;
   ft_seed : int;
 }

@@ -38,9 +38,7 @@ type params = {
   fabric : Leaf_spine.params;
   scheme : scheme;
   nic : Rnic.config;
-  buffer_capacity : int;
   per_port_cap : int;
-  pfc : Switch.pfc_config option;
   queue_factor : float;
   last_hop_jitter : Sim_time.t;
   seed : int;
@@ -55,9 +53,7 @@ let default_params ~fabric ~scheme =
     fabric;
     scheme;
     nic = Rnic.default_config ~line_rate:fabric.Leaf_spine.host_bw;
-    buffer_capacity = 64 * 1024 * 1024;
     per_port_cap = 9 * 1024 * 1024;
-    pfc = None;
     queue_factor = 1.5;
     last_hop_jitter = Sim_time.zero;
     seed = 42;
@@ -114,12 +110,8 @@ let build (params : params) =
   let add_switch node ~bw =
     Fabric_core.add_switch core ~rng:root_rng ~node
       {
-        Switch.lb = lb_of_scheme params.scheme;
-        ecn = Some (Ecn.scaled_to bw);
-        buffer_capacity = params.buffer_capacity;
+        (Switch.default_config ~bw (lb_of_scheme params.scheme)) with
         per_port_cap = params.per_port_cap;
-        pfc = params.pfc;
-        ecmp_shift = 0;
       }
   in
   Array.iter
@@ -135,7 +127,7 @@ let build (params : params) =
           ~paths:(Leaf_spine.n_paths fabric) ~mode:Themis_s.Direct_egress
           ~compensation ~bw:params.fabric.Leaf_spine.host_bw
           ~link_delay:params.fabric.Leaf_spine.link_delay
-          ~mtu:params.nic.Rnic.mtu ~factor:params.queue_factor ~stamped:true;
+          ~mtu:params.nic.Rnic.mtu ~factor:params.queue_factor;
         true
     | Ecmp | Adaptive | Random_spray | Psn_spray_only | Reps | Prime
     | Sprinklers | Spritz ->

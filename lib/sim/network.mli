@@ -24,9 +24,9 @@ type params = {
   fabric : Leaf_spine.params;
   scheme : scheme;
   nic : Rnic.config;
-  buffer_capacity : int;  (** Per-switch shared buffer (paper: 64 MB). *)
   per_port_cap : int;
-  pfc : Switch.pfc_config option;
+      (** Per-port share of each switch's 64 MB shared buffer
+          ({!Switch.default_config}). *)
   queue_factor : float;  (** Themis-D ring sizing factor F. *)
   last_hop_jitter : Sim_time.t;
       (** Uniform extra delay in [[0, jitter]] on every host -> ToR packet

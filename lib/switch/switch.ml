@@ -1,11 +1,8 @@
-type pfc_config = { xoff : int; xon : int }
-
 type config = {
   lb : Lb_policy.t;
   ecn : Ecn.config option;
   buffer_capacity : int;
   per_port_cap : int;
-  pfc : pfc_config option;
   ecmp_shift : int;
 }
 
@@ -15,7 +12,6 @@ let default_config ~bw lb =
     ecn = Some (Ecn.scaled_to bw);
     buffer_capacity = 64 * 1024 * 1024;
     per_port_cap = 9 * 1024 * 1024;
-    pfc = None;
     ecmp_shift = 0;
   }
 
@@ -51,8 +47,6 @@ type t = {
   lb_state : Lb_state.t;
   mutable themis_s : Themis_s.t option;
   mutable themis_d : Themis_d.t option;
-  mutable upstream : Port.t list;
-  mutable pfc_paused : bool;
   mutable rx_packets : int;
   mutable forwarded : int;
   mutable dropped_buffer : int;
@@ -92,22 +86,7 @@ let record_drop t (pkt : Packet.t) reason =
          })
   end
 
-(* Defined below; PFC state must react to buffer release too. *)
-let rec pfc_update t =
-  match t.cfg.pfc with
-  | None -> ()
-  | Some { xoff; xon } ->
-      let used = Buffer_pool.used t.pool in
-      if (not t.pfc_paused) && used >= xoff then begin
-        t.pfc_paused <- true;
-        List.iter (fun p -> Port.set_paused p true) t.upstream
-      end
-      else if t.pfc_paused && used <= xon then begin
-        t.pfc_paused <- false;
-        List.iter (fun p -> Port.set_paused p false) t.upstream
-      end
-
-and attach_port t ~link_id ~peer port =
+let attach_port t ~link_id ~peer port =
   Hashtbl.replace t.ports link_id (port, peer);
   (* New wiring invalidates any rows compiled before this port existed:
      mark them stale so [candidate_ports] refills them once, on the
@@ -121,7 +100,6 @@ and attach_port t ~link_id ~peer port =
      a compensation NACK). *)
   Port.set_on_dequeue port (fun pkt ->
       Buffer_pool.release t.pool pkt.Packet.size;
-      pfc_update t;
       match t.themis_d with
       | Some d
         when peer_is_host && peer = pkt.Packet.dst_node && Packet.is_data pkt
@@ -129,8 +107,7 @@ and attach_port t ~link_id ~peer port =
           Themis_d.on_data d pkt
       | Some _ | None -> ());
   Port.set_on_discard port (fun pkt ->
-      Buffer_pool.release t.pool pkt.Packet.size;
-      pfc_update t)
+      Buffer_pool.release t.pool pkt.Packet.size)
 
 let set_themis t ~s ~d =
   t.themis_s <- s;
@@ -139,7 +116,6 @@ let set_themis t ~s ~d =
 let themis_d t = t.themis_d
 let themis_s t = t.themis_s
 let set_lb t lb = t.cfg <- { t.cfg with lb }
-let set_upstream_ports t ports = t.upstream <- ports
 
 let port_to t ~peer =
   match Topology.link_between t.topo t.node peer with
@@ -239,8 +215,7 @@ let enqueue_on t port (pkt : Packet.t) =
         end
     | (Some _ | None), _ -> ());
     t.forwarded <- t.forwarded + 1;
-    Port.enqueue port pkt;
-    pfc_update t
+    Port.enqueue port pkt
   end
   else begin
     t.dropped_buffer <- t.dropped_buffer + 1;
@@ -358,8 +333,6 @@ let create ~engine ~topo ~routing ~node ~config ~rng =
     lb_state = Lb_state.create ();
     themis_s = None;
     themis_d = None;
-    upstream = [];
-    pfc_paused = false;
     rx_packets = 0;
     forwarded = 0;
     dropped_buffer = 0;

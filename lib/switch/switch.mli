@@ -12,18 +12,14 @@
       receivers and intercepts the NACKs those receivers emit, blocking
       the invalid ones and injecting compensation NACKs.
 
-    Optional PFC: when the shared pool crosses [xoff] the switch pauses
-    the upstream ports feeding it (resuming at [xon]), modelling
-    priority-flow-control backpressure on a lossless fabric. *)
-
-type pfc_config = { xoff : int; xon : int }
+    The fabric is lossy RoCE: a packet the shared buffer cannot admit is
+    dropped (there is no PFC backpressure). *)
 
 type config = {
   lb : Lb_policy.t;
   ecn : Ecn.config option;
   buffer_capacity : int;  (** Shared pool, bytes. *)
   per_port_cap : int;
-  pfc : pfc_config option;
   ecmp_shift : int;
       (** Which bit window of the flow hash this switch's ECMP consumes —
           0 for single-tier fabrics; distinct per tier in fat trees so a
@@ -32,7 +28,7 @@ type config = {
 
 val default_config : bw:Rate.t -> Lb_policy.t -> config
 (** 64 MB shared buffer ([Memory_model.tofino_sram_bytes]-class chip),
-    9 MB per-port cap, ECN scaled to [bw], no PFC. *)
+    9 MB per-port cap, ECN scaled to [bw], ECMP shift 0. *)
 
 type t
 
@@ -61,10 +57,6 @@ val themis_s : t -> Themis_s.t option
 val set_lb : t -> Lb_policy.t -> unit
 (** Live policy change — used by the link-failure fallback of Section 6
     (Themis disabled, revert to ECMP). *)
-
-val set_upstream_ports : t -> Port.t list -> unit
-(** The far-end ports transmitting towards this switch; required only when
-    PFC is configured. *)
 
 val receive : t -> Packet.t -> unit
 (** A packet arriving from a link, forwarded within the same call (the

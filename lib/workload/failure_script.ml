@@ -77,16 +77,7 @@ let storm_fault_spec ~(shape : Fuzz_spec.shape) ~seed ~ppm =
 
 let schedule ~net ~(shape : Fuzz_spec.shape) ~seed compiled =
   let engine = Network.engine net in
-  List.iter
-    (fun (lf : Fuzz_spec.link_fault) ->
-      ignore
-        (Engine.schedule_at engine ~time:lf.Fuzz_spec.down_ns (fun () ->
-             Network.fail_link net ~link_id:lf.Fuzz_spec.fault_link));
-      if lf.Fuzz_spec.up_ns > lf.Fuzz_spec.down_ns then
-        ignore
-          (Engine.schedule_at engine ~time:lf.Fuzz_spec.up_ns (fun () ->
-               Network.restore_link net ~link_id:lf.Fuzz_spec.fault_link)))
-    compiled.link_faults;
+  Fuzz_run.schedule_link_faults net ~mode:`Fallback_ecmp compiled.link_faults;
   List.mapi
     (fun i storm ->
       let rng = Rng.create ~seed:(seed lxor 0x5708 lxor (i * 0x9e3779b9)) in

@@ -1,8 +1,8 @@
 (** Compiles declarative failure scripts onto the existing fault layers.
 
     Link flaps and spine deaths expand to the fuzz harness's
-    {!Fuzz_spec.link_fault} timeline (scheduled through
-    {!Network.fail_link} / {!Network.restore_link}); drop storms become a
+    {!Fuzz_spec.link_fault} timeline (scheduled by
+    {!Fuzz_run.schedule_link_faults}); drop storms become a
     time-windowed {!Fuzz_fault.install} over every port.  Compilation is
     pure and deterministic so the same spec always produces the same
     fault timeline. *)

@@ -82,6 +82,43 @@ let test_no_loss_no_spurious_retx () =
       Alcotest.(check int) "all NACKs blocked" t.Network.nacks_seen
         t.Network.nacks_blocked
 
+(* Themis-D telemetry on a fat tree is placed like on a leaf-spine: each
+   blocked NACK names the edge switch that blocked it, at the engine
+   time it was blocked. *)
+let test_nack_events_stamped () =
+  let ctx = Telemetry.enable () in
+  let net = build ~themis:true () in
+  let ft = Fat_tree_net.fat_tree net in
+  let hosts = ft.Fat_tree.hosts in
+  let n = Array.length hosts in
+  Array.iteri
+    (fun i src ->
+      let qp = Fat_tree_net.connect net ~src ~dst:hosts.((i + (n / 2)) mod n) in
+      Rnic.post_send qp ~bytes:500_000 ~on_complete:(fun _ -> ()))
+    hosts;
+  Fat_tree_net.run net ~until:(Sim_time.sec 5);
+  let blocked =
+    List.filter_map
+      (fun (time, ev) ->
+        match ev with
+        | Event.Nack_blocked { node; _ } -> Some (time, node)
+        | _ -> None)
+      (Telemetry.events ctx)
+  in
+  Telemetry.disable ();
+  Alcotest.(check bool) "some NACKs blocked" true (blocked <> []);
+  List.iter
+    (fun (time, node) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d is an edge" node)
+        true
+        (Array.mem node ft.Fat_tree.edges);
+      Alcotest.(check bool) "time set" true (time > 0))
+    blocked;
+  let times = List.map fst blocked in
+  Alcotest.(check (list int)) "times non-decreasing" (List.sort compare times)
+    times
+
 let test_loss_recovered () =
   let net = build ~themis:true () in
   let ft = Fat_tree_net.fat_tree net in
@@ -177,6 +214,8 @@ let () =
           Alcotest.test_case "covers all paths" `Quick test_rewrite_spreads_over_all_paths;
           Alcotest.test_case "no-loss invariant" `Quick test_no_loss_no_spurious_retx;
           Alcotest.test_case "loss recovered" `Quick test_loss_recovered;
+          Alcotest.test_case "nack events stamped" `Quick
+            test_nack_events_stamped;
           Alcotest.test_case "intra-pod safe" `Quick test_intra_pod_safe;
           Alcotest.test_case "plain ecmp" `Quick test_plain_ecmp_fat_tree;
           Alcotest.test_case "k=8" `Quick test_k8_builds;

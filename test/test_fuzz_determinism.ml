@@ -178,12 +178,12 @@ let ft_pinned =
       "data=476 retx=12 drops=4 \
        completed_us=2092.9059999999999 tail_fct_us=2059.393 \
        seen=14 blocked=13 valid=1 underflow=0 \
-       comp=10 cancel=3 overwr=422 events=c6de4a192341bec85eb565f1efdd112c" );
+       comp=10 cancel=3 overwr=422 events=00addc076a75b76ef73e2a69d8a0b878" );
     ( "themis-nocomp",
       "data=474 retx=10 drops=5 \
        completed_us=4091.2399999999998 tail_fct_us=4057.7269999999999 \
        seen=14 blocked=12 valid=2 underflow=0 \
-       comp=0 cancel=0 overwr=419 events=4b40a4c5ca75a3fb14df2c10a96a5e07" );
+       comp=0 cancel=0 overwr=419 events=e4f70a2677ade2e7982715243743bf33" );
     ( "reps",
       "data=489 retx=25 drops=6 \
        completed_us=1133.8530000000001 tail_fct_us=1046.4379999999999 \

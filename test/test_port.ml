@@ -104,17 +104,6 @@ let test_queue_accounting () =
   Alcotest.(check int) "packets" 2 (Port.queue_packets port);
   Alcotest.(check bool) "busy" true (Port.busy port)
 
-let test_pause_resume () =
-  let engine, port, arrived = make ~delay:0 () in
-  Port.set_paused port true;
-  Port.enqueue port (data 0);
-  Engine.run engine;
-  Alcotest.(check int) "paused holds" 0 (List.length !arrived);
-  Port.set_paused port false;
-  Alcotest.(check bool) "unpaused" false (Port.paused port);
-  Engine.run engine;
-  Alcotest.(check int) "drains after resume" 1 (List.length !arrived)
-
 let test_link_down_drops () =
   let engine, port, arrived = make () in
   Port.enqueue port (data 0);
@@ -194,7 +183,7 @@ let test_deliver_unset_fails () =
     (Failure "Port: deliver callback not set (missing set_deliver)") (fun () ->
       Engine.run engine)
 
-(* Random schedules of enqueues, pauses and link flaps against a
+(* Random schedules of enqueues and link flaps against a
    reference serializer.  The reference is the port without the idle
    cut-through: every packet is appended to its lane (control or data)
    and [start_tx] pops control first, each lane FIFO.  It replays the
@@ -208,8 +197,6 @@ type kind = D of int | C  (* data with its payload, or an ACK *)
 
 type op =
   | Enq of kind * kind option  (* the packet, and what its dequeue enqueues *)
-  | Pause
-  | Resume
   | Down
   | Up
 
@@ -268,8 +255,6 @@ let run_port sched =
              | Enq (k, hook) ->
                  Option.iter (Hashtbl.replace hooks i) hook;
                  Port.enqueue port (mk i k)
-             | Pause -> Port.set_paused port true
-             | Resume -> Port.set_paused port false
              | Down -> Port.set_up port false
              | Up -> Port.set_up port true);
              snaps := snap_port port :: !snaps)))
@@ -291,7 +276,7 @@ let run_model sched =
     incr seq
   in
   let ctrl = Queue.create () and dataq = Queue.create () in
-  let busy = ref false and paused = ref false and up = ref true in
+  let busy = ref false and up = ref true in
   let txp = ref 0 and txb = ref 0 and drops = ref 0 and drops_d = ref 0 in
   let delivered = ref [] and snaps = ref [] in
   let is_data p = match p.kind with D _ -> true | C -> false in
@@ -313,7 +298,7 @@ let run_model sched =
     if is_data p then incr drops_d
   in
   let rec start_tx () =
-    if (not !busy) && (not !paused) && !up then
+    if (not !busy) && !up then
       if not (Queue.is_empty ctrl) then transmit (Queue.pop ctrl)
       else if not (Queue.is_empty dataq) then transmit (Queue.pop dataq)
   and transmit p =
@@ -338,10 +323,6 @@ let run_model sched =
         | Op (i, op) ->
             (match op with
             | Enq (kind, hook) -> enqueue { id = i; kind; hook }
-            | Pause -> paused := true
-            | Resume ->
-                paused := false;
-                start_tx ()
             | Down ->
                 up := false;
                 Queue.iter drop ctrl;
@@ -375,8 +356,6 @@ let sched_gen =
          (frequency
             [
               (8, map2 (fun k h -> Enq (k, h)) kind_gen (opt kind_gen));
-              (2, return Pause);
-              (2, return Resume);
               (1, return Down);
               (1, return Up);
             ])))
@@ -390,8 +369,6 @@ let sched_print sched =
            (match op with
            | Enq (k, None) -> kind k
            | Enq (k, Some h) -> kind k ^ ">" ^ kind h
-           | Pause -> "pause"
-           | Resume -> "resume"
            | Down -> "down"
            | Up -> "up"))
        sched)
@@ -415,7 +392,6 @@ let () =
       ( "state",
         [
           Alcotest.test_case "queue accounting" `Quick test_queue_accounting;
-          Alcotest.test_case "pause/resume" `Quick test_pause_resume;
           Alcotest.test_case "link down" `Quick test_link_down_drops;
           Alcotest.test_case "inject drops" `Quick test_inject_drops;
           Alcotest.test_case "dequeue hook" `Quick test_on_dequeue_hook;

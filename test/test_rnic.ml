@@ -16,7 +16,7 @@ let wire ?(bw = 100.) ?(delay = Sim_time.us 1) () =
 
 let test_message_delivery () =
   let engine, a, b, _, _ = wire () in
-  let qp = Rnic.connect a ~dst:b () in
+  let qp = Rnic.connect a ~dst:b in
   let done_at = ref None in
   Rnic.post_send qp ~bytes:100_000 ~on_complete:(fun t -> done_at := Some t);
   Engine.run engine ~until:(Sim_time.ms 100);
@@ -32,7 +32,7 @@ let test_message_delivery () =
 
 let test_loss_recovery_sr () =
   let engine, a, b, port_ab, _ = wire () in
-  let qp = Rnic.connect a ~dst:b () in
+  let qp = Rnic.connect a ~dst:b in
   (* Drop the 3rd data packet once: NIC-SR NACKs and the sender
      selectively repeats it. *)
   let countdown = ref 3 in
@@ -66,7 +66,7 @@ let test_loss_recovery_by_timeout_ideal () =
   Port.set_deliver port_ba (Rnic.receive a);
   Rnic.set_port a port_ab;
   Rnic.set_port b port_ba;
-  let qp = Rnic.connect a ~dst:b () in
+  let qp = Rnic.connect a ~dst:b in
   Port.inject_drops port_ab 1;
   let done_at = ref None in
   Rnic.post_send qp ~bytes:5_000 ~on_complete:(fun t -> done_at := Some t);
@@ -87,7 +87,7 @@ let test_gbn_transport () =
   Port.set_deliver port_ba (Rnic.receive a);
   Rnic.set_port a port_ab;
   Rnic.set_port b port_ba;
-  let qp = Rnic.connect a ~dst:b () in
+  let qp = Rnic.connect a ~dst:b in
   Port.inject_drops port_ab 1;
   let done_at = ref None in
   Rnic.post_send qp ~bytes:20_000 ~on_complete:(fun t -> done_at := Some t);
@@ -100,7 +100,7 @@ let test_gbn_transport () =
 
 let test_cnp_on_ecn_mark () =
   let engine, a, b, port_ab, _ = wire () in
-  let qp = Rnic.connect a ~dst:b () in
+  let qp = Rnic.connect a ~dst:b in
   (* Mark every data packet CE on the wire. *)
   let deliver = Rnic.receive b in
   Port.set_deliver port_ab (fun pkt ->
@@ -116,16 +116,10 @@ let test_cnp_on_ecn_mark () =
     (Sender.cnps_received (Rnic.qp_sender qp) > 0
     && Dcqcn.decreases (Sender.cc (Rnic.qp_sender qp)) > 0)
 
-let test_duplicate_connect_rejected () =
-  let _, a, b, _, _ = wire () in
-  ignore (Rnic.connect a ~dst:b ~qpn:5 ());
-  Alcotest.check_raises "dup" (Invalid_argument "Rnic.connect: QP already exists")
-    (fun () -> ignore (Rnic.connect a ~dst:b ~qpn:5 ()))
-
 let test_bidirectional_qps () =
   let engine, a, b, _, _ = wire () in
-  let qab = Rnic.connect a ~dst:b () in
-  let qba = Rnic.connect b ~dst:a () in
+  let qab = Rnic.connect a ~dst:b in
+  let qba = Rnic.connect b ~dst:a in
   let done_ = ref 0 in
   Rnic.post_send qab ~bytes:50_000 ~on_complete:(fun _ -> incr done_);
   Rnic.post_send qba ~bytes:50_000 ~on_complete:(fun _ -> incr done_);
@@ -136,7 +130,7 @@ let test_bidirectional_qps () =
 
 let test_on_data_tx_hook () =
   let engine, a, b, _, _ = wire () in
-  let qp = Rnic.connect a ~dst:b () in
+  let qp = Rnic.connect a ~dst:b in
   let count = ref 0 in
   Rnic.set_on_data_tx a (fun pkt -> if Packet.is_data pkt then incr count);
   Rnic.post_send qp ~bytes:4_500 ~on_complete:(fun _ -> ());
@@ -145,14 +139,16 @@ let test_on_data_tx_hook () =
 
 let test_qp_accessors () =
   let _, a, b, _, _ = wire () in
-  let qp = Rnic.connect a ~dst:b ~qpn:77 () in
+  let qp = Rnic.connect a ~dst:b in
   let conn = Rnic.qp_conn qp in
   Alcotest.(check int) "src" 0 conn.Flow_id.src;
   Alcotest.(check int) "dst" 1 conn.Flow_id.dst;
-  Alcotest.(check int) "qpn" 77 conn.Flow_id.qpn;
+  Alcotest.(check int) "first qpn" 1 conn.Flow_id.qpn;
+  Alcotest.(check int) "next qpn" 2
+    (Rnic.qp_conn (Rnic.connect a ~dst:b)).Flow_id.qpn;
   Alcotest.(check (float 1e-6)) "initial rate" 100.
     (Rate.to_gbps (Rnic.qp_rate qp));
-  Alcotest.(check int) "one sender" 1 (List.length (Rnic.senders a))
+  Alcotest.(check int) "two senders" 2 (List.length (Rnic.senders a))
 
 let () =
   Alcotest.run "rnic"
@@ -172,7 +168,6 @@ let () =
         ] );
       ( "api",
         [
-          Alcotest.test_case "dup connect" `Quick test_duplicate_connect_rejected;
           Alcotest.test_case "accessors" `Quick test_qp_accessors;
         ] );
     ]

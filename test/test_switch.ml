@@ -23,7 +23,7 @@ let small_params =
   }
 
 let build ?(lb = Lb_policy.Ecmp) ?(ecn = None) ?(buffer = 64 * 1024 * 1024)
-    ?(per_port = 9 * 1024 * 1024) ?pfc () =
+    ?(per_port = 9 * 1024 * 1024) () =
   let engine = Engine.create () in
   let ls = Leaf_spine.build small_params in
   let topo = ls.Leaf_spine.topo in
@@ -36,7 +36,6 @@ let build ?(lb = Lb_policy.Ecmp) ?(ecn = None) ?(buffer = 64 * 1024 * 1024)
       ecn;
       buffer_capacity = buffer;
       per_port_cap = per_port;
-      pfc;
       ecmp_shift = 0;
     }
   in
@@ -53,7 +52,6 @@ let build ?(lb = Lb_policy.Ecmp) ?(ecn = None) ?(buffer = 64 * 1024 * 1024)
       box := pkt :: !box
     else Switch.receive (Hashtbl.find switches node) pkt
   in
-  let inbound = Hashtbl.create 8 in
   for link_id = 0 to Topology.link_count topo - 1 do
     let link = Topology.link topo link_id in
     let dir src dst =
@@ -62,21 +60,12 @@ let build ?(lb = Lb_policy.Ecmp) ?(ecn = None) ?(buffer = 64 * 1024 * 1024)
           ~delay:link.Topology.delay ~label:(Printf.sprintf "%d->%d" src dst)
       in
       Port.set_deliver port (deliver_to dst);
-      if not (Topology.is_host topo dst) then
-        Hashtbl.replace inbound dst
-          (port :: Option.value ~default:[] (Hashtbl.find_opt inbound dst));
       if not (Topology.is_host topo src) then
         Switch.attach_port (Hashtbl.find switches src) ~link_id ~peer:dst port
     in
     dir link.Topology.a link.Topology.b;
     dir link.Topology.b link.Topology.a
   done;
-  Hashtbl.iter
-    (fun node sw ->
-      match Hashtbl.find_opt inbound node with
-      | Some ports -> Switch.set_upstream_ports sw ports
-      | None -> ())
-    switches;
   { engine; ls; routing; switches; received }
 
 let conn_04 = Flow_id.make ~src:0 ~dst:2 ~qpn:1
@@ -263,24 +252,6 @@ let test_set_lb_fallback () =
   Alcotest.(check bool) "config updated" true
     ((Switch.config (tor0 h)).Switch.lb = Lb_policy.Ecmp)
 
-let test_pfc_pauses_upstream () =
-  let h =
-    build ~buffer:1_000_000 ~per_port:1_000_000
-      ~pfc:{ Switch.xoff = 3_000; xon = 1_000 } ()
-  in
-  (* Fill ToR0's buffer: upstream ports (spine->tor0 and host->tor0
-     directions) must pause, and later resume. *)
-  for psn = 0 to 9 do
-    Switch.receive (tor0 h) (data psn)
-  done;
-  (* Before the queue drains, at least one upstream port is paused. *)
-  Engine.run h.engine ~max_events:1;
-  Alcotest.(check bool) "pool filled beyond xoff" true
-    (Buffer_pool.used (Switch.buffer_pool (tor0 h)) >= 3_000);
-  Engine.run h.engine;
-  Alcotest.(check int) "eventually delivered" 10 (List.length (host_rx h 2));
-  Alcotest.(check int) "pool drained" 0 (Buffer_pool.used (Switch.buffer_pool (tor0 h)))
-
 (* Property: after any sequence of link failures and restorations (the
    mechanism behind Network.fail_link/restore_link: flip the link, then
    Routing.recompute), every switch's compiled per-destination port
@@ -340,7 +311,6 @@ let () =
           Alcotest.test_case "buffer drop" `Quick test_buffer_drop;
           Alcotest.test_case "buffer release" `Quick test_buffer_released;
           Alcotest.test_case "ecn marking" `Quick test_ecn_marking;
-          Alcotest.test_case "pfc" `Quick test_pfc_pauses_upstream;
         ] );
       ( "themis hooks",
         [
