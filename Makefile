@@ -201,8 +201,6 @@ cli-bad-input:
 	wl1_shape run ls:2:0:4:25:25:500; \
 	want2 $(CLI_BIN)/themis_cli.exe motivation --msg-mb=0; \
 	want2 $(CLI_BIN)/themis_cli.exe motivation --msg-mb=-1; \
-	want2 $(CLI_BIN)/themis_cli.exe incast --mb=0; \
-	want2 $(CLI_BIN)/themis_cli.exe incast --fanin=0; \
 	want2 $(CLI_BIN)/themis_cli.exe fattree -k 3; \
 	want2 $(CLI_BIN)/themis_cli.exe fattree --mb=0; \
 	echo "cli-bad-input: OK"

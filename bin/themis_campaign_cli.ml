@@ -1,7 +1,6 @@
 (* Campaign orchestrator driver.
 
      themis_campaign_cli run    --preset fig5a --workers 4   -- execute a sweep
-     themis_campaign_cli resume --preset fig5a               -- warm rerun (cache)
      themis_campaign_cli report --preset fig5a               -- tables from the store
      themis_campaign_cli gate   --preset quick               -- diff vs frozen baseline
      themis_campaign_cli freeze --preset quick               -- write a new baseline
@@ -10,12 +9,11 @@
 
    A campaign expands a declarative spec into a cartesian job grid,
    fans the jobs out over a Unix-fork worker pool, and files every
-   result under _campaign/<hash>.json — so interrupted campaigns
-   resume for free and warm reruns execute nothing. *)
+   result under _campaign/<hash>.json — so rerunning `run` on an
+   interrupted campaign executes only the missing jobs, and a warm
+   rerun executes nothing. *)
 
 open Cmdliner
-
-let log line = print_endline line
 
 (* ------------------------------------------------------------------ *)
 (* Common options *)
@@ -73,61 +71,48 @@ let baseline_arg =
 let lookup_in store hash = Campaign_store.load store hash
 
 (* ------------------------------------------------------------------ *)
-(* run / resume *)
-
-let exec_campaign spec ~store_dir ~workers ~timeout_s ~retries ~force ~quiet =
-  let store = Campaign_store.open_ ~dir:store_dir in
-  let jobs = Campaign_spec.jobs_of spec in
-  let log = if quiet then fun _ -> () else log in
-  Format.printf "campaign %s: %d jobs, %d workers, store %s@."
-    spec.Campaign_spec.name (List.length jobs) workers store_dir;
-  let summary =
-    Campaign_pool.run ~workers ~timeout_s ~retries ~force ~log ~store jobs
-  in
-  Format.printf "%a@." Campaign_pool.pp_summary summary;
-  if Campaign_pool.ok summary then 0 else 1
-
-let workers_arg =
-  Arg.(value & opt int 4
-       & info [ "workers" ] ~docv:"N"
-           ~doc:"Worker processes (1 = serial, in-process).")
-
-let timeout_arg =
-  Arg.(value & opt float 300.
-       & info [ "timeout-s" ] ~doc:"Per-job wall budget before kill+retry.")
-
-let retries_arg =
-  Arg.(value & opt int 1
-       & info [ "retries" ] ~doc:"Retries after a timeout or crash.")
-
-let quiet_arg =
-  Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress per-job progress lines.")
+(* run *)
 
 let run_cmd =
+  let workers_arg =
+    Arg.(value & opt int 4
+         & info [ "workers" ] ~docv:"N"
+             ~doc:"Worker processes (1 = serial, in-process).")
+  in
+  let timeout_arg =
+    Arg.(value & opt float 300.
+         & info [ "timeout-s" ] ~doc:"Per-job wall budget before kill+retry.")
+  in
+  let retries_arg =
+    Arg.(value & opt int 1
+         & info [ "retries" ] ~doc:"Retries after a timeout or crash.")
+  in
   let force_arg =
     Arg.(value & flag
          & info [ "force" ] ~doc:"Re-execute jobs already in the store.")
   in
+  let quiet_arg =
+    Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress per-job progress lines.")
+  in
   let run spec_r store_dir workers timeout_s retries force quiet =
     with_spec spec_r (fun spec ->
-        exec_campaign spec ~store_dir ~workers ~timeout_s ~retries ~force
-          ~quiet)
-  in
-  Cmd.v (Cmd.info "run" ~doc:"Execute a campaign grid over the worker pool")
-    Term.(const run $ spec_term $ store_arg $ workers_arg $ timeout_arg
-          $ retries_arg $ force_arg $ quiet_arg)
-
-let resume_cmd =
-  let run spec_r store_dir workers timeout_s retries quiet =
-    with_spec spec_r (fun spec ->
-        exec_campaign spec ~store_dir ~workers ~timeout_s ~retries
-          ~force:false ~quiet)
+        let store = Campaign_store.open_ ~dir:store_dir in
+        let jobs = Campaign_spec.jobs_of spec in
+        let log = if quiet then fun _ -> () else print_endline in
+        Format.printf "campaign %s: %d jobs, %d workers, store %s@."
+          spec.Campaign_spec.name (List.length jobs) workers store_dir;
+        let summary =
+          Campaign_pool.run ~workers ~timeout_s ~retries ~force ~log ~store jobs
+        in
+        Format.printf "%a@." Campaign_pool.pp_summary summary;
+        if Campaign_pool.ok summary then 0 else 1)
   in
   Cmd.v
-    (Cmd.info "resume"
-       ~doc:"Continue an interrupted campaign (completed jobs are cache hits)")
+    (Cmd.info "run"
+       ~doc:"Execute a campaign grid over the worker pool, skipping jobs \
+             already in the store unless $(b,--force)")
     Term.(const run $ spec_term $ store_arg $ workers_arg $ timeout_arg
-          $ retries_arg $ quiet_arg)
+          $ retries_arg $ force_arg $ quiet_arg)
 
 (* ------------------------------------------------------------------ *)
 (* report *)
@@ -271,5 +256,4 @@ let () =
           (Cmd.info "themis_campaign_cli"
              ~doc:"Parallel experiment campaigns with a content-addressed \
                    result store and regression gates")
-          [ run_cmd; resume_cmd; report_cmd; gate_cmd; freeze_cmd; exec_cmd;
-            jobs_cmd ]))
+          [ run_cmd; report_cmd; gate_cmd; freeze_cmd; exec_cmd; jobs_cmd ]))

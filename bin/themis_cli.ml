@@ -1,11 +1,12 @@
-(* Command-line driver for the Themis experiments.
+(* Command-line driver for the runs that no campaign spec expresses:
 
-   Subcommands map one-to-one onto the paper's figures and tables:
-
-     themis_cli motivation   -- Fig. 1b/1c/1d (NIC-SR vs Ideal, spraying)
-     themis_cli fig5         -- Fig. 5a/5b (collectives x DCQCN sweep)
+     themis_cli motivation   -- Fig. 1b/1c/1d series (NIC-SR vs Ideal, spraying)
      themis_cli table1       -- Section 4 memory-overhead model
-     themis_cli ablation     -- compensation / queue-factor / scheme ablations *)
+     themis_cli fattree      -- 3-tier fat-tree run (sport-rewrite Themis)
+
+   Fig. 5, the incast stressor and the ablations are campaign presets
+   (`themis_campaign_cli run|report --preset fig5a|fig5b|incast|ablation`,
+   or `--spec` with a cp1 line for other sizes, collectives and seeds). *)
 
 open Cmdliner
 
@@ -135,106 +136,6 @@ let motivation_cmd =
   Cmd.v (Cmd.info "motivation" ~doc:"Figure 1 motivation experiment")
     Term.(const run $ msg_mb $ series $ seed $ csv_dir $ telemetry)
 
-let fig5_cmd =
-  let coll_arg =
-    let parse s =
-      Result.map_error (fun e -> `Msg e) (Schedule.collective_of_string s)
-    in
-    let print ppf c =
-      Format.pp_print_string ppf (Schedule.collective_to_string c)
-    in
-    Arg.conv (parse, print)
-  in
-  let coll =
-    Arg.(
-      value
-      & opt coll_arg Schedule.Allreduce
-      & info [ "coll" ]
-          ~doc:
-            ("Collective: "
-            ^ String.concat "|" (List.map fst Schedule.collectives)
-            ^ "."))
-  in
-  let mb =
-    Arg.(value & opt float 4. & info [ "mb" ] ~doc:"Collective megabytes per group.")
-  in
-  let full =
-    Arg.(value & flag & info [ "paper-scale" ] ~doc:"Use the 16x16 fabric of the paper.")
-  in
-  let seed = Arg.(value & opt int 11 & info [ "seed" ] ~doc:"RNG seed.") in
-  let run coll mb full seed =
-    let bytes_per_group = payload_bytes ~flag:"mb" mb in
-    let fabric =
-      if full then Leaf_spine.paper_eval else Experiment.scaled_eval_fabric
-    in
-    Format.printf
-      "Fig. 5 (%s): %dx%d leaf-spine, %d groups, %.1f MB per group@."
-      (Schedule.collective_to_string coll)
-      fabric.Leaf_spine.n_leaves fabric.Leaf_spine.n_spines
-      fabric.Leaf_spine.hosts_per_leaf mb;
-    Format.printf "%-12s" "scheme";
-    List.iter
-      (fun (ti, td) -> Format.printf "  (%4.0f,%4.0f)" ti td)
-      Experiment.dcqcn_sweep;
-    Format.printf "   (tail completion time, ms)@.";
-    List.iter
-      (fun scheme ->
-        Format.printf "%-12s" (Network.scheme_to_string scheme);
-        List.iter
-          (fun (ti_us, td_us) ->
-            let cfg =
-              {
-                (Experiment.default_eval ~fabric ~scheme ~coll ()) with
-                Experiment.bytes_per_group;
-                ti_us;
-                td_us;
-                eval_seed = seed;
-              }
-            in
-            let r = Experiment.run_collective cfg in
-            Format.printf "  %10.3f" r.Experiment.tail_ct_ms)
-          Experiment.dcqcn_sweep;
-        Format.printf "@.")
-      Experiment.fig5_schemes
-  in
-  Cmd.v (Cmd.info "fig5" ~doc:"Figure 5 collective sweep")
-    Term.(const run $ coll $ mb $ full $ seed)
-
-let ablation_cmd =
-  let seed = Arg.(value & opt int 5 & info [ "seed" ] ~doc:"RNG seed.") in
-  let run seed =
-    Format.printf "== compensation on/off under %d forced drops ==@." 4;
-    List.iter
-      (fun r ->
-        Format.printf "  compensation %-3s: completion %8.1f us, %d timeouts, %d compensation NACKs@."
-          (if r.Ablation.comp_enabled then "on" else "off")
-          r.Ablation.completion_us r.Ablation.timeouts r.Ablation.compensations)
-      (Ablation.compensation ~seed ());
-    Format.printf "@.== ring capacity factor F ==@.";
-    List.iter
-      (fun r ->
-        Format.printf "  F=%-5.2f blocked=%-6d underflow=%-4d retx=%-5d completion %8.1f us@."
-          r.Ablation.factor r.Ablation.blocked r.Ablation.underflow_forwards
-          r.Ablation.retx r.Ablation.qf_completion_us)
-      (Ablation.queue_factor ~seed ());
-    Format.printf "@.== transport generations ==@.";
-    List.iter
-      (fun r ->
-        Format.printf "  %-26s %6.1f Gbps, retx ratio %.3f, %d NACKs to sender@."
-          r.Ablation.label r.Ablation.goodput_gbps r.Ablation.retx_ratio
-          r.Ablation.nacks_to_sender)
-      (Ablation.transports ~seed ());
-    Format.printf "@.== NACK filtering value ==@.";
-    List.iter
-      (fun r ->
-        Format.printf "  %-26s %6.1f Gbps, retx ratio %.3f, %d NACKs to sender@."
-          r.Ablation.label r.Ablation.goodput_gbps r.Ablation.retx_ratio
-          r.Ablation.nacks_to_sender)
-      (Ablation.filtering ~seed ())
-  in
-  Cmd.v (Cmd.info "ablation" ~doc:"Design-choice ablations")
-    Term.(const run $ seed)
-
 let fattree_cmd =
   let k = Arg.(value & opt int 4 & info [ "k" ] ~doc:"Fat-tree radix (k/2 a power of two).") in
   let mb = Arg.(value & opt float 2. & info [ "mb" ] ~doc:"Megabytes per flow.") in
@@ -271,41 +172,6 @@ let fattree_cmd =
   Cmd.v (Cmd.info "fattree" ~doc:"3-tier fat-tree run (sport-rewrite Themis)")
     Term.(const run $ k $ mb $ themis)
 
-let incast_cmd =
-  let fanin = Arg.(value & opt int 8 & info [ "fanin" ] ~doc:"Senders per receiver.") in
-  let mb = Arg.(value & opt float 1. & info [ "mb" ] ~doc:"Megabytes per sender.") in
-  let run fanin mb =
-    if fanin < 1 then bad_input "--fanin %d: need at least one sender" fanin;
-    let incast_bytes = payload_bytes ~flag:"mb" mb in
-    Format.printf "%d-to-1 incast, %.1f MB per sender, 100 Gbps receiver link@.@."
-      fanin mb;
-    Format.printf "%-22s %10s %10s %10s %8s %8s@." "scheme" "mean(us)" "p50(us)"
-      "p99(us)" "retx" "drops";
-    List.iter
-      (fun scheme ->
-        let r =
-          Experiment.run_incast
-            {
-              (Experiment.default_incast ~scheme) with
-              Experiment.fanin;
-              incast_bytes;
-            }
-        in
-        Format.printf "%-22s %10.1f %10.1f %10.1f %8d %8d@."
-          (Network.scheme_to_string scheme)
-          r.Experiment.fct_mean_us r.Experiment.fct_p50_us
-          r.Experiment.fct_p99_us r.Experiment.incast_retx
-          r.Experiment.incast_drops)
-      [
-        Network.Ecmp;
-        Network.Adaptive;
-        Network.Random_spray;
-        Network.Themis { compensation = true };
-      ]
-  in
-  Cmd.v (Cmd.info "incast" ~doc:"N-to-1 incast stressor")
-    Term.(const run $ fanin $ mb)
-
 let table1_cmd =
   let run () = Memory_model.pp_report Format.std_formatter Memory_model.table1 in
   Cmd.v (Cmd.info "table1" ~doc:"Section 4 memory model") Term.(const run $ const ())
@@ -317,11 +183,4 @@ let () =
     (Cmd.eval
        (Cmd.group ~default
           (Cmd.info "themis_cli" ~doc:"Themis experiment driver")
-          [
-            motivation_cmd;
-            fig5_cmd;
-            table1_cmd;
-            ablation_cmd;
-            fattree_cmd;
-            incast_cmd;
-          ]))
+          [ motivation_cmd; table1_cmd; fattree_cmd ]))

@@ -220,9 +220,7 @@ let render ppf ~(spec : Campaign_spec.t) ~lookup () =
               Format.fprintf ppf "@.#### %s@.@."
                 (Campaign_spec.job_to_string j);
               List.iter
-                (fun (k, v) ->
-                  Format.fprintf ppf "- %s: %s@." k
-                    (Campaign_json.float_to_string v))
+                (fun (k, v) -> Format.fprintf ppf "- %s: %s@." k (fmt_cell v))
                 r.Campaign_result.metrics)
         jobs
   | Campaign_spec.Workload ->

@@ -177,21 +177,21 @@ let of_string s =
   let* f = parse ~tag:"cp1" s in
   let* name = str f "name" in
   let* target = get f "target" target_of_string in
-  let* fabrics = get f "fab" (list fabric_of_string) in
-  let* transports = get f "tr" names in
-  let* schemes = get f "schemes" (list ~sep:'+' Result.ok) in
-  let* colls = get f "colls" names in
-  let* mbs = get f "mb" (int_list "mb") in
-  let* dcqcn = get f "dcqcn" dcqcn_of in
-  let* fanins = get f "fanins" (int_list "fanins") in
-  let* studies = get f "studies" names in
-  (* wl/loads/scens post-date the cp1 grammar; absent fields default to
-     empty so pre-workload / pre-arena spec lines keep parsing. *)
+  (* Every axis is optional and defaults to empty (profile to quick):
+     [validate] rejects an empty axis that the target needs. *)
+  let* fabrics = get ~default:"" f "fab" (list fabric_of_string) in
+  let* transports = get ~default:"" f "tr" names in
+  let* schemes = get ~default:"" f "schemes" (list ~sep:'+' Result.ok) in
+  let* colls = get ~default:"" f "colls" names in
+  let* mbs = get ~default:"" f "mb" (int_list "mb") in
+  let* dcqcn = get ~default:"" f "dcqcn" dcqcn_of in
+  let* fanins = get ~default:"" f "fanins" (int_list "fanins") in
+  let* studies = get ~default:"" f "studies" names in
   let* wnames = get ~default:"" f "wl" names in
   let* loads = get ~default:"" f "loads" (int_list "loads") in
   let* scens = get ~default:"" f "scens" names in
   let* profile =
-    get f "profile" (function
+    get ~default:"quick" f "profile" (function
       | ("quick" | "soak") as p -> Ok p
       | p -> Error (Printf.sprintf "bad profile %S" p))
   in
@@ -445,17 +445,16 @@ let empty name target =
     seeds = [];
   }
 
-(* The Fig. 5 axes are Experiment's, which `themis_cli fig5` sweeps. *)
-let fig5_schemes = List.map Network.scheme_to_string Experiment.fig5_schemes
-
-let full_dcqcn =
-  List.map
-    (fun (ti, td) -> (int_of_float ti, int_of_float td))
-    Experiment.dcqcn_sweep
+(* The Fig. 5 axes: the schemes of Fig. 5a/5b and the paper's DCQCN
+   (TI, TD) sweep in microseconds, from the recommended (900, 4) to the
+   aggressive (10, 200). *)
+let fig5_schemes = [ "ecmp"; "adaptive"; "themis" ]
+let full_dcqcn = [ (900, 4); (300, 4); (10, 4); (10, 50); (10, 200) ]
 
 (* Seeds match the entry points' defaults (Experiment.default_eval 11,
    default_motivation 7, default_incast 3, Ablation 5), so a preset job
-   is the run `themis_cli` makes with its defaults. *)
+   runs the same simulation as a direct call to that entry point with
+   its default seed. *)
 let presets =
   [
     ( "quick",

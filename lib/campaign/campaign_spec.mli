@@ -78,7 +78,12 @@ val jobs_of : t -> job list
     above (fabrics outermost, seeds innermost). *)
 
 val to_string : t -> string
+(** Every field, in a fixed order. *)
+
 val of_string : string -> (t, string) result
+(** [name], [target] and [seeds] are required; an absent axis is empty
+    and an absent [profile] is [quick], so a line need only name the
+    axes its target uses. *)
 
 val job_to_string : job -> string
 val job_of_string : string -> (job, string) result

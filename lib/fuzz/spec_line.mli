@@ -28,7 +28,8 @@ val get :
   ('a, string) result
 (** [get t key conv] converts the field's value.  Absent, it is
     ["missing field %S"], or [conv default] when [default] is given
-    (fields added to a format after its first lines were written). *)
+    (an optional field, or one added to a format after its first lines
+    were written). *)
 
 val str : t -> string -> (string, string) result
 (** A required field, as is. *)

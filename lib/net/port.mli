@@ -9,8 +9,10 @@
     packet is delivered to the far end after the propagation delay
     (multiple packets may be in flight concurrently, as on a real wire).
 
-    Admission control (buffer limits, ECN marking) is the caller's job —
-    [enqueue] never drops on an up link. *)
+    Admission control (buffer limits, ECN marking) is the caller's job.
+    [enqueue] drops only on a down link, or, on an up link, the next [n]
+    data packets after {!inject_drops}[ n]; it never drops for lack of
+    buffer. *)
 
 type t
 

@@ -383,8 +383,3 @@ let run_incast (cfg : incast_config) =
     incast_drops = Network.total_buffer_drops net;
     incast_ecn_marks = Network.total_ecn_marks net;
   }
-
-let dcqcn_sweep = [ (900., 4.); (300., 4.); (10., 4.); (10., 50.); (10., 200.) ]
-
-let fig5_schemes =
-  [ Network.Ecmp; Network.Adaptive; Network.Themis { compensation = true } ]

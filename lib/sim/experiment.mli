@@ -1,7 +1,7 @@
 (** The paper's experiments, reproduced as callable harnesses.
 
     Every figure/table of the paper maps onto one entry point here (see
-    DESIGN.md's per-experiment index); the bench executable and the CLI
+    DESIGN.md's per-experiment index); the campaign runner and the CLI
     only format what these functions return. *)
 
 type series = (float * float) list
@@ -152,10 +152,3 @@ type incast_result = {
 }
 
 val run_incast : incast_config -> incast_result
-
-val dcqcn_sweep : (float * float) list
-(** The Fig. 5 x-axis: [(TI, TD)] pairs in microseconds:
-    (900,4) (300,4) (10,4) (10,50) (10,200). *)
-
-val fig5_schemes : Network.scheme list
-(** ECMP, Adaptive Routing, Themis. *)

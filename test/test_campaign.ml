@@ -3,7 +3,7 @@
    silently orphans every store and baseline, so the hashes are pinned
    here as literals), store cache semantics including corrupt-file
    recovery, serial-vs-forked pool byte-identity on a mini campaign,
-   and the regression gate's perturbation detection. *)
+   report rendering, and the regression gate's perturbation detection. *)
 
 let spec = Alcotest.(check string)
 let check_int = Alcotest.(check int)
@@ -18,6 +18,11 @@ let find_sub s sub =
   go 0
 
 let contains s sub = find_sub s sub <> None
+
+let spec_of l =
+  match Campaign_spec.of_string l with
+  | Ok t -> t
+  | Error e -> Alcotest.failf "cannot parse %s: %s" l e
 
 let replace_once s ~sub ~by =
   match find_sub s sub with
@@ -295,6 +300,53 @@ let test_parse_errors () =
   match Campaign_spec.validate no_seeds with
   | Ok () -> Alcotest.fail "validated empty seed axis"
   | Error _ -> ()
+
+(* The Fig. 5 axes live in the presets: the paper's five DCQCN points
+   from the recommended (900, 4), and the three schemes it compares. *)
+let test_fig5_preset_axes () =
+  List.iter
+    (fun name ->
+      let p = Option.get (Campaign_spec.preset name) in
+      Alcotest.(check (list (pair int int)))
+        (name ^ " dcqcn")
+        [ (900, 4); (300, 4); (10, 4); (10, 50); (10, 200) ]
+        p.Campaign_spec.dcqcn;
+      Alcotest.(check (list string))
+        (name ^ " schemes")
+        [ "ecmp"; "adaptive"; "themis" ]
+        p.Campaign_spec.schemes)
+    [ "fig5a"; "fig5b" ]
+
+(* A cp1 line need only name the axes its target uses. *)
+let test_optional_axes () =
+  let minimal =
+    spec_of
+      "cp1;name=p;target=fig5;fab=paper;schemes=themis;colls=allreduce;mb=300;dcqcn=900:4;seeds=11"
+  in
+  let full =
+    "cp1;name=p;target=fig5;fab=paper;tr=;schemes=themis;colls=allreduce;mb=300;dcqcn=900:4;fanins=;studies=;wl=;loads=;scens=;profile=quick;seeds=11"
+  in
+  check_bool "minimal equals full" true
+    (Campaign_spec.equal minimal (spec_of full));
+  spec "printed in full" full (Campaign_spec.to_string minimal);
+  (* An axis the target needs is still required, by [validate]. *)
+  Alcotest.(check (result unit string))
+    "fig5 without colls" (Error "colls axis is empty")
+    (Campaign_spec.validate
+       (spec_of
+          "cp1;name=p;target=fig5;fab=eval8;schemes=themis;mb=1;dcqcn=900:4;seeds=11"));
+  (* The Fig. 5 variants EXPERIMENTS.md gives as cp1 lines: paper
+     scale, halving-doubling, alltoall at 24 MB. *)
+  List.iter
+    (fun l ->
+      match Campaign_spec.validate (spec_of l) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "invalid %s: %s" l e)
+    [
+      "cp1;name=paper;target=fig5;fab=paper;schemes=ecmp+adaptive+themis;colls=allreduce;mb=300;dcqcn=900:4,300:4,10:4,10:50,10:200;seeds=11";
+      "cp1;name=hd;target=fig5;fab=eval8;schemes=ecmp+adaptive+themis;colls=hd-allreduce;mb=4;dcqcn=900:4,300:4,10:4,10:50,10:200;seeds=11";
+      "cp1;name=a2a24;target=fig5;fab=eval8;schemes=ecmp+adaptive+themis;colls=alltoall;mb=24;dcqcn=900:4,300:4,10:4,10:50,10:200;seeds=11";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Result records. *)
@@ -586,6 +638,95 @@ let test_gate_missing_result () =
        "does not parse")
 
 (* ------------------------------------------------------------------ *)
+(* Report rendering, from hand-built results. *)
+
+let render_with spec results =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun r -> Hashtbl.replace tbl r.Campaign_result.hash r)
+    results;
+  let buf = Buffer.create 1024 in
+  let ppf = Format.formatter_of_buffer buf in
+  Campaign_report.render ppf ~spec ~lookup:(Hashtbl.find_opt tbl) ();
+  Format.pp_print_flush ppf ();
+  Buffer.contents buf
+
+let check_has out line =
+  if not (contains out line) then
+    Alcotest.failf "report lacks %S in:\n%s" line out
+
+let test_render_fig5 () =
+  let spec =
+    spec_of
+      "cp1;name=t;target=fig5;fab=eval8;schemes=adaptive+themis;colls=allreduce;mb=1;dcqcn=900:4,10:50;seeds=11"
+  in
+  let ct = function
+    | "adaptive", (900, 4) -> Some 0.2
+    | "adaptive", _ -> Some 0.16
+    | "themis", (900, 4) -> Some 0.15
+    | _ -> None
+  in
+  let results =
+    List.filter_map
+      (fun job ->
+        match job with
+        | Campaign_spec.Fig5_job { scheme; ti_us; td_us; _ } ->
+            Option.map
+              (fun v -> Campaign_result.make ~job ~metrics:[ ("tail_ct_ms", v) ])
+              (ct (scheme, (ti_us, td_us)))
+        | _ -> None)
+      (Campaign_spec.jobs_of spec)
+  in
+  let out = render_with spec results in
+  check_has out "4 jobs, 3 results, 1 missing";
+  check_has out "#### fig5 eval8 / allreduce / 1 MB / seed 11";
+  check_has out "| scheme | TI=900,TD=4 | TI=10,TD=50 |";
+  check_has out "| adaptive | 0.200 | 0.160 |";
+  check_has out "| themis | 0.150 | - |";
+  (* Only (900, 4) has both schemes: (0.2 - 0.15) / 0.2. *)
+  check_has out "Themis vs adaptive routing: 25.0% ~ 25.0% lower tail CT";
+  check_has out
+    "missing results:\n\
+     - `cj1;fig5;fab=eval8;scheme=themis;coll=allreduce;mb=1;ti=10;td=50;seed=11`"
+
+let test_render_incast_ablation () =
+  let incast =
+    spec_of "cp1;name=i;target=incast;schemes=themis;fanins=8;mb=1;seeds=3"
+  in
+  let job = List.hd (Campaign_spec.jobs_of incast) in
+  let out =
+    render_with incast
+      [
+        Campaign_result.make ~job
+          ~metrics:
+            [
+              ("fct_mean_us", 1146.229); ("fct_p50_us", 667.445);
+              ("fct_p99_us", 3024.196); ("retx", 0.); ("drops", 0.);
+            ];
+      ]
+  in
+  check_has out "| job | fct_mean_us | fct_p50_us | fct_p99_us | retx | drops |";
+  check_has out
+    "| cj1;incast;scheme=themis;fanin=8;mb=1;seed=3 | 1146.229 | 667.445 | \
+     3024.196 | 0.000 | 0.000 |";
+  check_bool "nothing missing" false (contains out "missing results");
+  let ablation =
+    spec_of "cp1;name=a;target=ablation;studies=transports,memory;seeds=5"
+  in
+  let transports = List.hd (Campaign_spec.jobs_of ablation) in
+  let out =
+    render_with ablation
+      [
+        Campaign_result.make ~job:transports
+          ~metrics:[ ("gbn__cx_4_5__goodput_gbps", 12.476996416491161) ];
+      ]
+  in
+  check_has out "#### cj1;ablation;study=transports;seed=5";
+  (* Ablation values print as every other cell does, to three places. *)
+  check_has out "- gbn__cx_4_5__goodput_gbps: 12.477\n";
+  check_has out "missing results:\n- `cj1;ablation;study=memory;seed=5`"
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "campaign"
@@ -597,10 +738,19 @@ let () =
           Alcotest.test_case "frozen store hashes" `Quick test_frozen_hashes;
           Alcotest.test_case "presets valid, quick grid" `Quick test_presets;
           Alcotest.test_case "parse/validate errors" `Quick test_parse_errors;
+          Alcotest.test_case "fig5a preset axes" `Quick test_fig5_preset_axes;
+          Alcotest.test_case "optional axes" `Quick test_optional_axes;
         ] );
       ( "result",
         [ Alcotest.test_case "json roundtrip + tamper" `Quick
             test_result_roundtrip ] );
+      ( "report",
+        [
+          Alcotest.test_case "fig5 cells, headline, missing" `Quick
+            test_render_fig5;
+          Alcotest.test_case "incast row, ablation values" `Quick
+            test_render_incast_ablation;
+        ] );
       ( "store",
         [
           Alcotest.test_case "hit/miss/idempotent save" `Quick
