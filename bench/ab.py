@@ -9,13 +9,16 @@ Run from the repository root (or through `make ab`):
 Checks BASE out with `git worktree` under _build/ab/, then runs
 `python3 perfbench/run.py --workload W --seed S --seconds N --trace T`
 in both trees for every workload W of BENCHMARK.json, at its
-`run_seconds` N, alternating which side goes first in each pair.  A run
-that is incorrect or has failed operations stops the A/B.  Writes one
-JSON file with, per workload and metric, each side's median, p25 and
-p75, the median delta, and the pairs the working tree won (by the
-metric's `better` direction in BENCHMARK.json; ties count for neither
-side), plus nproc and the OCaml version.  The worktree is removed when
-the runs end.
+`run_seconds` N, alternating which side goes first in each pair.  Then
+it alternates PAIRS runs of `engine_bench --fwd-only` (the single-switch
+forwarding bench, `Switch.receive` through the port events) in the same
+way.  A run that is incorrect or has failed operations stops the A/B.
+Writes one JSON file with, per workload and metric, each side's median,
+p25 and p75, the median delta, and the pairs the working tree won (by
+the metric's `better` direction in BENCHMARK.json; ties count for
+neither side), the same summary of the forwarding bench's
+`packets_per_sec` under `fwd`, plus nproc and the OCaml version.  The
+worktree is removed when the runs end.
 """
 
 import argparse
@@ -66,6 +69,31 @@ def run_once(tree, workload, seed, seconds, trace):
     if not result["correct"] or result["failed"] != 0:
         sys.exit("ab: incorrect run or failed operations: %s\n%s" % (" ".join(cmd), proc.stderr))
     return {k: v["value"] for k, v in result["metrics"].items()}
+
+
+def run_fwd(tree):
+    out = os.path.join(tree, "_build", "ab_fwd.json")
+    cmd = ["dune", "exec", "--root", ".", "--display", "quiet",
+           "bench/engine_bench.exe", "--", "--fwd-only", "--out", out]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit("ab: %s failed in %s (exit %d)\n%s"
+                 % (" ".join(cmd), tree, proc.returncode, proc.stderr))
+    with open(out) as f:
+        fwd = json.load(f)["fwd"]
+    return {"packets_per_sec": fwd["packets_per_sec"]}
+
+
+def alternate(pairs, label, run):
+    runs = {"base": [], "change": []}
+    for i in range(pairs):
+        order = ["base", "change"]
+        if i % 2:
+            order.reverse()
+        for side in order:
+            runs[side].append(run(side))
+        print("ab: %s pair %d/%d done" % (label, i + 1, pairs), file=sys.stderr)
+    return runs
 
 
 def spread(xs):
@@ -141,25 +169,22 @@ def main():
             "ocaml": ocaml_version(),
             "workloads": {},
         }
+        trees = {"base": base_tree, "change": ROOT}
         for w in (wl["name"] for wl in spec["workloads"]):
-            runs = {"base": [], "change": []}
-            for i in range(args.pairs):
-                order = [("base", base_tree), ("change", ROOT)]
-                if i % 2:
-                    order.reverse()
-                for side, tree in order:
-                    runs[side].append(run_once(tree, w, args.seed, seconds,
-                                               args.trace))
-                print("ab: %s pair %d/%d done" % (w, i + 1, args.pairs),
-                      file=sys.stderr)
+            runs = alternate(args.pairs, w, lambda side: run_once(
+                trees[side], w, args.seed, seconds, args.trace))
             report["workloads"][w] = summarize(runs["base"], runs["change"], better)
+        runs = alternate(args.pairs, "fwd", lambda side: run_fwd(trees[side]))
+        report["fwd"] = summarize(runs["base"], runs["change"],
+                                  {"packets_per_sec": "higher"})
     finally:
         remove_worktree(base_tree)
 
     with open(os.path.join(ROOT, args.out), "w") as f:
         json.dump(report, f, indent=1, sort_keys=True)
         f.write("\n")
-    for w, metrics in report["workloads"].items():
+    sections = list(report["workloads"].items()) + [("fwd", report["fwd"])]
+    for w, metrics in sections:
         print("%s (base %s, %d pairs)" % (w, base_rev[:7], args.pairs))
         for name, m in metrics.items():
             delta = "" if m["delta_frac"] is None else "%+.2f%%" % (100 * m["delta_frac"])

@@ -9,6 +9,11 @@
 let paths = 2
 let conn = Flow_id.make ~src:0 ~dst:4 ~qpn:1
 
+(* The receiver's ToR, which this Themis-D instance stands for, and the
+   clock its verdict events are stamped with. *)
+let tor = 5
+let engine = Engine.create ()
+
 let data psn =
   Packet.data ~conn ~sport:100 ~psn:(Psn.of_int psn) ~payload:1000
     ~last_of_msg:false ~birth:0 ()
@@ -42,7 +47,8 @@ let receive_nack d epsn =
   Format.printf "  NACK(ePSN=%d) from the NIC  scan %s: %s@." epsn before verdict
 
 let fresh () =
-  Themis_d.create ~paths ~queue_capacity:32
+  Themis_d.create ~paths ~queue_capacity:32 ~node:tor
+    ~clock:(fun () -> Engine.now engine)
     ~inject_nack:(fun ~conn:_ ~conn_id:_ ~sport:_ ~epsn ->
       Format.printf
         "  >> Themis-D generates NACK(ePSN=%d) on the RNIC's behalf@."

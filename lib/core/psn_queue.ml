@@ -1,13 +1,17 @@
-type t = {
-  slots : int array;
-  mutable head : int;  (* index of oldest entry *)
-  mutable len : int;
-  mutable overwrites : int;
-}
+(* One int block: [| head; len; overwrites; ring... |].  The per-packet
+   [push] reads the header and writes the ring slot in the same block, so
+   the ring costs one dependent load from its flow-table entry instead of
+   a record load followed by the ring array's. *)
+type t = int array
+
+let head_i = 0
+let len_i = 1
+let overwrites_i = 2
+let base = 3
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Psn_queue.create: capacity must be >= 1";
-  { slots = Array.make capacity 0; head = 0; len = 0; overwrites = 0 }
+  Array.make (base + capacity) 0
 
 let capacity_for ~bw ~rtt ~mtu ~factor =
   if factor <= 0. then invalid_arg "Psn_queue.capacity_for: factor";
@@ -15,31 +19,44 @@ let capacity_for ~bw ~rtt ~mtu ~factor =
   let bdp_bytes = Rate.to_bps bw *. Sim_time.to_sec rtt /. 8. in
   Stdlib.max 1 (int_of_float (Float.ceil (bdp_bytes *. factor /. float_of_int mtu)))
 
-let capacity t = Array.length t.slots
-let length t = t.len
-let is_empty t = t.len = 0
-let overwrites t = t.overwrites
+let capacity t = Array.length t - base
+let length t = Array.unsafe_get t len_i
+let is_empty t = length t = 0
+let overwrites t = Array.unsafe_get t overwrites_i
+
+(* Ring offset [i] past the head, as an index into [t]: [head + i] is
+   below [2 * cap], so one compare replaces [mod]. *)
+let[@inline] at t i =
+  let cap = Array.length t - base in
+  let j = Array.unsafe_get t head_i + i in
+  base + if j >= cap then j - cap else j
 
 let push t psn =
+  let len = Array.unsafe_get t len_i in
   let cap = capacity t in
-  if t.len = cap then begin
+  if len = cap then begin
     (* Ring is full: the oldest entry is lost. *)
-    t.slots.(t.head) <- Psn.to_int psn;
-    t.head <- (t.head + 1) mod cap;
-    t.overwrites <- t.overwrites + 1
+    let h = Array.unsafe_get t head_i in
+    Array.unsafe_set t (base + h) (Psn.to_int psn);
+    let h = h + 1 in
+    Array.unsafe_set t head_i (if h = cap then 0 else h);
+    Array.unsafe_set t overwrites_i (Array.unsafe_get t overwrites_i + 1)
   end
   else begin
-    t.slots.((t.head + t.len) mod cap) <- Psn.to_int psn;
-    t.len <- t.len + 1
+    Array.unsafe_set t (at t len) (Psn.to_int psn);
+    Array.unsafe_set t len_i (len + 1)
   end
 
 (* Unboxed [pop]: -1 when empty (PSNs are non-negative). *)
 let pop_int t =
-  if t.len = 0 then -1
+  let len = Array.unsafe_get t len_i in
+  if len = 0 then -1
   else begin
-    let v = t.slots.(t.head) in
-    t.head <- (t.head + 1) mod capacity t;
-    t.len <- t.len - 1;
+    let h = Array.unsafe_get t head_i in
+    let v = Array.unsafe_get t (base + h) in
+    let h = h + 1 in
+    Array.unsafe_set t head_i (if h = capacity t then 0 else h);
+    Array.unsafe_set t len_i (len - 1);
     v
   end
 
@@ -54,14 +71,13 @@ let rec pop_until_greater t epsn =
 (* Top-level recursion: a local [scan] capturing [t] would allocate its
    closure on every blocked NACK. *)
 let rec scan t target i =
-  i < t.len
-  && (t.slots.((t.head + i) mod capacity t) = target || scan t target (i + 1))
+  i < Array.unsafe_get t len_i
+  && (Array.unsafe_get t (at t i) = target || scan t target (i + 1))
 
 let contains t psn = scan t (Psn.to_int psn) 0
 
 let clear t =
-  t.head <- 0;
-  t.len <- 0
+  Array.unsafe_set t head_i 0;
+  Array.unsafe_set t len_i 0
 
-let to_list t =
-  List.init t.len (fun i -> Psn.of_int t.slots.((t.head + i) mod capacity t))
+let to_list t = List.init (length t) (fun i -> Psn.of_int t.(at t i))

@@ -13,7 +13,7 @@ type stats = {
 type t = {
   mutable paths : int;
   compensation : bool;
-  node : int;  (* owning ToR, for telemetry; -1 when standalone *)
+  node : int;  (* owning ToR, for telemetry *)
   clock : unit -> Sim_time.t;  (* telemetry timestamps *)
   table : Flow_table.t;
   inject_nack :
@@ -27,8 +27,8 @@ type t = {
   mutable data_seen : int;
 }
 
-let create ~paths ~queue_capacity ?(compensation = true) ?(node = -1)
-    ?(clock = fun () -> Sim_time.zero) ~inject_nack () =
+let create ~paths ~queue_capacity ?(compensation = true) ~node ~clock
+    ~inject_nack () =
   if paths <= 0 then invalid_arg "Themis_d.create: paths must be positive";
   {
     paths;

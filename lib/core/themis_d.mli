@@ -41,8 +41,8 @@ val create :
   paths:int ->
   queue_capacity:int ->
   ?compensation:bool ->
-  ?node:int ->
-  ?clock:(unit -> Sim_time.t) ->
+  node:int ->
+  clock:(unit -> Sim_time.t) ->
   inject_nack:
     (conn:Flow_id.t -> conn_id:int -> sport:int -> epsn:Psn.t -> unit) ->
   unit ->
@@ -52,7 +52,7 @@ val create :
     sender.  [node] (the owning ToR id) and [clock] only feed telemetry:
     when the telemetry context is enabled, every NACK verdict and
     compensation action is recorded as a typed event at time
-    [clock ()] (defaults: [-1] and a clock stuck at zero). *)
+    [clock ()] (the engine's clock in every fabric). *)
 
 val paths : t -> int
 

@@ -43,11 +43,12 @@ type t = {
   (* Wheel-vs-heap routing counters (bench-engine's hit-ratio gate). *)
   mutable wheel_adds : int;
   mutable heap_adds : int;
-  (* Slot arena: per-event payload, recycled through [free_head]. *)
+  (* Slot arena: per-event payload, recycled through [free_head].  A free
+     slot's callback id is never read, so [cbs] doubles as the freelist:
+     a free slot holds the next free slot's index (-1 ends the list). *)
   mutable cbs : int array;
   mutable objs : Obj.t array;
   mutable gens : int array;
-  mutable free_next : int array;
   mutable free_head : int;
 }
 
@@ -68,10 +69,9 @@ let create ?(capacity = 256) () =
     next_slot = 0;
     wheel_adds = 0;
     heap_adds = 0;
-    cbs = Array.make cap 0;
+    cbs = Array.init cap (fun i -> if i = cap - 1 then -1 else i + 1);
     objs = Array.make cap obj_unit;
     gens = Array.make cap 0;
-    free_next = Array.init cap (fun i -> if i = cap - 1 then -1 else i + 1);
     free_head = 0;
   }
 
@@ -93,9 +93,8 @@ let grow_arena q =
   q.cbs <- extend q.cbs ncap 0;
   q.objs <- extend q.objs ncap obj_unit;
   q.gens <- extend q.gens ncap 0;
-  q.free_next <- extend q.free_next ncap 0;
   for i = cap to ncap - 1 do
-    q.free_next.(i) <- (if i = ncap - 1 then -1 else i + 1)
+    q.cbs.(i) <- (if i = ncap - 1 then -1 else i + 1)
   done;
   q.free_head <- cap;
   (* The wheel's intrusive node array is indexed by arena slot id. *)
@@ -155,7 +154,7 @@ let heap_remove_top q =
 let add q ~time ~cb ~obj =
   if q.free_head < 0 then grow_arena q;
   let s = q.free_head in
-  q.free_head <- q.free_next.(s);
+  q.free_head <- q.cbs.(s);
   q.cbs.(s) <- cb;
   (* A freed slot keeps its last payload ([release] leaves it), and the
      freelist is LIFO: a packet's tx-done -> propagate chain reuses the
@@ -165,13 +164,14 @@ let add q ~time ~cb ~obj =
      a slot that last held a packet pays a store the old restore-unit
      scheme skipped, but that scheme paid one in every [release]. *)
   if q.objs.(s) != obj then q.objs.(s) <- obj;
-  (* The sequence number is allocated for every event — wheel-resident
-     ones never store it (slot order is insertion order), but the shared
-     counter is what keeps heap events totally ordered against them. *)
-  let seq = q.next_seq in
-  q.next_seq <- seq + 1;
   if Timing_wheel.add q.wheel ~time s then q.wheel_adds <- q.wheel_adds + 1
   else begin
+    (* Only heap events draw a sequence number: it orders them against
+       each other.  Wheel events need none (a wheel slot's order is
+       insertion order), and a wheel event never ties with a heap event
+       ([resolve_next]), so the heap's numbering need not count them. *)
+    let seq = q.next_seq in
+    q.next_seq <- seq + 1;
     heap_push q ~time ~seq ~slot:s;
     q.heap_adds <- q.heap_adds + 1
   end;
@@ -274,8 +274,8 @@ let[@inline] slot_obj q s = Array.unsafe_get q.objs s
 let release q s =
   q.gens.(s) <- q.gens.(s) + 1;
   (* The payload stays in [objs.(s)] until [add] overwrites it: a freed
-     slot is never read. *)
-  q.free_next.(s) <- q.free_head;
+     slot's payload is never read. *)
+  q.cbs.(s) <- q.free_head;
   q.free_head <- s
 
 let size q = q.size + Timing_wheel.count q.wheel

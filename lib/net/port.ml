@@ -1,28 +1,32 @@
+(* Per-packet fields first, so the enqueue / tx-done / propagate path
+   reads one or two cache lines of the record; [queued] lets the idle
+   test and [start_tx] skip both lane [Fifo] records while they are
+   empty. *)
 type t = {
-  engine : Engine.t;
-  mutable bandwidth : Rate.t;
-  delay : Sim_time.t;
-  label : string;
-  ctrl_queue : Packet.t Fifo.t;  (* ACK/NACK/CNP: strict priority *)
-  data_queue : Packet.t Fifo.t;
-  mutable data_bytes : int;
-  mutable ctrl_bytes : int;
-  mutable busy : bool;
   mutable up : bool;
-  mutable deliver : Packet.t -> unit;
-  mutable on_dequeue : Packet.t -> unit;
-  mutable on_discard : Packet.t -> unit;
-  mutable tx_packets : int;
-  mutable tx_bytes : int;
-  mutable dropped : int;
-  mutable dropped_data : int;
+  mutable busy : bool;
+  mutable queued : int;  (* packets in both lanes *)
   mutable inject_drops : int;
-  mutable jitter : (Rng.t * Sim_time.t) option;
+  mutable deliver : Packet.t -> unit;
+  engine : Engine.t;
   (* Closure-free events: one registered tx-completion/propagation
      callback pair per port; the packet rides the event's obj slot. *)
   mutable cb_tx_done : Engine.callback;
   mutable cb_propagate : Engine.callback;
-  drop_labels : Metrics.labels;  (* Of the port_dropped_packets row. *)
+  mutable bandwidth : Rate.t;
+  delay : Sim_time.t;
+  mutable jitter : (Rng.t * Sim_time.t) option;
+  mutable on_dequeue : Packet.t -> unit;
+  mutable tx_packets : int;
+  mutable tx_bytes : int;
+  mutable data_bytes : int;
+  mutable ctrl_bytes : int;
+  ctrl_queue : Packet.t Fifo.t;  (* ACK/NACK/CNP: strict priority *)
+  data_queue : Packet.t Fifo.t;
+  mutable on_discard : Packet.t -> unit;
+  mutable dropped : int;
+  mutable dropped_data : int;
+  label : string;
 }
 
 let no_deliver (_ : Packet.t) =
@@ -34,7 +38,7 @@ let record_drop t (pkt : Packet.t) reason =
   t.dropped <- t.dropped + 1;
   if Packet.is_data pkt then t.dropped_data <- t.dropped_data + 1;
   if Telemetry.enabled () then begin
-    Telemetry.incr_counter ~labels:t.drop_labels "port_dropped_packets";
+    Telemetry.incr_counter ~labels:[ ("port", t.label) ] "port_dropped_packets";
     Telemetry.record ~time:(Engine.now t.engine)
       (Event.Packet_drop
          {
@@ -56,17 +60,19 @@ let set_on_dequeue t f = t.on_dequeue <- f
 let set_on_discard t f = t.on_discard <- f
 
 let rec start_tx t =
-  if (not t.busy) && t.up then
+  if (not t.busy) && t.up && t.queued > 0 then begin
+    t.queued <- t.queued - 1;
     if not (Fifo.is_empty t.ctrl_queue) then begin
       let pkt = Fifo.pop t.ctrl_queue in
       t.ctrl_bytes <- t.ctrl_bytes - pkt.Packet.size;
       transmit t pkt
     end
-    else if not (Fifo.is_empty t.data_queue) then begin
+    else begin
       let pkt = Fifo.pop t.data_queue in
       t.data_bytes <- t.data_bytes - pkt.Packet.size;
       transmit t pkt
     end
+  end
 
 and transmit t pkt =
   t.on_dequeue pkt;
@@ -108,28 +114,28 @@ and propagate t (pkt : Packet.t) =
 let create ~engine ~bandwidth ~delay ~label =
   let t =
     {
-      engine;
-      bandwidth;
-      delay;
-      label;
-      ctrl_queue = Fifo.create ~capacity:16 ();
-      data_queue = Fifo.create ~capacity:64 ();
-      data_bytes = 0;
-      ctrl_bytes = 0;
-      busy = false;
       up = true;
-      deliver = no_deliver;
-      on_dequeue = ignore;
-      on_discard = ignore;
-      tx_packets = 0;
-      tx_bytes = 0;
-      dropped = 0;
-      dropped_data = 0;
+      busy = false;
+      queued = 0;
       inject_drops = 0;
-      jitter = None;
+      deliver = no_deliver;
+      engine;
       cb_tx_done = Engine.null_callback;
       cb_propagate = Engine.null_callback;
-      drop_labels = [ ("port", label) ];
+      bandwidth;
+      delay;
+      jitter = None;
+      on_dequeue = ignore;
+      tx_packets = 0;
+      tx_bytes = 0;
+      data_bytes = 0;
+      ctrl_bytes = 0;
+      ctrl_queue = Fifo.create ~capacity:16 ();
+      data_queue = Fifo.create ~capacity:64 ();
+      on_discard = ignore;
+      dropped = 0;
+      dropped_data = 0;
+      label;
     }
   in
   t.cb_tx_done <-
@@ -138,7 +144,7 @@ let create ~engine ~bandwidth ~delay ~label =
     Engine.register_callback engine (fun obj -> propagate t (Obj.obj obj));
   (* Register the row now so metric exports list it even at zero. *)
   if Telemetry.enabled () then
-    Telemetry.add_counter ~labels:t.drop_labels "port_dropped_packets" 0;
+    Telemetry.add_counter ~labels:[ ("port", label) ] "port_dropped_packets" 0;
   t
 
 let inject_drops t n = t.inject_drops <- t.inject_drops + n
@@ -155,9 +161,7 @@ let enqueue t pkt =
     t.on_discard pkt;
     Packet_pool.release pkt
   end
-  else if
-    (not t.busy) && Fifo.is_empty t.ctrl_queue && Fifo.is_empty t.data_queue
-  then
+  else if (not t.busy) && t.queued = 0 then
     (* Idle cut-through: [start_tx] would pop this very packet straight
        back, so skip the round trip through the lane. *)
     transmit t pkt
@@ -170,12 +174,13 @@ let enqueue t pkt =
       Fifo.push t.ctrl_queue pkt;
       t.ctrl_bytes <- t.ctrl_bytes + pkt.Packet.size
     end;
+    t.queued <- t.queued + 1;
     start_tx t
   end
 
 let queue_bytes t = t.data_bytes
 let ctrl_queue_bytes t = t.ctrl_bytes
-let queue_packets t = Fifo.length t.data_queue + Fifo.length t.ctrl_queue
+let queue_packets t = t.queued
 let busy t = t.busy
 
 let flush_discard t q =
@@ -189,6 +194,7 @@ let set_up t up =
   if not up then begin
     flush_discard t t.ctrl_queue;
     flush_discard t t.data_queue;
+    t.queued <- 0;
     t.data_bytes <- 0;
     t.ctrl_bytes <- 0
   end

@@ -24,17 +24,17 @@ let default_config ~line_rate =
   }
 
 type rctx = {
-  recv : Receiver.t;
-  r_conn : Flow_id.t;
   r_conn_id : int;
-  r_sport : int;
+  mutable recv : Receiver.t;  (* set once, right after creation *)
   (* Entropy echo (REPS): the udp_sport / CE mark of the most recent
      data arrival, copied onto the ACK/NACK it triggers so the source
      ToR can recycle clean entropies. *)
-  r_last_entropy : int ref;
-  r_last_ce : bool ref;
+  mutable last_entropy : int;
+  mutable last_ce : bool;
   mutable last_cnp : Sim_time.t;
   mutable cnps_tx : int;
+  r_conn : Flow_id.t;
+  r_sport : int;
 }
 
 type t = {
@@ -44,11 +44,14 @@ type t = {
   mutable port : Port.t option;
   (* Hashed maps for registration and aggregate folds; per-packet
      dispatch goes through the dense by-id arrays below, indexed by
-     [Packet.conn_id] (one array read instead of a flow hash). *)
+     [Packet.conn_id] (one array read instead of a flow hash).  A slot
+     with no QP of its own holds some other registered value, whose
+     conn id then differs from the slot's index: the check needs no
+     [option] box between the lookup and the QP. *)
   senders : Sender.t Flow_id.Table.t;
   receivers : rctx Flow_id.Table.t;
-  mutable senders_by_id : Sender.t option array;
-  mutable receivers_by_id : rctx option array;
+  mutable senders_by_id : Sender.t array;
+  mutable receivers_by_id : rctx array;
   mutable next_qpn : int;
   mutable on_data_tx : Packet.t -> unit;
   mutable nacks_sent : int;
@@ -75,16 +78,22 @@ let create ~engine ~node ~config =
     data_rx = 0;
   }
 
-(* Slot arrays sized to the largest registered id; ids are dense per
-   run, so this is bounded by the number of live flows. *)
-let grow_slots arr id =
+(* Store [v] at slot [id], growing the array to the largest registered
+   id (ids are dense per run, so this is bounded by the number of live
+   flows).  New slots are padded with [v] itself: its conn id is [id],
+   so it never matches another slot's index. *)
+let set_slot arr id v =
   let len = Array.length arr in
-  if id < len then arr
-  else begin
-    let narr = Array.make (Stdlib.max (id + 1) (Stdlib.max 16 (2 * len))) None in
-    Array.blit arr 0 narr 0 len;
-    narr
-  end
+  let arr =
+    if id < len then arr
+    else begin
+      let narr = Array.make (Stdlib.max (id + 1) (Stdlib.max 16 (2 * len))) v in
+      Array.blit arr 0 narr 0 len;
+      narr
+    end
+  in
+  arr.(id) <- v;
+  arr
 
 let set_port t port = t.port <- Some port
 let node t = t.node
@@ -109,50 +118,60 @@ let receiver_mode = function
   | `Gbn -> Receiver.Gbn
   | `Ideal -> Receiver.Ideal
 
+(* Fills [rctx.recv] until [register_receiver] replaces it, which it
+   does before the context is reachable: the receiver's ACK/NACK
+   closures need the context, and the context needs the receiver. *)
+let no_receiver =
+  Receiver.create ~mode:Receiver.Sr ~ack_coalesce:1
+    ~actions:
+      {
+        Receiver.send_ack = (fun ~epsn:_ -> ());
+        send_nack = (fun ~epsn:_ -> ());
+        deliver = (fun ~bytes:_ -> ());
+      }
+
 let register_receiver t ~conn ~sport =
   let conn_id = Flow_id.intern conn in
-  let last_entropy = ref (-1) and last_ce = ref false in
-  let echo pkt =
-    pkt.Packet.entropy_echo <- !last_entropy;
-    pkt.Packet.ecn_echo <- !last_ce;
-    pkt
-  in
   let ctx =
     {
-        recv =
-          Receiver.create
-            ~mode:(receiver_mode t.cfg.transport)
-            ~ack_coalesce:t.cfg.ack_coalesce
-            ~actions:
-              {
-                Receiver.send_ack =
-                  (fun ~epsn ->
-                    transmit_control t
-                      (echo
-                         (Packet_pool.ack ~conn ~conn_id ~psn:(Psn.of_int epsn)
-                            ~sport ~birth:(Engine.now t.engine))));
-                Receiver.send_nack =
-                  (fun ~epsn ->
-                    t.nacks_sent <- t.nacks_sent + 1;
-                    transmit_control t
-                      (echo
-                         (Packet_pool.nack ~conn ~conn_id
-                            ~epsn:(Psn.of_int epsn) ~sport
-                            ~birth:(Engine.now t.engine))));
-                Receiver.deliver = (fun ~bytes:_ -> ());
-              };
-      r_conn = conn;
       r_conn_id = conn_id;
-      r_sport = sport;
-      r_last_entropy = last_entropy;
-      r_last_ce = last_ce;
+      recv = no_receiver;
+      last_entropy = -1;
+      last_ce = false;
       last_cnp = Sim_time.ns (-1_000_000_000);
       cnps_tx = 0;
+      r_conn = conn;
+      r_sport = sport;
     }
   in
+  let echo pkt =
+    pkt.Packet.entropy_echo <- ctx.last_entropy;
+    pkt.Packet.ecn_echo <- ctx.last_ce;
+    pkt
+  in
+  ctx.recv <-
+    Receiver.create
+      ~mode:(receiver_mode t.cfg.transport)
+      ~ack_coalesce:t.cfg.ack_coalesce
+      ~actions:
+        {
+          Receiver.send_ack =
+            (fun ~epsn ->
+              transmit_control t
+                (echo
+                   (Packet_pool.ack ~conn ~conn_id ~psn:(Psn.of_int epsn)
+                      ~sport ~birth:(Engine.now t.engine))));
+          Receiver.send_nack =
+            (fun ~epsn ->
+              t.nacks_sent <- t.nacks_sent + 1;
+              transmit_control t
+                (echo
+                   (Packet_pool.nack ~conn ~conn_id ~epsn:(Psn.of_int epsn)
+                      ~sport ~birth:(Engine.now t.engine))));
+          Receiver.deliver = (fun ~bytes:_ -> ());
+        };
   Flow_id.Table.replace t.receivers conn ctx;
-  t.receivers_by_id <- grow_slots t.receivers_by_id conn_id;
-  t.receivers_by_id.(conn_id) <- Some ctx;
+  t.receivers_by_id <- set_slot t.receivers_by_id conn_id ctx;
   ctx
 
 let maybe_cnp t (ctx : rctx) =
@@ -169,7 +188,7 @@ let maybe_cnp t (ctx : rctx) =
 
 (* QP dispatch by interned id: one array read per delivered packet; the
    miss paths (unknown QP: wiring bug, or a late packet for a torn-down
-   QP) fall off the array or hit an empty slot. *)
+   QP) fall off the array or hit a slot holding another QP. *)
 let unknown_qp t (pkt : Packet.t) =
   (* Unknown QP: a real NIC would answer with an error; in the
      simulator this indicates a wiring bug. *)
@@ -181,26 +200,32 @@ let on_data_packet t (pkt : Packet.t) psn payload last_of_msg =
   let id = pkt.Packet.conn_id in
   let ctx =
     if id < Array.length t.receivers_by_id then
-      match Array.unsafe_get t.receivers_by_id id with
-      | Some ctx -> ctx
-      | None -> unknown_qp t pkt
+      let ctx = Array.unsafe_get t.receivers_by_id id in
+      if ctx.r_conn_id = id then ctx else unknown_qp t pkt
     else unknown_qp t pkt
   in
   if pkt.Packet.ecn = Headers.Ce then maybe_cnp t ctx;
   (* Stash the echo before on_data: ACK/NACK closures fire synchronously
      inside it and must carry this packet's entropy. *)
-  ctx.r_last_entropy := pkt.Packet.udp_sport;
-  ctx.r_last_ce := pkt.Packet.ecn = Headers.Ce;
+  ctx.last_entropy <- pkt.Packet.udp_sport;
+  ctx.last_ce <- pkt.Packet.ecn = Headers.Ce;
   let seq = Psn.unwrap ~near:(Receiver.epsn ctx.recv) psn in
   Receiver.on_data ctx.recv ~seq ~payload ~last_of_msg
 
-(* [None] for a late control packet of a torn-down QP: dropped.  The
-   caller matches on the result and calls the handler directly, so no
-   closure is built per ACK/NACK/CNP. *)
-let sender_of t (pkt : Packet.t) =
+(* ACK/NACK/CNP dispatch to the QP's sender.  A late control packet of
+   a torn-down QP, or one whose id this NIC never registered, misses
+   (off the array, or a slot holding another sender) and is dropped. *)
+let on_control t (pkt : Packet.t) =
   let id = pkt.Packet.conn_id in
-  if id < Array.length t.senders_by_id then Array.unsafe_get t.senders_by_id id
-  else None
+  if id < Array.length t.senders_by_id then begin
+    let s = Array.unsafe_get t.senders_by_id id in
+    if Sender.conn_id s = id then
+      match pkt.Packet.kind with
+      | Packet.Ack { psn } -> Sender.on_ack s psn
+      | Packet.Nack { epsn } -> Sender.on_nack s epsn
+      | Packet.Cnp -> Sender.on_cnp s
+      | Packet.Data _ | Packet.Pause _ -> ()
+  end
 
 (* The RNIC is the end of a delivered packet's life: every field needed
    is read during dispatch, and no component downstream retains the
@@ -211,12 +236,7 @@ let receive t (pkt : Packet.t) =
   | Packet.Data { psn; payload; last_of_msg } ->
       t.data_rx <- t.data_rx + 1;
       on_data_packet t pkt psn payload last_of_msg
-  | Packet.Ack { psn } -> (
-      match sender_of t pkt with Some s -> Sender.on_ack s psn | None -> ())
-  | Packet.Nack { epsn } -> (
-      match sender_of t pkt with Some s -> Sender.on_nack s epsn | None -> ())
-  | Packet.Cnp -> (
-      match sender_of t pkt with Some s -> Sender.on_cnp s | None -> ())
+  | Packet.Ack _ | Packet.Nack _ | Packet.Cnp -> on_control t pkt
   | Packet.Pause _ -> ());
   Packet_pool.release pkt
 
@@ -250,9 +270,7 @@ let connect t ~dst =
       ~transmit:(fun pkt -> transmit_data t pkt)
   in
   Flow_id.Table.replace t.senders conn snd;
-  let conn_id = Flow_id.intern conn in
-  t.senders_by_id <- grow_slots t.senders_by_id conn_id;
-  t.senders_by_id.(conn_id) <- Some snd;
+  t.senders_by_id <- set_slot t.senders_by_id (Sender.conn_id snd) snd;
   ignore (register_receiver dst ~conn ~sport);
   { nic = t; snd }
 

@@ -50,6 +50,7 @@ type t = {
 }
 
 let conn t = t.conn
+let conn_id t = t.conn_id
 let sport t = t.sport
 let rate t = Dcqcn.rate t.cc
 let cc t = t.cc

@@ -37,6 +37,10 @@ val on_nack : t -> Psn.t -> unit
 val on_cnp : t -> unit
 
 val conn : t -> Flow_id.t
+
+val conn_id : t -> int
+(** [Flow_id.intern (conn t)], stored at creation. *)
+
 val sport : t -> int
 val rate : t -> Rate.t
 val cc : t -> Dcqcn.t

@@ -28,14 +28,17 @@ type t = {
   (* Compiled forwarding fast path: per destination node, the candidate
      egress ports in [Routing.next_hops] order, resolved from link ids
      once (on first use after attach/recompute) so the steady-state
-     [forward] indexes arrays with zero hashing.  [fwd_gen] is the
+     [forward] indexes arrays with zero hashing.  An empty row is either
+     not compiled yet or has no next hop; [compiled] tells the two apart,
+     so an unreachable destination compiles once.  [fwd_gen] is the
      routing generation the rows were compiled against; a mismatch
      wipes them (link failure / restore; [attach_port] sets -1). *)
-  next_ports : Port.t array option array;
+  next_ports : Port.t array array;
   (* Per-destination path-multiplicity rows (Routing.path_weights),
      compiled alongside [next_ports] and invalidated with them; consumed
      by the Spritz policy. *)
-  next_weights : int array option array;
+  next_weights : int array array;
+  compiled : Bytes.t;  (* node id -> '\001' once its rows are compiled *)
   mutable fwd_gen : int;
   (* Reusable load closure for load-aware policies: [load_ports] is set
      to the current candidate row just before [Lb_policy.choose_at], so
@@ -159,21 +162,24 @@ let compile_ports t dst =
       ports
     end
   in
-  t.next_ports.(dst) <- Some ports;
-  t.next_weights.(dst) <- Some (Routing.path_weights t.routing ~node:t.node ~dst);
+  t.next_ports.(dst) <- ports;
+  t.next_weights.(dst) <- Routing.path_weights t.routing ~node:t.node ~dst;
+  Bytes.set t.compiled dst '\001';
   ports
 
 let candidate_ports t dst =
   let gen = Routing.generation t.routing in
   if gen <> t.fwd_gen then begin
-    Array.fill t.next_ports 0 (Array.length t.next_ports) None;
-    Array.fill t.next_weights 0 (Array.length t.next_weights) None;
+    Array.fill t.next_ports 0 (Array.length t.next_ports) [||];
+    Array.fill t.next_weights 0 (Array.length t.next_weights) [||];
+    Bytes.fill t.compiled 0 (Bytes.length t.compiled) '\000';
     t.fwd_gen <- gen
   end;
   if dst >= 0 && dst < Array.length t.next_ports then
-    match Array.unsafe_get t.next_ports dst with
-    | Some ports -> ports
-    | None -> compile_ports t dst
+    let ports = Array.unsafe_get t.next_ports dst in
+    if Array.length ports > 0 || Bytes.unsafe_get t.compiled dst <> '\000'
+    then ports
+    else compile_ports t dst
   else begin
     (* Out of range: not a host; [Routing.next_hop_count] raises the
        canonical invalid_arg without touching [next_ports]. *)
@@ -185,7 +191,7 @@ let compiled_next_ports t ~dst = candidate_ports t dst
 
 let compiled_path_weights t ~dst =
   ignore (candidate_ports t dst);
-  match t.next_weights.(dst) with Some w -> w | None -> [||]
+  t.next_weights.(dst)
 
 let lb_state t = t.lb_state
 
@@ -278,14 +284,10 @@ let forward t (pkt : Packet.t) =
               when is_local_host t pkt.Packet.src_node ->
                 Lb_policy.choose_at ~shift:t.cfg.ecmp_shift ~state:t.lb_state
                   t.cfg.lb ~rng:t.rng ~pkt ~n ~load:t.load_fn
-            | Lb_policy.Spritz when is_local_host t pkt.Packet.src_node -> (
-                match t.next_weights.(pkt.Packet.dst_node) with
-                | Some w ->
-                    Lb_policy.choose_at ~shift:t.cfg.ecmp_shift ~weights:w
-                      t.cfg.lb ~rng:t.rng ~pkt ~n ~load:t.load_fn
-                | None ->
-                    Lb_policy.choose_at ~shift:t.cfg.ecmp_shift t.cfg.lb
-                      ~rng:t.rng ~pkt ~n ~load:t.load_fn)
+            | Lb_policy.Spritz when is_local_host t pkt.Packet.src_node ->
+                Lb_policy.choose_at ~shift:t.cfg.ecmp_shift
+                  ~weights:t.next_weights.(pkt.Packet.dst_node) t.cfg.lb
+                  ~rng:t.rng ~pkt ~n ~load:t.load_fn
             | _ ->
                 Lb_policy.choose_at ~shift:t.cfg.ecmp_shift t.cfg.lb ~rng:t.rng
                   ~pkt ~n ~load:t.load_fn)
@@ -325,8 +327,9 @@ let create ~engine ~topo ~routing ~node ~config ~rng =
         ~per_port_cap:config.per_port_cap;
     ports = Hashtbl.create 8;
     local_hosts = Bytes.make (Topology.node_count topo) '\000';
-    next_ports = Array.make (Topology.node_count topo) None;
-    next_weights = Array.make (Topology.node_count topo) None;
+    next_ports = Array.make (Topology.node_count topo) [||];
+    next_weights = Array.make (Topology.node_count topo) [||];
+    compiled = Bytes.make (Topology.node_count topo) '\000';
     fwd_gen = Routing.generation routing;
     load_ports = [||];
     load_fn = (fun _ -> 0);

@@ -102,8 +102,10 @@ let themis_d_round d ~data ~nack base =
 let test_themis_d_verdicts () =
   Telemetry.disable ();
   let injected = ref 0 in
+  let engine = Engine.create () in
   let d =
-    Themis_d.create ~paths:2 ~queue_capacity:64 ~compensation:true
+    Themis_d.create ~paths:2 ~queue_capacity:64 ~compensation:true ~node:3
+      ~clock:(fun () -> Engine.now engine)
       ~inject_nack:(fun ~conn:_ ~conn_id:_ ~sport:_ ~epsn:_ -> incr injected)
       ()
   in

@@ -9,10 +9,16 @@ let data psn =
 
 let nack epsn = Packet.nack ~conn ~sport:42 ~epsn:(Psn.of_int epsn) ~birth:0
 
+(* The destination ToR the instances under test stand for, and the clock
+   that stamps their verdict events. *)
+let tor = 6
+let engine = Engine.create ()
+
 let make ?(paths = 2) ?(capacity = 16) ?(compensation = true) () =
   let injected = ref [] in
   let d =
-    Themis_d.create ~paths ~queue_capacity:capacity ~compensation
+    Themis_d.create ~paths ~queue_capacity:capacity ~compensation ~node:tor
+      ~clock:(fun () -> Engine.now engine)
       ~inject_nack:(fun ~conn:_ ~conn_id:_ ~sport:_ ~epsn ->
         injected := Psn.to_int epsn :: !injected)
       ()
@@ -164,7 +170,8 @@ let test_invalid_create () =
   Alcotest.check_raises "zero paths"
     (Invalid_argument "Themis_d.create: paths must be positive") (fun () ->
       ignore
-        (Themis_d.create ~paths:0 ~queue_capacity:4
+        (Themis_d.create ~paths:0 ~queue_capacity:4 ~node:tor
+           ~clock:(fun () -> Engine.now engine)
            ~inject_nack:(fun ~conn:_ ~conn_id:_ ~sport:_ ~epsn:_ -> ())
            ()))
 
