@@ -20,6 +20,31 @@ let test_find_remove () =
   Flow_table.remove t (conn 1);
   Alcotest.(check bool) "removed" true (Flow_table.find t (conn 1) = None)
 
+(* A removed flow's slot is empty again: the next lookup by id makes a
+   fresh entry rather than reviving the old one. *)
+let test_remove_then_add_id () =
+  let t = Flow_table.create ~queue_capacity:4 in
+  let flow = conn 7 in
+  let id = Flow_id.intern flow in
+  let e = Flow_table.find_or_add_id t ~id flow in
+  Psn_queue.push e.Flow_table.queue (Psn.of_int 3);
+  e.Flow_table.bepsn <- Psn.of_int 3;
+  e.Flow_table.valid <- true;
+  Flow_table.remove t flow;
+  Alcotest.(check int) "gone" 0 (Flow_table.size t);
+  Alcotest.(check bool) "not found" true (Flow_table.find t flow = None);
+  Flow_table.iter (fun _ _ -> Alcotest.fail "iterated a removed entry") t;
+  let e' = Flow_table.find_or_add_id t ~id flow in
+  Alcotest.(check bool) "fresh entry" false (e == e');
+  Alcotest.(check bool) "fresh invalid" false e'.Flow_table.valid;
+  Alcotest.(check int) "fresh queue" 0 (Psn_queue.length e'.Flow_table.queue);
+  Alcotest.(check int) "back to one" 1 (Flow_table.size t);
+  Alcotest.(check bool) "found again" true
+    (match Flow_table.find t flow with Some x -> x == e' | None -> false);
+  (* Removing an absent flow changes nothing. *)
+  Flow_table.remove t (conn 8);
+  Alcotest.(check int) "still one" 1 (Flow_table.size t)
+
 let test_iter () =
   let t = Flow_table.create ~queue_capacity:4 in
   for i = 1 to 5 do
@@ -50,6 +75,8 @@ let () =
         [
           Alcotest.test_case "find_or_add" `Quick test_find_or_add;
           Alcotest.test_case "find/remove" `Quick test_find_remove;
+          Alcotest.test_case "remove then find_or_add_id" `Quick
+            test_remove_then_add_id;
           Alcotest.test_case "iter" `Quick test_iter;
           Alcotest.test_case "memory" `Quick test_memory;
           Alcotest.test_case "invalid" `Quick test_invalid;

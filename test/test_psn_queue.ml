@@ -188,6 +188,68 @@ let prop_matches_model =
                   got = Some (p x)))
         ops)
 
+(* Model-based property over the whole API on a list model: [push] with
+   overwrite of the oldest entry (counted), [pop_until_greater], and
+   [contains].  Small capacities and a long mix of pushes and pops walk
+   the head around the ring many times, so every wrap of the one-block
+   layout — the push index, the head after a pop or an overwrite, and a
+   [contains] scan that runs past the end of the block — is compared
+   with the model after each operation. *)
+let prop_full_api_matches_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun x -> `Push x) (int_range 0 15));
+          (2, map (fun e -> `Pop_until_greater e) (int_range 0 15));
+          (2, map (fun x -> `Contains x) (int_range 0 15));
+          (1, return `Pop);
+        ])
+  in
+  QCheck.Test.make ~name:"push/pop_until_greater/contains = list model"
+    ~count:500
+    QCheck.(
+      pair (int_range 1 6) (list_of_size (Gen.int_range 0 120) (make op)))
+    (fun (cap, ops) ->
+      let q = Psn_queue.create ~capacity:cap in
+      let model = ref [] and overwrites = ref 0 in
+      let rec until_greater e = function
+        | [] -> (-1, [])
+        | x :: rest ->
+            if Psn.gt (p x) (p e) then (x, rest) else until_greater e rest
+      in
+      List.for_all
+        (fun op ->
+          let result_ok =
+            match op with
+            | `Push x ->
+                Psn_queue.push q (p x);
+                model := !model @ [ x ];
+                if List.length !model > cap then begin
+                  model := List.tl !model;
+                  incr overwrites
+                end;
+                true
+            | `Pop_until_greater e ->
+                let want, rest = until_greater e !model in
+                model := rest;
+                Psn_queue.pop_until_greater q (p e) = want
+            | `Contains x -> Psn_queue.contains q (p x) = List.mem x !model
+            | `Pop -> (
+                let got = Psn_queue.pop q in
+                match !model with
+                | [] -> got = None
+                | x :: rest ->
+                    model := rest;
+                    got = Some (p x))
+          in
+          result_ok
+          && List.map Psn.to_int (Psn_queue.to_list q) = !model
+          && Psn_queue.length q = List.length !model
+          && Psn_queue.overwrites q = !overwrites
+          && Psn_queue.capacity q = cap)
+        ops)
+
 let () =
   Alcotest.run "psn_queue"
     [
@@ -210,5 +272,6 @@ let () =
           Alcotest.test_case "capacity rule" `Quick test_capacity_for;
           Alcotest.test_case "invalid capacity" `Quick test_invalid_capacity;
           QCheck_alcotest.to_alcotest prop_matches_model;
+          QCheck_alcotest.to_alcotest prop_full_api_matches_model;
         ] );
     ]

@@ -150,6 +150,62 @@ let test_qp_accessors () =
     (Rate.to_gbps (Rnic.qp_rate qp));
   Alcotest.(check int) "two senders" 2 (List.length (Rnic.senders a))
 
+(* A flow neither NIC registered, interned so its id is small: it lands
+   inside the by-id arrays, on a slot that holds another QP. *)
+let foreign = Flow_id.make ~src:1 ~dst:0 ~qpn:77
+
+(* Control packets for a QP this NIC has no sender for are dropped and
+   released, whether their id falls on a slot padded with another QP's
+   sender or off the end of the array, and touch no sender's state. *)
+let test_foreign_control_dropped () =
+  let engine, a, b, _, _ = wire () in
+  let qp = Rnic.connect a ~dst:b in
+  let snd = Rnic.qp_sender qp in
+  Rnic.post_send qp ~bytes:50_000 ~on_complete:(fun _ -> ());
+  (* Data is on the wire, no ACK is back yet. *)
+  Engine.run engine ~until:(Sim_time.ns 900);
+  let outstanding = Sender.outstanding snd in
+  Alcotest.(check bool) "data outstanding" true (outstanding > 0);
+  let rate = Rate.to_gbps (Sender.rate snd) in
+  let in_range = Flow_id.intern foreign in
+  Alcotest.(check bool) "foreign id is another slot" true
+    (in_range <> Sender.conn_id snd && in_range < 16);
+  List.iter
+    (fun conn_id ->
+      let sport = Sender.sport snd in
+      List.iter
+        (fun pkt ->
+          Rnic.receive a pkt;
+          Alcotest.(check bool) "released" true pkt.Packet.pooled)
+        [
+          Packet_pool.ack ~conn:foreign ~conn_id ~sport
+            ~psn:(Psn.of_int outstanding) ~birth:0;
+          Packet_pool.nack ~conn:foreign ~conn_id ~sport ~epsn:Psn.zero
+            ~birth:0;
+          Packet_pool.cnp ~conn:foreign ~conn_id ~sport ~birth:0;
+        ])
+    [ in_range; 100_000 ];
+  Alcotest.(check int) "nothing acknowledged" outstanding
+    (Sender.outstanding snd);
+  Alcotest.(check int) "no nack taken" 0 (Rnic.nacks_received a);
+  Alcotest.(check int) "no cnp taken" 0 (Sender.cnps_received snd);
+  Alcotest.(check (float 0.)) "rate untouched" rate
+    (Rate.to_gbps (Sender.rate snd))
+
+(* Data for a QP the receiving NIC never registered is a wiring bug and
+   fails loudly, on a padded slot and off the end of the array alike. *)
+let test_unknown_qp_data () =
+  let _, a, b, _, _ = wire () in
+  ignore (Rnic.connect a ~dst:b);
+  let msg = Format.asprintf "Rnic 1: data for unknown QP %a" Flow_id.pp foreign in
+  List.iter
+    (fun conn_id ->
+      Alcotest.check_raises "unknown QP" (Failure msg) (fun () ->
+          Rnic.receive b
+            (Packet_pool.data ~conn:foreign ~conn_id ~sport:1 ~psn:Psn.zero
+               ~payload:100 ~last_of_msg:false ~retransmission:false ~birth:0)))
+    [ Flow_id.intern foreign; 100_000 ]
+
 let () =
   Alcotest.run "rnic"
     [
@@ -169,5 +225,8 @@ let () =
       ( "api",
         [
           Alcotest.test_case "accessors" `Quick test_qp_accessors;
+          Alcotest.test_case "foreign control dropped" `Quick
+            test_foreign_control_dropped;
+          Alcotest.test_case "unknown qp data" `Quick test_unknown_qp_data;
         ] );
     ]
