@@ -43,8 +43,9 @@ bench-engine-smoke:
 	dune exec bench/engine_bench.exe -- --smoke --out _build/BENCH_engine.smoke.json
 
 # Forwarding fast path in isolation (DESIGN.md §11): a single switch's
-# steady-state packets/sec (the lower envelope of 10 chunked windows)
-# and words/packet through the compiled per-destination port arrays.
+# steady-state packets/sec (the median of 10 whole timed windows, with
+# their quartiles) and words/packet through the compiled
+# per-destination port arrays.
 # Fails if the steady-state loop touches a hashtable even once (the
 # zero-probe guarantee) or allocates a single minor word.
 bench-fwd:

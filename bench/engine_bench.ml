@@ -168,16 +168,17 @@ let bench_incast ~schemes ~fanin ~bytes ~seed ~reps ~expect_events =
    compiled route cache takes zero hashtable probes and the loop
    allocates zero words.
 
-   Each of [windows] passes over the warm switch feeds [chunks] fixed
-   chunks of [chunk_batches] batches, every chunk timed on its own.  The
-   reported [wall_s] is the lower envelope, the sum over chunks of each
-   chunk's fastest time across the windows (perfbench's [wall_s] rule):
-   chunk [i] of every window does the same work, so a preemption costs
-   only the chunk it lands in, in the one window it lands in.  The
-   whole-window times are kept as the spread. *)
-let chunk_batches = 8
+   Each of [windows] passes over the warm switch feeds [batches]
+   batches and is timed whole; the reported rate is the median window's,
+   with the windows' quartiles. *)
+type fwd = {
+  packets : int;  (* per window *)
+  rate : spread;  (* packets/sec over the windows *)
+  words_per_packet : float;
+  probes : int;
+}
 
-let bench_fwd ~chunks ~windows =
+let bench_fwd ~batches ~windows =
   let engine = Engine.create () in
   let ls = Leaf_spine.build Leaf_spine.motivation in
   let topo = ls.Leaf_spine.topo in
@@ -232,33 +233,20 @@ let bench_fwd ~chunks ~windows =
   run_batch ();
   run_batch ();
   let probes0 = Switch.forward_hash_probes () in
-  let packets = chunks * chunk_batches * batch in
+  let packets = batches * batch in
   (* Later windows reuse the same connections and route cache, so
      repeats only filter machine noise; the probe-free and
      allocation-free assertions span every window, timing included. *)
-  let best = Array.make chunks infinity in
-  let window_s = Array.make windows 0. in
+  let rates = Array.make windows 0. in
   let words0 = Gc.minor_words () in
   for w = 0 to windows - 1 do
-    let w0 = Unix.gettimeofday () in
-    for c = 0 to chunks - 1 do
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to chunk_batches do
-        run_batch ()
-      done;
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < best.(c) then best.(c) <- dt
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to batches do
+      run_batch ()
     done;
-    window_s.(w) <- Unix.gettimeofday () -. w0
+    rates.(w) <- float_of_int packets /. (Unix.gettimeofday () -. t0)
   done;
   let steady_words = Gc.minor_words () -. words0 in
-  let s =
-    {
-      events = packets;
-      wall_s = Array.fold_left ( +. ) 0. best;
-      minor_words = steady_words /. float_of_int windows;
-    }
-  in
   let steady_probes = Switch.forward_hash_probes () - probes0 in
   if steady_probes <> 0 then
     failwith
@@ -275,7 +263,12 @@ let bench_fwd ~chunks ~windows =
          steady_words);
   if Switch.forwarded_packets sw < packets * windows then
     failwith "engine_bench: fwd forwarded fewer packets than fed";
-  (s, steady_probes, spread window_s)
+  {
+    packets;
+    rate = spread rates;
+    words_per_packet = steady_words /. float_of_int (packets * windows);
+    probes = steady_probes;
+  }
 
 (* The CI campaign grid, executed serially in-process: wall-clock here is
    what a single `make campaign-quick` worker pays per job. *)
@@ -359,16 +352,22 @@ let j_incast (s, wheel, heap, hit, reps) =
       ("wheel_hit_ratio", Campaign_json.Num hit);
     ]
 
-let j_fwd (s, probes, windows) =
+let fwd_keys =
+  [
+    "packets"; "packets_per_sec"; "packets_per_sec_p25";
+    "packets_per_sec_p75"; "minor_words_per_packet";
+    "steady_state_hash_probes";
+  ]
+
+let j_fwd f =
   Campaign_json.Obj
-    [
-      ("packets", Campaign_json.Num (float_of_int s.events));
-      ("wall_s", Campaign_json.Num s.wall_s);
-      ("window_wall_s", j_spread windows);
-      ("packets_per_sec", Campaign_json.Num (events_per_sec s));
-      ("minor_words_per_packet", Campaign_json.Num (words_per_event s));
-      ("steady_state_hash_probes", Campaign_json.Num (float_of_int probes));
-    ]
+    (List.combine fwd_keys
+       (List.map
+          (fun x -> Campaign_json.Num x)
+          [
+            float_of_int f.packets; f.rate.median; f.rate.p25; f.rate.p75;
+            f.words_per_packet; float_of_int f.probes;
+          ]))
 
 let j_cost c =
   Campaign_json.Obj
@@ -425,7 +424,8 @@ let emit ~mill ~incast ~quick ~fwd ~build =
 
 (* The smoke path is the `make check` gate: it must prove the harness
    runs end-to-end and that the file it wrote is valid JSON with the
-   fields the trajectory tooling reads. *)
+   fields the trajectory tooling reads: the top-level [keys] and, when
+   [fwd] is one of them, every field of the [fwd] block. *)
 let validate_output ~keys =
   let ic = open_in !out_path in
   let n = in_channel_length ic in
@@ -434,17 +434,23 @@ let validate_output ~keys =
   match Campaign_json.of_string s with
   | Error e -> failwith (Printf.sprintf "engine_bench: bad JSON emitted: %s" e)
   | Ok doc ->
+      let require obj path key =
+        match Campaign_json.member key obj with
+        | Some v -> v
+        | None ->
+            failwith
+              (Printf.sprintf "engine_bench: missing field %S" (path ^ key))
+      in
       List.iter
         (fun key ->
-          match Campaign_json.member key doc with
-          | Some _ -> ()
-          | None ->
-              failwith (Printf.sprintf "engine_bench: missing field %S" key))
+          let v = require doc "" key in
+          if key = "fwd" then
+            List.iter (fun k -> ignore (require v "fwd." k)) fwd_keys)
         keys
 
-let pp_fwd (f, probes, _) =
-  Printf.sprintf "fwd %.0f pkt/s, %.2f w/pkt, %d steady probes"
-    (events_per_sec f) (words_per_event f) probes
+let pp_fwd f =
+  Printf.sprintf "fwd %.0f pkt/s (p25 %.0f, p75 %.0f), %.2f w/pkt, %d steady probes"
+    f.rate.median f.rate.p25 f.rate.p75 f.words_per_packet f.probes
 
 type target = All | Fwd_only | Incast_only
 
@@ -480,8 +486,8 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   let reps = if !smoke then 1 else 5 in
   let fwd () =
-    if !smoke then bench_fwd ~chunks:12 ~windows:1
-    else bench_fwd ~chunks:1250 ~windows:10
+    if !smoke then bench_fwd ~batches:96 ~windows:1
+    else bench_fwd ~batches:10_000 ~windows:10
   in
   (* The 4-scheme incast replays the 330,667-event fingerprint in every
      repetition; the smoke incast replays 756. *)

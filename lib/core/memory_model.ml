@@ -16,7 +16,7 @@ let table1 =
     n_nic = 16;
     n_qp = 100;
     mtu = 1500;
-    factor = 1.5;
+    factor = Psn_queue.default_factor;
   }
 
 let pathmap_bytes p = p.n_paths * 2

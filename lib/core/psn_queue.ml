@@ -19,6 +19,8 @@ let capacity_for ~bw ~rtt ~mtu ~factor =
   let bdp_bytes = Rate.to_bps bw *. Sim_time.to_sec rtt /. 8. in
   Stdlib.max 1 (int_of_float (Float.ceil (bdp_bytes *. factor /. float_of_int mtu)))
 
+let default_factor = 1.5
+
 let capacity t = Array.length t - base
 let length t = Array.unsafe_get t len_i
 let is_empty t = length t = 0

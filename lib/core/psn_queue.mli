@@ -22,6 +22,9 @@ val create : capacity:int -> t
 val capacity_for : bw:Rate.t -> rtt:Sim_time.t -> mtu:int -> factor:float -> int
 (** [ceil (BW * RTT * F / MTU)], at least 1 — the sizing rule of §4. *)
 
+val default_factor : float
+(** F = 1.5, the paper's Table 1 value and every fabric's default. *)
+
 val push : t -> Psn.t -> unit
 (** Append at tail; overwrites the head slot when full. *)
 

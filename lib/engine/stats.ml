@@ -1,13 +1,3 @@
-module Counter = struct
-  type t = { mutable v : int }
-
-  let create () = { v = 0 }
-  let incr t = t.v <- t.v + 1
-  let add t n = t.v <- t.v + n
-  let get t = t.v
-  let reset t = t.v <- 0
-end
-
 module Time_series = struct
   type bucket = { mutable sum : float; mutable count : int }
   type t = { width : Sim_time.t; tbl : (int, bucket) Hashtbl.t }

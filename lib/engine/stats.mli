@@ -1,21 +1,10 @@
 (** Metric collection for experiments.
 
-    Three collectors cover everything the paper's figures need:
-    - {!Counter}: monotonically increasing event counts.
+    Two collectors cover everything the paper's figures need:
     - {!Time_series}: values bucketed by simulated time (retransmission ratio
       and sending rate over time, Figs. 1b/1c).
     - {!Summary}: scalar aggregation (mean/min/max/percentiles) for
       completion times and throughputs (Figs. 1d, 5a, 5b). *)
-
-module Counter : sig
-  type t
-
-  val create : unit -> t
-  val incr : t -> unit
-  val add : t -> int -> unit
-  val get : t -> int
-  val reset : t -> unit
-end
 
 module Time_series : sig
   type t

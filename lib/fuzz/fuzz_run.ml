@@ -107,8 +107,7 @@ let build (spec : Fuzz_spec.t) ~scheme =
       let params =
         {
           (Fat_tree_net.default_params ~k ~themis:false ()) with
-          Fat_tree_net.host_bw = bw;
-          fabric_bw = bw;
+          Fat_tree_net.bw;
           link_delay = link_delay_ns;
           nic = { (Rnic.default_config ~line_rate:bw) with Rnic.transport };
           scheme;

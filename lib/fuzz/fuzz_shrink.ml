@@ -47,7 +47,7 @@ let candidates (spec : Fuzz_spec.t) : Fuzz_spec.t list =
     let halved =
       List.map
         (fun tr ->
-          if tr.bytes > Fuzz_spec.mtu then { tr with bytes = tr.bytes / 2 }
+          if tr.bytes > Rnic.mtu then { tr with bytes = tr.bytes / 2 }
           else tr)
         spec.transfers
     in

@@ -38,10 +38,8 @@ type t = {
 }
 
 let all_schemes = [ "ecmp"; "spray"; "ar"; "themis" ]
-let mtu = 1500
-
 let packets_of_bytes _t bytes =
-  if bytes <= 0 then 0 else (bytes + mtu - 1) / mtu
+  if bytes <= 0 then 0 else (bytes + Rnic.mtu - 1) / Rnic.mtu
 
 let n_hosts_of_shape = function
   | Ls { n_leaves; hosts_per_leaf; _ } -> n_leaves * hosts_per_leaf

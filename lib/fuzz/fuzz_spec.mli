@@ -95,9 +95,7 @@ val validate : t -> (unit, string) result
     checks (flow endpoints, fault links) are [Fuzz_run]'s. *)
 
 val packets_of_bytes : t -> int -> int
-(** Messages are segmented at the (fixed, 1500 B) MTU. *)
-
-val mtu : int
+(** Messages are segmented at {!Rnic.mtu}. *)
 
 val generate : ?profile:profile -> seed:int -> unit -> t
 (** Deterministic: the same seed always yields the same spec. *)

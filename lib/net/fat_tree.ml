@@ -7,7 +7,7 @@ type t = {
   cores : int array;
 }
 
-let build ~k ~host_bw ~fabric_bw ~link_delay =
+let build ~k ~bw ~link_delay =
   if k <= 0 || k mod 2 <> 0 then invalid_arg "Fat_tree.build: k must be even and positive";
   let half = k / 2 in
   let topo = Topology.create () in
@@ -32,12 +32,12 @@ let build ~k ~host_bw ~fabric_bw ~link_delay =
     ignore (Topology.add_link topo a b ~bandwidth:bw ~delay:link_delay)
   in
   (* Hosts to edges: host i sits under edge (i / half). *)
-  Array.iteri (fun i host -> connect host edges.(i / half) host_bw) hosts;
+  Array.iteri (fun i host -> connect host edges.(i / half) bw) hosts;
   (* Edge to agg: full bipartite within each pod. *)
   for pod = 0 to k - 1 do
     for e = 0 to half - 1 do
       for a = 0 to half - 1 do
-        connect edges.((pod * half) + e) aggs.((pod * half) + a) fabric_bw
+        connect edges.((pod * half) + e) aggs.((pod * half) + a) bw
       done
     done
   done;
@@ -45,7 +45,7 @@ let build ~k ~host_bw ~fabric_bw ~link_delay =
   for pod = 0 to k - 1 do
     for a = 0 to half - 1 do
       for c = 0 to half - 1 do
-        connect aggs.((pod * half) + a) cores.((a * half) + c) fabric_bw
+        connect aggs.((pod * half) + a) cores.((a * half) + c) bw
       done
     done
   done;

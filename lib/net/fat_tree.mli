@@ -18,8 +18,8 @@ type t = {
   cores : int array;
 }
 
-val build :
-  k:int -> host_bw:Rate.t -> fabric_bw:Rate.t -> link_delay:Sim_time.t -> t
+val build : k:int -> bw:Rate.t -> link_delay:Sim_time.t -> t
+(** Every link, host and fabric, runs at [bw]. *)
 
 val tor_of_host : t -> int -> int
 val pod_of_host : t -> int -> int

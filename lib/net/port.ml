@@ -54,7 +54,6 @@ let record_drop t (pkt : Packet.t) reason =
 
 let set_deliver t f = t.deliver <- f
 let set_jitter t ~rng ~max = t.jitter <- Some (rng, max)
-let has_jitter t = t.jitter <> None
 
 let set_on_dequeue t f = t.on_dequeue <- f
 let set_on_discard t f = t.on_discard <- f

@@ -45,8 +45,6 @@ val set_on_discard : t -> (Packet.t -> unit) -> unit
 (** Hook fired for packets discarded without transmission (enqueue on a
     failed link, or queue flush when the link goes down). *)
 
-val has_jitter : t -> bool
-
 val delay : t -> Sim_time.t
 (** Propagation delay of the link direction this port serializes onto. *)
 

@@ -1,30 +1,25 @@
 type config = {
-  g : float;
-  rai : Rate.t;
-  rhai : Rate.t;
-  alpha_timer : Sim_time.t;
   rate_decrease_interval : Sim_time.t;
   rate_increase_timer : Sim_time.t;
-  byte_counter : int;
-  fast_recovery_rounds : int;
   nack_slow_start : bool;
-  nack_factor : float;
-  nack_decrease_interval : Sim_time.t;
 }
+
+(* The rate machine's fixed constants: the paper sweeps only TI and TD
+   (dcqcn.mli documents each value). *)
+let g = 1. /. 256.
+let rai = Rate.gbps 0.04
+let rhai = Rate.gbps 0.4
+let alpha_timer = Sim_time.us 55
+let byte_counter = 10_000_000
+let fast_recovery_rounds = 5
+let nack_factor = 0.5
+let nack_decrease_interval = Sim_time.us 300
 
 let default =
   {
-    g = 1. /. 256.;
-    rai = Rate.gbps 0.04;
-    rhai = Rate.gbps 0.4;
-    alpha_timer = Sim_time.us 55;
     rate_decrease_interval = Sim_time.us 4;
     rate_increase_timer = Sim_time.us 900;
-    byte_counter = 10_000_000;
-    fast_recovery_rounds = 5;
     nack_slow_start = true;
-    nack_factor = 0.5;
-    nack_decrease_interval = Sim_time.us 300;
   }
 
 let with_ti_td cfg ~ti_us ~td_us =
@@ -80,14 +75,14 @@ let stop_increase_timer t =
 let rec increase_event t =
   let st = t.st in
   t.stage <- t.stage + 1;
-  let f = t.cfg.fast_recovery_rounds in
+  let f = fast_recovery_rounds in
   if t.stage <= f then st.rc <- Rate.avg st.rc st.rt
   else if t.stage <= 2 * f then begin
-    st.rt <- Rate.clamp (Rate.add st.rt t.cfg.rai) ~max:t.line_rate;
+    st.rt <- Rate.clamp (Rate.add st.rt rai) ~max:t.line_rate;
     st.rc <- Rate.avg st.rc st.rt
   end
   else begin
-    st.rt <- Rate.clamp (Rate.add st.rt t.cfg.rhai) ~max:t.line_rate;
+    st.rt <- Rate.clamp (Rate.add st.rt rhai) ~max:t.line_rate;
     st.rc <- Rate.avg st.rc st.rt
   end;
   st.rc <- Rate.clamp st.rc ~max:t.line_rate;
@@ -106,14 +101,14 @@ and reschedule_increase t =
       t.cb_increase ~obj:(Obj.repr ())
 
 and alpha_decay t =
-  let a = (1. -. t.cfg.g) *. t.st.alpha in
+  let a = (1. -. g) *. t.st.alpha in
   t.st.alpha <- a;
   if a > 1e-4 then reschedule_alpha t else t.alpha_handle <- Engine.none
 
 and reschedule_alpha t =
   Engine.cancel t.engine t.alpha_handle;
   t.alpha_handle <-
-    Engine.schedule_call t.engine ~delay:t.cfg.alpha_timer t.cb_alpha
+    Engine.schedule_call t.engine ~delay:alpha_timer t.cb_alpha
       ~obj:(Obj.repr ())
 
 let create ~engine ?conn ~config ~line_rate () =
@@ -171,7 +166,7 @@ let decrease t ~gate =
     | `Td -> Sim_time.diff now t.last_decrease >= t.cfg.rate_decrease_interval
     | `Nack ->
         Sim_time.diff now t.last_nack_decrease
-        >= t.cfg.nack_decrease_interval
+        >= nack_decrease_interval
   in
   if gate_ok then begin
     t.last_decrease <- now;
@@ -183,9 +178,9 @@ let decrease t ~gate =
     let factor =
       match gate with
       | `Td -> 1. -. (st.alpha /. 2.)
-      | `Nack -> t.cfg.nack_factor
+      | `Nack -> nack_factor
     in
-    st.alpha <- ((1. -. t.cfg.g) *. st.alpha) +. t.cfg.g;
+    st.alpha <- ((1. -. g) *. st.alpha) +. g;
     st.rt <- st.rc;
     st.rc <- Rate.scale st.rc factor;
     t.stage <- 0;
@@ -212,10 +207,10 @@ let on_timeout t =
   reschedule_alpha t
 
 let on_bytes_sent t b =
-  if t.cfg.byte_counter < max_int && not (at_line_rate t) then begin
+  if not (at_line_rate t) then begin
     t.bytes_acc <- t.bytes_acc + b;
-    if t.bytes_acc >= t.cfg.byte_counter then begin
-      t.bytes_acc <- t.bytes_acc - t.cfg.byte_counter;
+    if t.bytes_acc >= byte_counter then begin
+      t.bytes_acc <- t.bytes_acc - byte_counter;
       increase_event t
     end
   end

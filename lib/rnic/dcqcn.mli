@@ -7,45 +7,41 @@
     - On a congestion signal (CNP — or a NACK, which commodity RNICs also
       treat as a slow-start trigger, Section 2.2), and at most once every
       {b TD} ([rate_decrease_interval]): [Rt <- Rc],
-      [Rc <- Rc * (1 - alpha/2)] (for NACKs, [Rc <- Rc * nack_factor]),
+      [Rc <- Rc * (1 - alpha/2)] (for NACKs, [Rc <- Rc * 0.5]),
       [alpha <- (1-g) alpha + g], and the recovery stage counter resets.
 
     - Every {b TI} ([rate_increase_timer]) since the last decrease (and
-      every [byte_counter] bytes sent), a rate-increase event fires:
+      every [B] bytes sent), a rate-increase event fires:
       the first [F] events do fast recovery ([Rc <- (Rc+Rt)/2]), the next
       [F] additive increase ([Rt += Rai]), then hyper increase
       ([Rt += Rhai]).
 
-    - Every [alpha_timer] without congestion, [alpha <- (1-g) alpha].
+    - Every 55 us (the alpha timer) without congestion,
+      [alpha <- (1-g) alpha].
 
     The paper's Figure 5 sweep varies (TI, TD) over {(900,4), (300,4),
     (10,4), (10,50), (10,200)} microseconds. *)
 
 type config = {
-  g : float;
-  rai : Rate.t;
-  rhai : Rate.t;
-  alpha_timer : Sim_time.t;
   rate_decrease_interval : Sim_time.t;  (** TD *)
   rate_increase_timer : Sim_time.t;  (** TI *)
-  byte_counter : int;  (** B; [max_int] disables byte-counter events. *)
-  fast_recovery_rounds : int;  (** F *)
   nack_slow_start : bool;
       (** Whether a NACK triggers a rate decrease — the commodity-RNIC
           behaviour Themis suppresses.  [false] for the Ideal transport. *)
-  nack_factor : float;  (** [Rc] multiplier on a NACK-triggered decrease. *)
-  nack_decrease_interval : Sim_time.t;
-      (** Minimum gap between NACK-triggered slow starts.  NIC firmware
-          applies one "slow restart" per loss episode rather than one per
-          NACK; this gate models the episode granularity (CNP-triggered
-          decreases keep the [TD] gate). *)
 }
+(** The rest of the rate machine is fixed:
+    - g = 1/256 (alpha gain);
+    - Rai = 40 Mbps, Rhai = 400 Mbps (additive and hyper increase steps);
+    - B = 10 MB (byte counter);
+    - F = 5 (fast-recovery rounds);
+    - a NACK-triggered decrease multiplies [Rc] by 0.5, at most once every
+      300 us.  NIC firmware applies one "slow restart" per loss episode
+      rather than one per NACK; this gate models the episode granularity
+      (CNP-triggered decreases keep the [TD] gate). *)
 
 val default : config
-(** g = 1/256, Rai = 40 Mbps, Rhai = 400 Mbps, alpha timer 55 us,
-    TI = 900 us, TD = 4 us (the recommended setting the paper starts
-    from), B = 10 MB, F = 5, NACK slow-start on with factor 0.5 at most
-    every 300 us. *)
+(** TI = 900 us, TD = 4 us (the recommended setting the paper starts
+    from), NACK slow-start on. *)
 
 val with_ti_td : config -> ti_us:float -> td_us:float -> config
 (** The Figure 5 sweep knob. *)

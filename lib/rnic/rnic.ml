@@ -1,23 +1,20 @@
 type transport = [ `Sr | `Gbn | `Ideal ]
 
 type config = {
-  mtu : int;
   transport : transport;
-  window : int;
-  rto : Sim_time.t;
-  ack_coalesce : int;
   cnp_interval : Sim_time.t;
   cc : Dcqcn.config;
   line_rate : Rate.t;
 }
 
+let mtu = 1500
+let window = 512
+let rto = Sim_time.ms 1
+let ack_coalesce = 4
+
 let default_config ~line_rate =
   {
-    mtu = 1500;
     transport = `Sr;
-    window = 512;
-    rto = Sim_time.ms 1;
-    ack_coalesce = 4;
     cnp_interval = Sim_time.us 50;
     cc = Dcqcn.default;
     line_rate;
@@ -97,7 +94,6 @@ let set_slot arr id v =
 
 let set_port t port = t.port <- Some port
 let node t = t.node
-let config t = t.cfg
 let set_on_data_tx t f = t.on_data_tx <- f
 
 let port_exn t =
@@ -152,7 +148,7 @@ let register_receiver t ~conn ~sport =
   ctx.recv <-
     Receiver.create
       ~mode:(receiver_mode t.cfg.transport)
-      ~ack_coalesce:t.cfg.ack_coalesce
+      ~ack_coalesce
       ~actions:
         {
           Receiver.send_ack =
@@ -260,10 +256,10 @@ let connect t ~dst =
     Sender.create ~engine:t.engine ~conn ~sport
       ~config:
         {
-          Sender.mtu = t.cfg.mtu;
+          Sender.mtu;
           mode = sender_mode t.cfg.transport;
-          window = t.cfg.window;
-          rto = t.cfg.rto;
+          window;
+          rto;
           cc = cc_config t.cfg;
         }
       ~line_rate:t.cfg.line_rate

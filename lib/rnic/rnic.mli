@@ -14,19 +14,20 @@
 type transport = [ `Sr | `Gbn | `Ideal ]
 
 type config = {
-  mtu : int;
   transport : transport;
-  window : int;
-  rto : Sim_time.t;
-  ack_coalesce : int;
   cnp_interval : Sim_time.t;
       (** Receiver-side minimum gap between CNPs of one QP. *)
   cc : Dcqcn.config;
   line_rate : Rate.t;
 }
+(** The transport constants are the same on every NIC: a 512-packet
+    window, a 1 ms RTO, ACKs coalesced 4:1 and {!mtu}-byte segments. *)
+
+val mtu : int
+(** 1500 B of payload per data packet. *)
 
 val default_config : line_rate:Rate.t -> config
-(** MTU 1500 B payload, NIC-SR, window 512, RTO 1 ms, ACKs coalesced 4:1, CNP interval 50 us, {!Dcqcn.default}. *)
+(** NIC-SR, CNP interval 50 us, {!Dcqcn.default}. *)
 
 type t
 type qp
@@ -37,7 +38,6 @@ val set_port : t -> Port.t -> unit
 (** The NIC's egress towards its ToR (wiring phase). *)
 
 val node : t -> int
-val config : t -> config
 
 val receive : t -> Packet.t -> unit
 (** Entry point for packets delivered by the host link. *)

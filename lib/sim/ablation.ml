@@ -200,7 +200,7 @@ let memory_footprint ?(seed = 5) () =
     Flow_table.entry_bytes
     + Psn_queue.capacity_for ~bw:fabric.Leaf_spine.host_bw
         ~rtt:(Network.last_hop_rtt params)
-        ~mtu:(params.Network.nic.Rnic.mtu + Headers.data_overhead)
+        ~mtu:(Rnic.mtu + Headers.data_overhead)
         ~factor:params.Network.queue_factor
   in
   { tor_flow_tables_bytes = measured; model_bytes = per_qp * !qps; qps = !qps }

@@ -35,9 +35,6 @@ let table_to_string ~columns rows =
     rows;
   Buffer.contents buf
 
-let write_table ~path ~columns rows =
-  write_string path (table_to_string ~columns rows)
-
 let fig5_to_string ~sweep ~rows =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "scheme";

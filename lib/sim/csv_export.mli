@@ -13,8 +13,6 @@ val write_series :
 val table_to_string : columns:string list -> float list list -> string
 (** Rows of numbers under named columns (row length must match). *)
 
-val write_table : path:string -> columns:string list -> float list list -> unit
-
 val fig5_to_string :
   sweep:(float * float) list ->
   rows:(string * float list) list ->

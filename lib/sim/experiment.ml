@@ -74,7 +74,6 @@ type motivation_config = {
   msg_bytes : int;
   transport : Rnic.transport;
   scheme : Network.scheme;
-  bucket : Sim_time.t;
   seed : int;
   telemetry : bool;
 }
@@ -84,7 +83,6 @@ let default_motivation =
     msg_bytes = 10_000_000;
     transport = `Sr;
     scheme = Network.Random_spray;
-    bucket = Sim_time.us 20;
     seed = 7;
     telemetry = false;
   }
@@ -101,6 +99,9 @@ type motivation_result = {
   motivation_themis : Network.themis_totals option;
   telemetry : telemetry_summary option;
 }
+
+(* Width of the Fig. 1b/1c time-series buckets. *)
+let series_bucket = Sim_time.us 20
 
 let motivation_params ~scheme ~transport ~seed =
   let base = Network.default_params ~fabric:Leaf_spine.motivation ~scheme in
@@ -131,9 +132,9 @@ let run_motivation (cfg : motivation_config) =
   let watched_conn = Rnic.qp_conn (List.hd qps) in
   (* Per-bucket wire bytes and retransmission counts for the watched flow;
      run-wide counters come from the NIC aggregates. *)
-  let rate_ts = Stats.Time_series.create ~bucket:cfg.bucket in
-  let retx_ts = Stats.Time_series.create ~bucket:cfg.bucket in
-  let total_ts = Stats.Time_series.create ~bucket:cfg.bucket in
+  let rate_ts = Stats.Time_series.create ~bucket:series_bucket in
+  let retx_ts = Stats.Time_series.create ~bucket:series_bucket in
+  let total_ts = Stats.Time_series.create ~bucket:series_bucket in
   let engine = Network.engine net in
   Array.iter
     (fun host ->

@@ -52,14 +52,14 @@ type motivation_config = {
   msg_bytes : int;
   transport : Rnic.transport;
   scheme : Network.scheme;
-  bucket : Sim_time.t;  (** Series bucket width. *)
   seed : int;
   telemetry : bool;  (** Enable the typed-telemetry context for the run. *)
 }
 
 val default_motivation : motivation_config
 (** 10 MB per flow (the paper's 100 MB scaled for simulation speed — the
-    ratios are time-invariant), NIC-SR, random spraying, 20 us buckets. *)
+    ratios are time-invariant), NIC-SR, random spraying.  The series
+    buckets are always 20 us wide. *)
 
 type motivation_result = {
   retx_series : series;  (** Per-bucket retransmission ratio, watched flow. *)

@@ -164,12 +164,11 @@ let connect t ~src ~dst =
   (match t.sampler with
   | Some s ->
       let sender = Rnic.qp_sender qp in
-      let mtu = (Rnic.config t.nics.(src)).Rnic.mtu in
       Sampler.add_probe s ~name:"qp_inflight_bytes"
         ~labels:
           [ ("conn", Format.asprintf "%a" Flow_id.pp (Rnic.qp_conn qp)) ]
         ~histogram:"qp_inflight_bytes_dist" (fun () ->
-          float_of_int (Sender.outstanding sender * mtu))
+          float_of_int (Sender.outstanding sender * Rnic.mtu))
   | None -> ());
   qp
 

@@ -1,7 +1,6 @@
 type params = {
   k : int;
-  host_bw : Rate.t;
-  fabric_bw : Rate.t;
+  bw : Rate.t;
   link_delay : Sim_time.t;
   nic : Rnic.config;
   scheme : Network.scheme;
@@ -11,17 +10,16 @@ type params = {
 }
 
 let default_params ?(k = 4) ~themis () =
-  let host_bw = Rate.gbps 100. in
+  let bw = Rate.gbps 100. in
   {
     k;
-    host_bw;
-    fabric_bw = Rate.gbps 100.;
+    bw;
     link_delay = Sim_time.us 1;
-    nic = Rnic.default_config ~line_rate:host_bw;
+    nic = Rnic.default_config ~line_rate:bw;
     scheme =
       (if themis then Network.Themis { compensation = true } else Network.Ecmp);
-    per_port_cap = 9 * 1024 * 1024;
-    queue_factor = 1.5;
+    per_port_cap = Switch.default_per_port_cap;
+    queue_factor = Psn_queue.default_factor;
     ft_seed = 42;
   }
 
@@ -38,8 +36,7 @@ let build (params : params) =
     invalid_arg "Fat_tree_net.build: k/2 must be a power of two, k >= 4";
   let engine = Engine.create () in
   let ft =
-    Fat_tree.build ~k:params.k ~host_bw:params.host_bw
-      ~fabric_bw:params.fabric_bw ~link_delay:params.link_delay
+    Fat_tree.build ~k:params.k ~bw:params.bw ~link_delay:params.link_delay
   in
   let topo = ft.Fat_tree.topo in
   let routing = Routing.compute topo in
@@ -63,7 +60,7 @@ let build (params : params) =
   let add_switch ~shift node =
     Fabric_core.add_switch core ~rng:root_rng ~node
       {
-        (Switch.default_config ~bw:params.fabric_bw
+        (Switch.default_config ~bw:params.bw
            (Network.lb_of_scheme params.scheme))
         with
         per_port_cap = params.per_port_cap;
@@ -77,8 +74,8 @@ let build (params : params) =
   | Network.Themis { compensation } ->
       Fabric_core.install_themis core ~tors:ft.Fat_tree.edges ~paths:n_paths
         ~mode:(Themis_s.Sport_rewrite (Path_map.build ~paths:n_paths))
-        ~compensation ~bw:params.host_bw ~link_delay:params.link_delay
-        ~mtu:params.nic.Rnic.mtu ~factor:params.queue_factor
+        ~compensation ~bw:params.bw ~link_delay:params.link_delay
+        ~mtu:Rnic.mtu ~factor:params.queue_factor
   | Network.Ecmp | Adaptive | Random_spray | Psn_spray_only | Reps | Prime
   | Sprinklers | Spritz ->
       ());

@@ -22,8 +22,7 @@
 
 type params = {
   k : int;  (** Switch radix; [k/2] must be a power of two (k = 4, 8, 16...). *)
-  host_bw : Rate.t;
-  fabric_bw : Rate.t;
+  bw : Rate.t;  (** Every link, host and fabric. *)
   link_delay : Sim_time.t;
   nic : Rnic.config;
   scheme : Network.scheme;
@@ -33,7 +32,7 @@ type params = {
           {!Network.lb_of_scheme} policy at every tier. *)
   per_port_cap : int;
       (** Per-port share of each switch's 64 MB shared buffer
-          ({!Switch.default_config}). *)
+          (default {!Switch.default_per_port_cap}). *)
   queue_factor : float;
   ft_seed : int;
 }

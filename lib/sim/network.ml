@@ -53,8 +53,8 @@ let default_params ~fabric ~scheme =
     fabric;
     scheme;
     nic = Rnic.default_config ~line_rate:fabric.Leaf_spine.host_bw;
-    per_port_cap = 9 * 1024 * 1024;
-    queue_factor = 1.5;
+    per_port_cap = Switch.default_per_port_cap;
+    queue_factor = Psn_queue.default_factor;
     last_hop_jitter = Sim_time.zero;
     seed = 42;
     telemetry = false;
@@ -83,7 +83,7 @@ let lb_of_scheme = function
 
 let last_hop_rtt (p : params) =
   Fabric_core.last_hop_rtt ~bw:p.fabric.Leaf_spine.host_bw
-    ~link_delay:p.fabric.Leaf_spine.link_delay ~mtu:p.nic.Rnic.mtu
+    ~link_delay:p.fabric.Leaf_spine.link_delay ~mtu:Rnic.mtu
 
 let build (params : params) =
   let engine = Engine.create () in
@@ -127,7 +127,7 @@ let build (params : params) =
           ~paths:(Leaf_spine.n_paths fabric) ~mode:Themis_s.Direct_egress
           ~compensation ~bw:params.fabric.Leaf_spine.host_bw
           ~link_delay:params.fabric.Leaf_spine.link_delay
-          ~mtu:params.nic.Rnic.mtu ~factor:params.queue_factor;
+          ~mtu:Rnic.mtu ~factor:params.queue_factor;
         true
     | Ecmp | Adaptive | Random_spray | Psn_spray_only | Reps | Prime
     | Sprinklers | Spritz ->

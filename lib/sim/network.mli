@@ -26,8 +26,10 @@ type params = {
   nic : Rnic.config;
   per_port_cap : int;
       (** Per-port share of each switch's 64 MB shared buffer
-          ({!Switch.default_config}). *)
-  queue_factor : float;  (** Themis-D ring sizing factor F. *)
+          (default {!Switch.default_per_port_cap}). *)
+  queue_factor : float;
+      (** Themis-D ring sizing factor F (default
+          {!Psn_queue.default_factor}). *)
   last_hop_jitter : Sim_time.t;
       (** Uniform extra delay in [[0, jitter]] on every host -> ToR packet
           (ACKs, NACKs, CNPs and host data entering the fabric): the RTT

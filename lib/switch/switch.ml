@@ -1,17 +1,18 @@
 type config = {
   lb : Lb_policy.t;
   ecn : Ecn.config option;
-  buffer_capacity : int;
   per_port_cap : int;
   ecmp_shift : int;
 }
+
+let buffer_capacity = Memory_model.tofino_sram_bytes
+let default_per_port_cap = 9 * 1024 * 1024
 
 let default_config ~bw lb =
   {
     lb;
     ecn = Some (Ecn.scaled_to bw);
-    buffer_capacity = 64 * 1024 * 1024;
-    per_port_cap = 9 * 1024 * 1024;
+    per_port_cap = default_per_port_cap;
     ecmp_shift = 0;
   }
 
@@ -323,7 +324,7 @@ let create ~engine ~topo ~routing ~node ~config ~rng =
     cfg = config;
     rng;
     pool =
-      Buffer_pool.create ~capacity:config.buffer_capacity
+      Buffer_pool.create ~capacity:buffer_capacity
         ~per_port_cap:config.per_port_cap;
     ports = Hashtbl.create 8;
     local_hosts = Bytes.make (Topology.node_count topo) '\000';

@@ -18,17 +18,20 @@
 type config = {
   lb : Lb_policy.t;
   ecn : Ecn.config option;
-  buffer_capacity : int;  (** Shared pool, bytes. *)
   per_port_cap : int;
+      (** Per-port share of the shared buffer, bytes.  Every switch has
+          a 64 MB shared buffer ([Memory_model.tofino_sram_bytes]). *)
   ecmp_shift : int;
       (** Which bit window of the flow hash this switch's ECMP consumes —
           0 for single-tier fabrics; distinct per tier in fat trees so a
           single sport rewrite steers every hop. *)
 }
 
+val default_per_port_cap : int
+(** 9 MB. *)
+
 val default_config : bw:Rate.t -> Lb_policy.t -> config
-(** 64 MB shared buffer ([Memory_model.tofino_sram_bytes]-class chip),
-    9 MB per-port cap, ECN scaled to [bw], ECMP shift 0. *)
+(** {!default_per_port_cap}, ECN scaled to [bw], ECMP shift 0. *)
 
 type t
 

@@ -60,26 +60,6 @@ let metrics_to_csv registry =
 
 let write_metrics_csv ~path registry = write_string path (metrics_to_csv registry)
 
-let pp_metrics ppf registry =
-  let rows = Metrics.snapshot registry in
-  if rows = [] then Format.fprintf ppf "  (no metrics recorded)@."
-  else begin
-    Format.fprintf ppf "  %-32s %-38s %14s@." "metric" "labels" "value";
-    List.iter
-      (fun { Metrics.row_name; row_labels; value } ->
-        let labels = labels_to_string row_labels in
-        match value with
-        | Metrics.Counter_v c ->
-            Format.fprintf ppf "  %-32s %-38s %14d@." row_name labels c
-        | Metrics.Gauge_v g ->
-            Format.fprintf ppf "  %-32s %-38s %14.2f@." row_name labels g
-        | Metrics.Hist_v h ->
-            Format.fprintf ppf
-              "  %-32s %-38s n=%-8d mean=%-10.2f p50=%-10.2f p99=%-10.2f p99.9=%-10.2f max=%-10.2f@."
-              row_name labels h.count h.mean h.p50 h.p99 h.p999 h.max)
-      rows
-  end
-
 let pp_events_by_kind ppf ctx =
   List.iter
     (fun (kind, n) ->

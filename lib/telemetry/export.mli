@@ -14,7 +14,6 @@ val metrics_to_csv : Metrics.t -> string
 
 val write_metrics_csv : path:string -> Metrics.t -> unit
 
-val pp_metrics : Format.formatter -> Metrics.t -> unit
 val pp_events_by_kind : Format.formatter -> Telemetry.t -> unit
 
 val labels_to_string : Metrics.labels -> string

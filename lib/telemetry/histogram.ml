@@ -131,15 +131,3 @@ let merge ~into src =
   if src.vmax > into.vmax then into.vmax <- src.vmax
 
 let copy t = { t with bounds = t.bounds; buckets = Array.copy t.buckets }
-
-let reset t =
-  Array.fill t.buckets 0 (Array.length t.buckets) 0;
-  t.count <- 0;
-  t.sum <- 0.;
-  t.vmin <- infinity;
-  t.vmax <- neg_infinity
-
-let iter_buckets t f =
-  Array.iteri
-    (fun i c -> if c > 0 then f ~lower:(bucket_lower t i) ~upper:(bucket_upper t i) ~count:c)
-    t.buckets

@@ -32,7 +32,6 @@ val merge : into:t -> t -> unit
     two histograms were created with different parameters. *)
 
 val copy : t -> t
-val reset : t -> unit
 
 (** Bucket introspection (tests, exporters). *)
 
@@ -40,4 +39,3 @@ val bucket_count : t -> int
 val bucket_index : t -> float -> int
 val bucket_lower : t -> int -> float
 val bucket_upper : t -> int -> float
-val iter_buckets : t -> (lower:float -> upper:float -> count:int -> unit) -> unit

@@ -28,10 +28,6 @@ type t = {
 
 let create () = { tbl = Hashtbl.create 64; rev_keys = [] }
 
-let clear t =
-  Hashtbl.reset t.tbl;
-  t.rev_keys <- []
-
 let find_or_add t ~name ~labels ~(make : unit -> metric) ~(expect : string) =
   let key = { name; labels = canon labels } in
   match Hashtbl.find_opt t.tbl key with
@@ -75,7 +71,6 @@ let incr c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n
 let value c = c.c
 let set g v = g.g <- v
-let gauge_read g = g.g
 let observe h v = Histogram.record h v
 
 (* --- Read-out ------------------------------------------------------- *)
@@ -84,16 +79,6 @@ let counter_value t ?(labels = []) name =
   match Hashtbl.find_opt t.tbl { name; labels = canon labels } with
   | Some (Counter c) -> c.c
   | Some (Gauge _ | Hist _) | None -> 0
-
-let gauge_value t ?(labels = []) name =
-  match Hashtbl.find_opt t.tbl { name; labels = canon labels } with
-  | Some (Gauge g) -> Some g.g
-  | Some (Counter _ | Hist _) | None -> None
-
-let histogram_value t ?(labels = []) name =
-  match Hashtbl.find_opt t.tbl { name; labels = canon labels } with
-  | Some (Hist h) -> Some h
-  | Some (Counter _ | Gauge _) | None -> None
 
 (* Sum of all counters called [name], any labels. *)
 let counter_total t name =
@@ -167,5 +152,3 @@ let snapshot t =
          match String.compare a.row_name b.row_name with
          | 0 -> compare a.row_labels b.row_labels
          | c -> c)
-
-let cardinality t = Hashtbl.length t.tbl

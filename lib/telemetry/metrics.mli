@@ -11,8 +11,6 @@ type labels = (string * string) list
 type t
 
 val create : unit -> t
-val clear : t -> unit
-val cardinality : t -> int
 
 (** {2 Registration (find-or-create)}
 
@@ -35,16 +33,12 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
 val set : gauge -> float -> unit
-val gauge_read : gauge -> float
 val observe : Histogram.t -> float -> unit
 
 (** {2 Read-out} *)
 
 val counter_value : t -> ?labels:labels -> string -> int
 (** 0 when the counter does not exist. *)
-
-val gauge_value : t -> ?labels:labels -> string -> float option
-val histogram_value : t -> ?labels:labels -> string -> Histogram.t option
 
 val counter_total : t -> string -> int
 (** Sum over every label combination of [name]. *)

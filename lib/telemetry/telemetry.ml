@@ -78,8 +78,3 @@ let observe ?labels name v =
   match !current with
   | None -> ()
   | Some c -> Metrics.observe (Metrics.histogram c.metrics ?labels name) v
-
-let set_gauge ?labels name v =
-  match !current with
-  | None -> ()
-  | Some c -> Metrics.set (Metrics.gauge c.metrics ?labels name) v

@@ -46,4 +46,3 @@ val event_count : t -> int -> int
 val incr_counter : ?labels:Metrics.labels -> string -> unit
 val add_counter : ?labels:Metrics.labels -> string -> int -> unit
 val observe : ?labels:Metrics.labels -> string -> float -> unit
-val set_gauge : ?labels:Metrics.labels -> string -> float -> unit

@@ -88,5 +88,3 @@ let next_gap_ns t rng =
           end
       done;
       max 1 (int_of_float !gap)
-
-let pp_process ppf p = Format.pp_print_string ppf (process_to_string p)

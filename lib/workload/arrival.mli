@@ -18,7 +18,6 @@ val process_to_string : process -> string
 (** ["poisson"] or ["onoff:ON_US:OFF_US"]; exact round-trip. *)
 
 val process_of_string : string -> (process, string) result
-val pp_process : Format.formatter -> process -> unit
 
 val flows_per_sec :
   load_pct:int -> capacity_bps:float -> mean_flow_bytes:float -> float

@@ -116,18 +116,47 @@ let test_successive_cnps_decay_gently () =
   Alcotest.(check bool) "gentler cut" true (gbps cc > 55.)
 
 let test_byte_counter_increase () =
-  let cfg =
-    {
-      (Dcqcn.with_ti_td Dcqcn.default ~ti_us:100_000. ~td_us:4.) with
-      Dcqcn.byte_counter = 10_000;
-    }
-  in
+  let cfg = Dcqcn.with_ti_td Dcqcn.default ~ti_us:100_000. ~td_us:4. in
   let _, cc = make ~cfg () in
   Dcqcn.on_cnp cc;
   let dropped = gbps cc in
-  (* The timer is far away; byte-counter events drive recovery alone. *)
-  Dcqcn.on_bytes_sent cc 10_000;
+  (* The timer is far away; byte-counter events (B = 10 MB) drive
+     recovery alone. *)
+  Dcqcn.on_bytes_sent cc 9_999_999;
+  Alcotest.(check (float 1e-9)) "below B" dropped (gbps cc);
+  Dcqcn.on_bytes_sent cc 1;
   Alcotest.(check bool) "byte counter recovers" true (gbps cc > dropped)
+
+let test_increase_ladder () =
+  (* Two CNPs TD apart leave Rt = 50 and Rc = 25 Gbps, below line rate,
+     so every step of the ladder shows.  Each B = 10 MB sent is one
+     increase event; the 100 ms TI timer never fires. *)
+  let cfg = Dcqcn.with_ti_td Dcqcn.default ~ti_us:100_000. ~td_us:4. in
+  let engine, cc = make ~cfg () in
+  Dcqcn.on_cnp cc;
+  ignore (Engine.schedule engine ~delay:(Sim_time.us 5) (fun () -> Dcqcn.on_cnp cc));
+  Engine.run engine ~until:(Sim_time.us 6);
+  let target () = Rate.to_gbps (Dcqcn.target cc) in
+  Alcotest.(check (float 1e-6)) "rt after cuts" 50. (target ());
+  Alcotest.(check (float 1e-6)) "rc after cuts" 25. (gbps cc);
+  let step name ~rt =
+    let rc = gbps cc in
+    Dcqcn.on_bytes_sent cc 10_000_000;
+    Alcotest.(check (float 1e-6)) (name ^ " rt") rt (target ());
+    Alcotest.(check (float 1e-6)) (name ^ " rc") ((rc +. rt) /. 2.) (gbps cc)
+  in
+  (* F = 5 fast-recovery events: Rt holds, Rc halves the gap. *)
+  for i = 1 to 5 do
+    step (Printf.sprintf "fast recovery %d" i) ~rt:50.
+  done;
+  (* Events 6-10: additive increase, Rai = 40 Mbps each. *)
+  for i = 1 to 5 do
+    step (Printf.sprintf "additive %d" i) ~rt:(50. +. (0.04 *. float_of_int i))
+  done;
+  (* Then hyper increase, Rhai = 400 Mbps each. *)
+  for i = 1 to 3 do
+    step (Printf.sprintf "hyper %d" i) ~rt:(50.2 +. (0.4 *. float_of_int i))
+  done
 
 let test_rate_never_exceeds_line () =
   let cfg = Dcqcn.with_ti_td Dcqcn.default ~ti_us:5. ~td_us:4. in
@@ -156,6 +185,7 @@ let () =
           Alcotest.test_case "alpha decay" `Quick test_alpha_decays;
           Alcotest.test_case "gentle later cuts" `Quick test_successive_cnps_decay_gently;
           Alcotest.test_case "byte counter" `Quick test_byte_counter_increase;
+          Alcotest.test_case "ladder" `Quick test_increase_ladder;
           Alcotest.test_case "clamped at line" `Quick test_rate_never_exceeds_line;
         ] );
     ]

@@ -6,7 +6,6 @@ let small_motivation transport =
     Experiment.default_motivation with
     Experiment.msg_bytes = 1_000_000;
     transport;
-    bucket = Sim_time.us 10;
   }
 
 let test_motivation_runs () =

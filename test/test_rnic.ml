@@ -57,7 +57,7 @@ let test_loss_recovery_by_timeout_ideal () =
      sender's RTO. *)
   let engine = Engine.create () in
   let line_rate = Rate.gbps 100. in
-  let cfg = { (Rnic.default_config ~line_rate) with Rnic.transport = `Ideal; rto = Sim_time.us 200 } in
+  let cfg = { (Rnic.default_config ~line_rate) with Rnic.transport = `Ideal } in
   let a = Rnic.create ~engine ~node:0 ~config:cfg in
   let b = Rnic.create ~engine ~node:1 ~config:cfg in
   let port_ab = Port.create ~engine ~bandwidth:line_rate ~delay:(Sim_time.us 1) ~label:"a" in

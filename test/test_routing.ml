@@ -48,8 +48,7 @@ let test_path_count_leaf_spine () =
 
 let test_path_count_fat_tree () =
   let ft =
-    Fat_tree.build ~k:4 ~host_bw:(Rate.gbps 100.) ~fabric_bw:(Rate.gbps 100.)
-      ~link_delay:1
+    Fat_tree.build ~k:4 ~bw:(Rate.gbps 100.) ~link_delay:1
   in
   let routing = Routing.compute ft.Fat_tree.topo in
   (* Inter-pod: (k/2)^2 = 4; intra-pod cross-ToR: k/2 = 2. *)
@@ -168,8 +167,7 @@ let shape_topology = function
          { Leaf_spine.motivation with Leaf_spine.n_leaves; n_spines; hosts_per_leaf })
         .Leaf_spine.topo
   | Ft k ->
-      (Fat_tree.build ~k ~host_bw:(Rate.gbps 100.) ~fabric_bw:(Rate.gbps 100.)
-         ~link_delay:1)
+      (Fat_tree.build ~k ~bw:(Rate.gbps 100.) ~link_delay:1)
         .Fat_tree.topo
 
 (* The shape's nodes, with its links re-added in a shuffled order, random

@@ -1,14 +1,5 @@
 (* Metric collectors. *)
 
-let test_counter () =
-  let c = Stats.Counter.create () in
-  Alcotest.(check int) "zero" 0 (Stats.Counter.get c);
-  Stats.Counter.incr c;
-  Stats.Counter.add c 5;
-  Alcotest.(check int) "six" 6 (Stats.Counter.get c);
-  Stats.Counter.reset c;
-  Alcotest.(check int) "reset" 0 (Stats.Counter.get c)
-
 let test_time_series_bucketing () =
   let ts = Stats.Time_series.create ~bucket:100 in
   Stats.Time_series.add ts ~time:10 1.;
@@ -116,7 +107,6 @@ let prop_summary_mean_in_range =
 let () =
   Alcotest.run "stats"
     [
-      ("counter", [ Alcotest.test_case "basic" `Quick test_counter ]);
       ( "time_series",
         [
           Alcotest.test_case "bucketing" `Quick test_time_series_bucketing;

@@ -22,8 +22,8 @@ let small_params =
     link_delay = Sim_time.us 1;
   }
 
-let build ?(lb = Lb_policy.Ecmp) ?(ecn = None) ?(buffer = 64 * 1024 * 1024)
-    ?(per_port = 9 * 1024 * 1024) () =
+let build ?(lb = Lb_policy.Ecmp) ?(ecn = None)
+    ?(per_port = Switch.default_per_port_cap) () =
   let engine = Engine.create () in
   let ls = Leaf_spine.build small_params in
   let topo = ls.Leaf_spine.topo in
@@ -34,7 +34,6 @@ let build ?(lb = Lb_policy.Ecmp) ?(ecn = None) ?(buffer = 64 * 1024 * 1024)
     {
       Switch.lb;
       ecn;
-      buffer_capacity = buffer;
       per_port_cap = per_port;
       ecmp_shift = 0;
     }
@@ -129,8 +128,8 @@ let test_random_spray_uses_both_spines () =
     h.ls.Leaf_spine.spines
 
 let test_buffer_drop () =
-  (* Tiny shared buffer: a burst overflows and is counted. *)
-  let h = build ~buffer:4_000 ~per_port:4_000 () in
+  (* Tiny per-port share: a burst overflows and is counted. *)
+  let h = build ~per_port:4_000 () in
   for psn = 0 to 19 do
     Switch.receive (tor0 h) (data psn)
   done;
@@ -140,7 +139,7 @@ let test_buffer_drop () =
   Alcotest.(check bool) "not all arrive" true (List.length (host_rx h 2) < 20)
 
 let test_buffer_released () =
-  let h = build ~buffer:4_000 ~per_port:4_000 () in
+  let h = build ~per_port:4_000 () in
   Switch.receive (tor0 h) (data 0);
   Engine.run h.engine;
   Alcotest.(check int) "pool drained back to zero" 0

@@ -68,8 +68,7 @@ let test_leaf_spine_invalid () =
 
 let test_fat_tree_shape () =
   let ft =
-    Fat_tree.build ~k:4 ~host_bw:(Rate.gbps 100.) ~fabric_bw:(Rate.gbps 100.)
-      ~link_delay:(Sim_time.us 1)
+    Fat_tree.build ~k:4 ~bw:(Rate.gbps 100.) ~link_delay:(Sim_time.us 1)
   in
   Alcotest.(check int) "hosts" 16 (Array.length ft.Fat_tree.hosts);
   Alcotest.(check int) "edges" 8 (Array.length ft.Fat_tree.edges);
@@ -87,8 +86,7 @@ let test_fat_tree_section4_example () =
   (* The k = 32 worked example of Section 4: 512 ToR, 512 agg, 256 core,
      8192 hosts, 256 equal-cost inter-pod paths. *)
   let ft =
-    Fat_tree.build ~k:32 ~host_bw:(Rate.gbps 400.) ~fabric_bw:(Rate.gbps 400.)
-      ~link_delay:(Sim_time.us 1)
+    Fat_tree.build ~k:32 ~bw:(Rate.gbps 400.) ~link_delay:(Sim_time.us 1)
   in
   Alcotest.(check int) "8192 hosts" 8192 (Array.length ft.Fat_tree.hosts);
   Alcotest.(check int) "512 tors" 512 (Array.length ft.Fat_tree.edges);
@@ -100,8 +98,7 @@ let test_fat_tree_invalid () =
   Alcotest.check_raises "odd k"
     (Invalid_argument "Fat_tree.build: k must be even and positive") (fun () ->
       ignore
-        (Fat_tree.build ~k:3 ~host_bw:(Rate.gbps 1.) ~fabric_bw:(Rate.gbps 1.)
-           ~link_delay:1))
+        (Fat_tree.build ~k:3 ~bw:(Rate.gbps 1.) ~link_delay:1))
 
 let test_pp_summary () =
   let ls = Leaf_spine.build Leaf_spine.motivation in
