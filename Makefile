@@ -133,8 +133,9 @@ perfbench-smoke:
 # Same-box A/B (not part of check): BASE (any git revision) against the
 # working tree, PAIRS alternating perfbench runs of each BENCHMARK.json
 # workload at its run_seconds, then PAIRS alternating engine_bench
-# --fwd-only and --incast-only runs, written to AB_OUT with each side's
-# median, p25 and p75, the pairs won and each tree's compiler flags.
+# --fwd-only, --incast-only and --mill-only runs, written to AB_OUT
+# with each side's median, p25 and p75, the pairs won and each tree's
+# compiler flags.
 # AB_SEED picks a held-out seed, AB_TRACE=1 the traced per-layer run.
 BASE ?= HEAD
 PAIRS ?= 10

@@ -14,7 +14,8 @@ in both trees for every workload W of BENCHMARK.json, at its
 it alternates PAIRS runs of `engine_bench --fwd-only` (the single-switch
 forwarding bench, `Switch.receive` through the port events) and PAIRS
 runs of `engine_bench --incast-only` (the 4-scheme incast, 330,667
-events) in the same way.  Both sides run the working tree's
+events) and PAIRS runs of `engine_bench --mill-only` (the timer mill,
+a queue-only load) in the same way.  Both sides run the working tree's
 `bench/engine_bench.ml`, copied over the base checkout, so the two
 sides differ only in the code they time.  A run that is incorrect or
 has failed operations stops the A/B.  Writes one JSON file with, per
@@ -23,7 +24,8 @@ and the pairs the working tree won (by the metric's `better` direction
 in BENCHMARK.json; ties count for neither side), the same summary of
 the forwarding bench's `packets_per_sec` (the rate of its median
 window) under `fwd`, of the incast bench's `events_per_sec` under
-`incast`, each tree's `flags` and
+`incast`, of the mill's `events_per_sec` under `mill`, each tree's
+`flags` and
 `ocamlopt_flags` (from `dune printenv`) under `build`, plus nproc and
 the OCaml version.
 
@@ -107,6 +109,10 @@ def run_fwd(tree):
 
 def run_incast(tree):
     return {"events_per_sec": run_engine_bench(tree, "incast")["events_per_sec"]}
+
+
+def run_mill(tree):
+    return {"events_per_sec": run_engine_bench(tree, "mill")["events_per_sec"]}
 
 
 def build_flags(tree):
@@ -215,11 +221,12 @@ def perf_ab(report, trees, args, spec):
         runs = alternate(args.pairs, w, lambda side: run_once(
             trees[side], w, args.seed, seconds, args.trace))
         report["workloads"][w] = summarize(runs["base"], runs["change"], better)
-    for label, run in (("fwd", run_fwd), ("incast", run_incast)):
+    benches = (("fwd", run_fwd), ("incast", run_incast), ("mill", run_mill))
+    for label, run in benches:
         runs = alternate(args.pairs, label, lambda side: run(trees[side]))
         report[label] = summarize(runs["base"], runs["change"], {})
     return list(report["workloads"].items()) + [
-        ("fwd", report["fwd"]), ("incast", report["incast"])]
+        (label, report[label]) for label, _ in benches]
 
 
 def stores_ab(report, trees, args):

@@ -8,8 +8,8 @@
    must process exactly 330,667 events (756 under `--smoke`), or the
    bench fails.  `--smoke` runs a tiny iteration count and validates the
    emitted JSON — it gates `make check` without costing CI time; real
-   numbers come from `make bench-engine`.  `--fwd-only` and
-   `--incast-only` run one block alone, as `make ab` alternates them. *)
+   numbers come from `make bench-engine`.  `--fwd-only`, `--incast-only`
+   and `--mill-only` run one block alone, as `make ab` alternates them. *)
 
 let out_path = ref "BENCH_engine.json"
 let smoke = ref false
@@ -322,14 +322,17 @@ let bench_build ~reps =
 
 (* --- JSON ------------------------------------------------------------- *)
 
+let mill_keys = [ "events"; "wall_s"; "events_per_sec"; "minor_words_per_event" ]
+
 let j_sample s =
   Campaign_json.Obj
-    [
-      ("events", Campaign_json.Num (float_of_int s.events));
-      ("wall_s", Campaign_json.Num s.wall_s);
-      ("events_per_sec", Campaign_json.Num (events_per_sec s));
-      ("minor_words_per_event", Campaign_json.Num (words_per_event s));
-    ]
+    (List.combine mill_keys
+       (List.map
+          (fun x -> Campaign_json.Num x)
+          [
+            float_of_int s.events; s.wall_s; events_per_sec s;
+            words_per_event s;
+          ]))
 
 let j_spread sp =
   Campaign_json.Obj
@@ -425,7 +428,7 @@ let emit ~mill ~incast ~quick ~fwd ~build =
 (* The smoke path is the `make check` gate: it must prove the harness
    runs end-to-end and that the file it wrote is valid JSON with the
    fields the trajectory tooling reads: the top-level [keys] and, when
-   [fwd] is one of them, every field of the [fwd] block. *)
+   [fwd] or [mill] is one of them, every field of that block. *)
 let validate_output ~keys =
   let ic = open_in !out_path in
   let n = in_channel_length ic in
@@ -444,21 +447,25 @@ let validate_output ~keys =
       List.iter
         (fun key ->
           let v = require doc "" key in
-          if key = "fwd" then
-            List.iter (fun k -> ignore (require v "fwd." k)) fwd_keys)
+          let fields =
+            match key with "fwd" -> fwd_keys | "mill" -> mill_keys | _ -> []
+          in
+          List.iter (fun k -> ignore (require v (key ^ ".") k)) fields)
         keys
 
 let pp_fwd f =
   Printf.sprintf "fwd %.0f pkt/s (p25 %.0f, p75 %.0f), %.2f w/pkt, %d steady probes"
     f.rate.median f.rate.p25 f.rate.p75 f.words_per_packet f.probes
 
-type target = All | Fwd_only | Incast_only
+type target = All | Fwd_only | Incast_only | Mill_only
 
 let () =
   let target = ref All in
   let only t =
     if !target <> All then begin
-      prerr_endline "engine_bench: --fwd-only and --incast-only exclude each other";
+      prerr_endline
+        "engine_bench: --fwd-only, --incast-only and --mill-only exclude \
+         each other";
       exit 2
     end;
     target := t
@@ -474,13 +481,16 @@ let () =
     | "--incast-only" :: rest ->
         only Incast_only;
         parse rest
+    | "--mill-only" :: rest ->
+        only Mill_only;
+        parse rest
     | "--out" :: path :: rest ->
         out_path := path;
         parse rest
     | arg :: _ ->
         prerr_endline
-          ("usage: engine_bench [--smoke] [--fwd-only | --incast-only] [--out \
-            PATH]; got " ^ arg);
+          ("usage: engine_bench [--smoke] [--fwd-only | --incast-only | \
+            --mill-only] [--out PATH]; got " ^ arg);
         exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
@@ -500,6 +510,13 @@ let () =
         ~schemes:[ "ecmp"; "adaptive"; "random-spray"; "themis" ]
         ~fanin:8 ~bytes:1_000_000 ~seed:3 ~reps ~expect_events:330_667
   in
+  let mill () =
+    bench_mill ~events:(if !smoke then 20_000 else 4_000_000) ~reps
+  in
+  let pp_mill mill =
+    Printf.sprintf "mill %.0f ev/s, %.2f w/ev" (events_per_sec mill)
+      (words_per_event mill)
+  in
   let pp_incast (s, wheel, heap, hit, _) =
     Printf.sprintf "incast %d ev, %.0f ev/s, %.2f w/ev, wheel %.2f%% (%d/%d)"
       s.events (events_per_sec s) (words_per_event s) (hit *. 100.) wheel
@@ -516,11 +533,14 @@ let () =
       emit ~mill:None ~incast:(Some incast) ~quick:None ~fwd:None ~build:None;
       validate_output ~keys:[ "bench"; "mode"; "incast" ];
       Printf.printf "engine_bench: %s\n" (pp_incast incast)
+  | Mill_only ->
+      let mill = mill () in
+      emit ~mill:(Some mill) ~incast:None ~quick:None ~fwd:None ~build:None;
+      validate_output ~keys:[ "bench"; "mode"; "mill" ];
+      Printf.printf "engine_bench: %s\n" (pp_mill mill)
   | All ->
       let fwd = fwd () in
-      let mill =
-        bench_mill ~events:(if !smoke then 20_000 else 4_000_000) ~reps
-      in
+      let mill = mill () in
       let incast = incast () in
       let quick = if !smoke then None else Some (bench_quick ()) in
       let build = bench_build ~reps:(if !smoke then 3 else 101) in
@@ -528,8 +548,8 @@ let () =
         ~build:(Some build);
       validate_output
         ~keys:[ "bench"; "mode"; "mill"; "incast"; "fwd"; "build" ];
-      Printf.printf "engine_bench: mill %.0f ev/s, %.2f w/ev | %s | %s%s\n"
-        (events_per_sec mill) (words_per_event mill) (pp_incast incast)
+      Printf.printf "engine_bench: %s | %s | %s%s\n" (pp_mill mill)
+        (pp_incast incast)
         (pp_fwd fwd)
         (match quick with
         | Some (q, jobs) -> Printf.sprintf " | quick %d jobs %.2f s" jobs q.wall_s

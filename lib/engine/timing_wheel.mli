@@ -1,21 +1,25 @@
 (** A three-level hierarchical timing wheel for the dense near-future
     band of the event queue (DESIGN.md §15).
 
-    Level 0 is 256 one-tick slots covering the cursor's current 256-tick
-    window; level 1 is 256 slots of 256 ticks covering the rest of the
-    cursor's current 65536-tick chunk; level 2 is 256 slots of 65536
-    ticks covering the rest of the cursor's current 2^24-tick (~16.7ms)
-    {e epoch} — wide enough that every periodic timer in the simulator
-    files into the wheel.  Times the wheel cannot cover — behind the
-    cursor, or beyond the epoch — are refused by {!add}; the caller
-    ({!Event_queue}) keeps those in its overflow heap and migrates an
-    epoch's worth down via {!jump} + {!add} when the cursor arrives.
+    Time is cut into 1024-tick windows, 256 windows to a 2^18-tick
+    chunk and 64 chunks to a 2^24-tick (~16.7ms) {e epoch}.  Level 0 is
+    2048 one-tick slots holding the cursor's window and the next one,
+    so every delay below 1024 ticks files straight into it; level 1 is
+    256 one-window slots holding the later windows of the next window's
+    chunk; level 2 is 64 one-chunk slots holding the later chunks of the
+    epoch — wide enough that every periodic timer in the simulator
+    files into the wheel.  Entering a window cascades the one after it
+    into the half of level 0 just freed.  Times the wheel cannot cover —
+    behind the cursor, or beyond the epoch — are refused by {!add}; the
+    caller ({!Event_queue}) keeps those in its overflow heap and
+    migrates an epoch's worth down via {!jump} + {!add} when the cursor
+    arrives.
 
     Within one timestamp, events pop in insertion order: a level-0 slot
-    pins the exact time, lists are appended at the tail, and every
-    producer path (direct add, cascades from the levels above, epoch
-    migration) appends in ascending insertion order.  This is what lets
-    the wheel preserve the engine's (time, seq) total order without
+    pins the exact time, lists are appended at the tail, and a window
+    enters level 0 exactly once, by the cascade that fills it in
+    insertion order, before any direct add can reach it.  This is what
+    lets the wheel preserve the engine's (time, seq) total order without
     storing sequence numbers.
 
     The wheel is intrusive: the payload passed to {!add} is a caller

@@ -28,16 +28,15 @@ type t = {
 
 let create () = { tbl = Hashtbl.create 64; rev_keys = [] }
 
-let find_or_add t ~name ~labels ~(make : unit -> metric) ~(expect : string) =
+let find_or_add t ~name ~labels ~(make : unit -> metric) =
   let key = { name; labels = canon labels } in
   match Hashtbl.find_opt t.tbl key with
-  | Some m -> (key, m)
+  | Some m -> m
   | None ->
       let m = make () in
       Hashtbl.add t.tbl key m;
       t.rev_keys <- key :: t.rev_keys;
-      ignore expect;
-      (key, m)
+      m
 
 let type_error name expect =
   invalid_arg
@@ -45,27 +44,22 @@ let type_error name expect =
        expect)
 
 let counter t ?(labels = []) name =
-  match
-    find_or_add t ~name ~labels ~make:(fun () -> Counter { c = 0 }) ~expect:"counter"
-  with
-  | _, Counter c -> c
-  | _, (Gauge _ | Hist _) -> type_error name "counter"
+  match find_or_add t ~name ~labels ~make:(fun () -> Counter { c = 0 }) with
+  | Counter c -> c
+  | Gauge _ | Hist _ -> type_error name "counter"
 
 let gauge t ?(labels = []) name =
-  match
-    find_or_add t ~name ~labels ~make:(fun () -> Gauge { g = 0. }) ~expect:"gauge"
-  with
-  | _, Gauge g -> g
-  | _, (Counter _ | Hist _) -> type_error name "gauge"
+  match find_or_add t ~name ~labels ~make:(fun () -> Gauge { g = 0. }) with
+  | Gauge g -> g
+  | Counter _ | Hist _ -> type_error name "gauge"
 
 let histogram t ?(labels = []) ?min_value ?max_value name =
   match
     find_or_add t ~name ~labels
       ~make:(fun () -> Hist (Histogram.create ?min_value ?max_value ()))
-      ~expect:"histogram"
   with
-  | _, Hist h -> h
-  | _, (Counter _ | Gauge _) -> type_error name "histogram"
+  | Hist h -> h
+  | Counter _ | Gauge _ -> type_error name "histogram"
 
 let incr c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n

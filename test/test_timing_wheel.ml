@@ -190,6 +190,114 @@ let prop_model =
         handles;
       !ok)
 
+(* ---------------- qcheck model: engine-shaped schedules ------------- *)
+
+(* The engine's own pattern: pop the head event, then schedule at
+   [now + d].  The delays straddle the wheel's edges — 1023/1024/1025
+   ticks (level 0 holds the cursor's 1024-tick window and the next),
+   the 2^18-tick chunk edge (level 2 -> level 1 on fill-ahead) and the
+   last window of the 2^24-tick epoch (overflow heap and migration) —
+   so events sit on both sides of each edge while the cursor crosses
+   it.  Cancels leave dead events for the pops to skip. *)
+
+(* A delay, or an offset from the next multiple of [1 lsl shift]. *)
+type target = Delay of int | Edge of int * int
+
+type sched_op = Schedule of target | Step of target | Drop of int
+
+let resolve now = function
+  | Delay d -> now + d
+  | Edge (shift, k) -> max now ((((now lsr shift) + 1) lsl shift) + k)
+
+let target_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          map
+            (fun d -> Delay d)
+            (oneof
+               [
+                 int_range 0 30; int_range 512 1023; int_range 1021 1027;
+                 int_range 2045 2051;
+               ]) );
+        (2, map (fun k -> Edge (10, k)) (int_range (-3) 3));
+        (2, map (fun k -> Edge (18, k)) (int_range (-1500) 1500));
+        (1, map (fun k -> Edge (24, k)) (int_range (-2100) 1100));
+      ])
+
+let sched_ops_arb =
+  let pp = function
+    | Delay d -> Printf.sprintf "+%d" d
+    | Edge (shift, k) -> Printf.sprintf "edge%d%+d" shift k
+  in
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat ";"
+        (List.map
+           (function
+             | Schedule t -> "add " ^ pp t
+             | Step t -> "pop, add " ^ pp t
+             | Drop i -> Printf.sprintf "cancel #%d" i)
+           ops))
+    QCheck.Gen.(
+      list_size (int_range 0 200)
+        (frequency
+           [
+             (2, map (fun t -> Schedule t) target_gen);
+             (5, map (fun t -> Step t) target_gen);
+             (1, map (fun i -> Drop i) (int_range 0 60));
+           ]))
+
+let prop_engine_shaped =
+  QCheck.Test.make
+    ~name:"engine-shaped: pop then add at now+d equals the oracle"
+    ~count:500 sched_ops_arb (fun ops ->
+      let q = Event_queue.create ~capacity:2 () in
+      (* Live events (time, id), newest first: the oracle pops the
+         earliest time, oldest first within it. *)
+      let model = ref [] in
+      let handles = Hashtbl.create 16 in
+      let now = ref 0 and next_id = ref 0 and ok = ref true in
+      let model_pop () =
+        match
+          List.stable_sort (fun (t1, _) (t2, _) -> compare t1 t2)
+            (List.rev !model)
+        with
+        | [] -> None
+        | ((_, id) as head) :: _ ->
+            model := List.filter (fun (_, i) -> i <> id) !model;
+            Some head
+      in
+      let schedule target =
+        let time = resolve !now target and id = !next_id in
+        incr next_id;
+        Hashtbl.replace handles id (add q ~time id);
+        model := (time, id) :: !model
+      in
+      let step () =
+        let got = pop q in
+        if got <> model_pop () then ok := false;
+        Option.iter (fun (t, _) -> now := t) got
+      in
+      List.iter
+        (function
+          | Schedule target -> schedule target
+          | Step target ->
+              step ();
+              schedule target
+          | Drop id ->
+              Option.iter
+                (fun h ->
+                  Event_queue.cancel q h;
+                  model := List.filter (fun (_, i) -> i <> id) !model)
+                (Hashtbl.find_opt handles id))
+        ops;
+      while !ok && not (Event_queue.is_empty q && !model = []) do
+        step ()
+      done;
+      !ok)
+
 (* ---------------- serial == windowed ------------------------------- *)
 
 (* One engine advanced (a) in a single [run ~until:horizon] and (b) in
@@ -293,6 +401,7 @@ let () =
           Alcotest.test_case "cascade order" `Quick test_cascade_order;
           Alcotest.test_case "drain_all" `Quick test_drain_all;
           QCheck_alcotest.to_alcotest prop_model;
+          QCheck_alcotest.to_alcotest prop_engine_shaped;
         ] );
       ( "until",
         [
