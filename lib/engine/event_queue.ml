@@ -18,10 +18,11 @@ let epoch_shift = 24
 
 type t = {
   (* Near-future band: a three-level timing wheel covering the cursor's
-     current 2^24-tick (~16.7ms) epoch.  O(1) add/pop for the dense
-     fixed-offset events (tx completions, propagations, pacing ticks)
-     and for every periodic timer (DCQCN alpha/TI, RTO) that dominate
-     the simulation; see DESIGN.md §15. *)
+     current 2^24-tick (~16.7ms) epoch.  Its level 0 holds the cursor's
+     1024-tick window and the next, so the dense fixed-offset events
+     (tx completions, propagations, pacing ticks) file and pop there in
+     O(1) without a cascade, and every periodic timer (DCQCN alpha/TI,
+     RTO) still files into the wheel; see DESIGN.md §15. *)
   wheel : Timing_wheel.t;
   (* Overflow: min-heap over (time, seq), structure-of-arrays — the sift
      loops compare and shuffle unboxed ints only.  Holds far-future
