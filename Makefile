@@ -4,7 +4,8 @@
 .PHONY: all build test examples micro bench-engine bench-engine-smoke \
         bench-fwd bench-fwd-smoke fuzz-quick \
         fuzz-soak campaign-quick workload-smoke workload-bench arena \
-        arena-smoke serial-forked perfbench-smoke cli-bad-input ab stores-ab check clean
+        arena-smoke serial-forked perfbench-smoke cli-bad-input ab stores-ab lib-delta \
+        check clean
 
 all: build
 
@@ -153,6 +154,12 @@ ab:
 # preset's wall time to BENCH_stores.json.
 stores-ab:
 	python3 bench/ab.py --stores --base $(BASE) --pairs $(PAIRS)
+
+# Added, removed and net .ml/.mli lines under lib/ in the working tree
+# against BASE (new files count once staged), from git diff --numstat.
+lib-delta:
+	@git diff --numstat $(BASE) -- 'lib/*.ml' 'lib/*.mli' \
+	  | awk '{ a += $$1; r += $$2 } END { printf "lib/: +%d -%d net %+d\n", a, r, a - r }'
 
 # Bad input on the command line must exit 2 with a message naming the
 # field or name, never 0 (a silently ignored typo) or 125 (an uncaught

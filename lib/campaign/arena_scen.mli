@@ -20,8 +20,3 @@ val known : string list
 (** [["sym"; "cspine"; "asym"; "pathcut"]]. *)
 
 val spec : scen:string -> seed:int -> (Fuzz_spec.t, string) result
-
-val flow_bytes : int
-(** Per-flow message size (bytes) of the fixed workload. *)
-
-val n_hosts : int

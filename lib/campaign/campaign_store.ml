@@ -10,7 +10,6 @@ let open_ ~dir =
   mkdir_p dir;
   { store_dir = dir }
 
-let dir t = t.store_dir
 let path t hash = Filename.concat t.store_dir (hash ^ ".json")
 
 let read_file file =

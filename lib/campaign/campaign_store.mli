@@ -16,7 +16,6 @@ type t
 val open_ : dir:string -> t
 (** Creates [dir] (and parents) if needed. *)
 
-val dir : t -> string
 val path : t -> string -> string
 (** [path t hash] — the result file for [hash]. *)
 

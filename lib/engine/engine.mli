@@ -45,9 +45,6 @@ val schedule_call : t -> delay:Sim_time.t -> callback -> obj:Obj.t -> handle
     [now t + delay] with [obj].  [delay] must be non-negative.
     Allocates nothing in steady state. *)
 
-val schedule_call_at : t -> time:Sim_time.t -> callback -> obj:Obj.t -> handle
-(** As [schedule_call] at absolute [time >= now t]. *)
-
 val schedule : t -> delay:Sim_time.t -> (unit -> unit) -> handle
 (** [schedule t ~delay f] runs [f] at [now t + delay].  [delay] must be
     non-negative. *)

@@ -22,10 +22,6 @@ type counters = {
   mutable delays : int;
 }
 
-val active : Fuzz_spec.t -> bool
-(** Whether the spec carries any per-delivery fault at all (if not,
-    [install] leaves the ports untouched). *)
-
 val install :
   ?window:Sim_time.t * Sim_time.t ->
   engine:Engine.t ->

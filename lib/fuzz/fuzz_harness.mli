@@ -45,23 +45,13 @@ val determinism_check :
   failure option
 (** Run [spec] twice under [scheme] and compare with {!divergence}. *)
 
-val run_seeds :
-  ?profile:Fuzz_spec.profile ->
-  ?det_every:int ->
-  ?minimize:bool ->
-  ?budget_s:float ->
-  ?log:(string -> unit) ->
-  seeds:int list ->
-  unit ->
-  report
-(** [budget_s] stops {e generating new specs} once the wall budget is
-    spent (never mid-spec); 0 means unlimited.  [log] receives
-    human-readable progress lines. *)
-
 val quick :
   ?specs:int -> ?seed:int -> ?budget_s:float -> ?log:(string -> unit) ->
   unit -> report
-(** Defaults: 200 specs from seed 1, determinism check every 10th. *)
+(** Defaults: 200 specs from seed 1, determinism check every 10th.
+    [budget_s] stops {e generating new specs} once the wall budget is
+    spent (never mid-spec); 0 means unlimited.  [log] receives
+    human-readable progress lines. *)
 
 val soak :
   ?specs:int -> ?seed:int -> ?budget_s:float -> ?log:(string -> unit) ->

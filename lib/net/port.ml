@@ -199,7 +199,6 @@ let set_up t up =
   end
   else start_tx t
 
-let is_up t = t.up
 let tx_packets t = t.tx_packets
 let tx_bytes t = t.tx_bytes
 let dropped_packets t = t.dropped
@@ -210,4 +209,3 @@ let set_bandwidth t r = t.bandwidth <- r
 
 let label t = t.label
 let deliver_fn t = t.deliver
-let delay t = t.delay

@@ -45,9 +45,6 @@ val set_on_discard : t -> (Packet.t -> unit) -> unit
 (** Hook fired for packets discarded without transmission (enqueue on a
     failed link, or queue flush when the link goes down). *)
 
-val delay : t -> Sim_time.t
-(** Propagation delay of the link direction this port serializes onto. *)
-
 val enqueue : t -> Packet.t -> unit
 
 val inject_drops : t -> int -> unit
@@ -67,8 +64,6 @@ val busy : t -> bool
 val set_up : t -> bool -> unit
 (** Link failure: while down, queued packets are discarded and future
     enqueues are dropped (counted, and reported to [on_discard]). *)
-
-val is_up : t -> bool
 
 val tx_packets : t -> int
 val tx_bytes : t -> int

@@ -1,15 +1,9 @@
 type mode = Sr | Gbn | Ideal
-
-type actions = {
-  send_ack : epsn:int -> unit;
-  send_nack : epsn:int -> unit;
-  deliver : bytes:int -> unit;
-}
+type reply = No_reply | Ack | Nack
 
 type t = {
   mode : mode;
   ack_coalesce : int;
-  actions : actions;
   mutable epsn : int;
   (* Out-of-order buffer as a power-of-two ring keyed [seq land mask]:
      live sequences span at most the sender window, so the ring stays
@@ -30,12 +24,11 @@ type t = {
   mutable acks_sent : int;
 }
 
-let create ~mode ~ack_coalesce ~actions =
+let create ~mode ~ack_coalesce =
   if ack_coalesce < 1 then invalid_arg "Receiver.create: ack_coalesce >= 1";
   {
     mode;
     ack_coalesce;
-    actions;
     epsn = 0;
     ooo_seq = Array.make 64 (-1);
     ooo_payload = Array.make 64 0;
@@ -92,23 +85,23 @@ let ooo_take t seq =
 let flush_ack t =
   t.pending_advance <- 0;
   t.acks_sent <- t.acks_sent + 1;
-  t.actions.send_ack ~epsn:t.epsn
+  Ack
 
 let maybe_ack t ~force =
   if t.pending_advance >= t.ack_coalesce || (force && t.pending_advance > 0)
   then flush_ack t
+  else No_reply
 
-let send_nack_once t =
-  if not t.nacked_current then begin
+let nack_once t =
+  if t.nacked_current then No_reply
+  else begin
     t.nacked_current <- true;
     t.nacks_sent <- t.nacks_sent + 1;
     if Telemetry.enabled () then Telemetry.incr_counter "nacks_generated";
-    t.actions.send_nack ~epsn:t.epsn
+    Nack
   end
 
-let deliver t payload =
-  t.delivered_bytes <- t.delivered_bytes + payload;
-  t.actions.deliver ~bytes:payload
+let deliver t payload = t.delivered_bytes <- t.delivered_bytes + payload
 
 (* Top-level recursion, not a local [let rec]: a local recursive
    function capturing [t] allocates its closure on every in-order
@@ -150,20 +143,21 @@ let on_data t ~seq ~payload ~last_of_msg =
     match t.mode with
     | Gbn ->
         t.ooo_dropped <- t.ooo_dropped + 1;
-        send_nack_once t
+        nack_once t
     | Sr ->
         if ooo_mem t seq then t.dups <- t.dups + 1
         else begin
           ooo_add t seq payload;
           deliver t payload
         end;
-        send_nack_once t
+        nack_once t
     | Ideal ->
         if ooo_mem t seq then t.dups <- t.dups + 1
         else begin
           ooo_add t seq payload;
           deliver t payload
-        end
+        end;
+        No_reply
   end
 
 let epsn t = t.epsn

@@ -13,31 +13,37 @@
     - [Ideal] — an oracle receiver that accepts out-of-order arrivals and
       never NACKs; the upper-bound transport of Fig. 1d.
 
+    Each data arrival yields at most one control packet, which
+    {!on_data} returns rather than sends: the caller (the RNIC) builds
+    it while the arriving packet is still in hand.  Both kinds carry
+    {!epsn} as it stands on return.
+
     The module works on monotonic (unwrapped) sequence numbers; the NIC
     truncates to 24-bit PSNs at the wire and unwraps on reception. *)
 
 type mode = Sr | Gbn | Ideal
 
-type actions = {
-  send_ack : epsn:int -> unit;
-      (** Cumulative acknowledgement: all sequences below [epsn] held. *)
-  send_nack : epsn:int -> unit;
-  deliver : bytes:int -> unit;
-      (** Payload bytes placed into application memory (each sequence
-          counted exactly once). *)
-}
+type reply =
+  | No_reply
+  | Ack  (** Cumulative acknowledgement: every sequence below [epsn] held. *)
+  | Nack  (** The first NACK for this [epsn]. *)
 
 type t
 
-val create : mode:mode -> ack_coalesce:int -> actions:actions -> t
-(** [ack_coalesce >= 1]: emit the cumulative ACK only after that many
-    in-order advances (a message-final packet always flushes it). *)
+val create : mode:mode -> ack_coalesce:int -> t
+(** [ack_coalesce >= 1]: reply with the cumulative ACK only after that
+    many in-order advances (a message-final packet always flushes it). *)
 
-val on_data : t -> seq:int -> payload:int -> last_of_msg:bool -> unit
+val on_data : t -> seq:int -> payload:int -> last_of_msg:bool -> reply
+(** Every state change of the arrival happens before it returns; the
+    reply is its last effect. *)
 
 val epsn : t -> int
 
 val delivered_bytes : t -> int
+(** Payload bytes placed into application memory, each sequence counted
+    once. *)
+
 val duplicate_packets : t -> int
 
 val ooo_dropped : t -> int

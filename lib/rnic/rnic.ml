@@ -22,14 +22,8 @@ let default_config ~line_rate =
 
 type rctx = {
   r_conn_id : int;
-  mutable recv : Receiver.t;  (* set once, right after creation *)
-  (* Entropy echo (REPS): the udp_sport / CE mark of the most recent
-     data arrival, copied onto the ACK/NACK it triggers so the source
-     ToR can recycle clean entropies. *)
-  mutable last_entropy : int;
-  mutable last_ce : bool;
+  recv : Receiver.t;
   mutable last_cnp : Sim_time.t;
-  mutable cnps_tx : int;
   r_conn : Flow_id.t;
   r_sport : int;
 }
@@ -39,14 +33,11 @@ type t = {
   node : int;
   cfg : config;
   mutable port : Port.t option;
-  (* Hashed maps for registration and aggregate folds; per-packet
-     dispatch goes through the dense by-id arrays below, indexed by
-     [Packet.conn_id] (one array read instead of a flow hash).  A slot
-     with no QP of its own holds some other registered value, whose
-     conn id then differs from the slot's index: the check needs no
-     [option] box between the lookup and the QP. *)
-  senders : Sender.t Flow_id.Table.t;
-  receivers : rctx Flow_id.Table.t;
+  (* The one home of every QP: dense arrays indexed by [Packet.conn_id]
+     (one array read per packet instead of a flow hash).  Slot [i] owns
+     QP [i]; a slot with no QP of its own holds some other registered
+     value, whose conn id then differs from the slot's index: the check
+     needs no [option] box between the lookup and the QP. *)
   mutable senders_by_id : Sender.t array;
   mutable receivers_by_id : rctx array;
   mutable next_qpn : int;
@@ -64,8 +55,6 @@ let create ~engine ~node ~config =
     node;
     cfg = config;
     port = None;
-    senders = Flow_id.Table.create 16;
-    receivers = Flow_id.Table.create 16;
     senders_by_id = [||];
     receivers_by_id = [||];
     next_qpn = 1;
@@ -114,67 +103,24 @@ let receiver_mode = function
   | `Gbn -> Receiver.Gbn
   | `Ideal -> Receiver.Ideal
 
-(* Fills [rctx.recv] until [register_receiver] replaces it, which it
-   does before the context is reachable: the receiver's ACK/NACK
-   closures need the context, and the context needs the receiver. *)
-let no_receiver =
-  Receiver.create ~mode:Receiver.Sr ~ack_coalesce:1
-    ~actions:
-      {
-        Receiver.send_ack = (fun ~epsn:_ -> ());
-        send_nack = (fun ~epsn:_ -> ());
-        deliver = (fun ~bytes:_ -> ());
-      }
-
 let register_receiver t ~conn ~sport =
   let conn_id = Flow_id.intern conn in
   let ctx =
     {
       r_conn_id = conn_id;
-      recv = no_receiver;
-      last_entropy = -1;
-      last_ce = false;
+      recv =
+        Receiver.create ~mode:(receiver_mode t.cfg.transport) ~ack_coalesce;
       last_cnp = Sim_time.ns (-1_000_000_000);
-      cnps_tx = 0;
       r_conn = conn;
       r_sport = sport;
     }
   in
-  let echo pkt =
-    pkt.Packet.entropy_echo <- ctx.last_entropy;
-    pkt.Packet.ecn_echo <- ctx.last_ce;
-    pkt
-  in
-  ctx.recv <-
-    Receiver.create
-      ~mode:(receiver_mode t.cfg.transport)
-      ~ack_coalesce
-      ~actions:
-        {
-          Receiver.send_ack =
-            (fun ~epsn ->
-              transmit_control t
-                (echo
-                   (Packet_pool.ack ~conn ~conn_id ~psn:(Psn.of_int epsn)
-                      ~sport ~birth:(Engine.now t.engine))));
-          Receiver.send_nack =
-            (fun ~epsn ->
-              t.nacks_sent <- t.nacks_sent + 1;
-              transmit_control t
-                (echo
-                   (Packet_pool.nack ~conn ~conn_id ~epsn:(Psn.of_int epsn)
-                      ~sport ~birth:(Engine.now t.engine))));
-          Receiver.deliver = (fun ~bytes:_ -> ());
-        };
-  Flow_id.Table.replace t.receivers conn ctx;
-  t.receivers_by_id <- set_slot t.receivers_by_id conn_id ctx;
-  ctx
+  t.receivers_by_id <- set_slot t.receivers_by_id conn_id ctx
 
 let maybe_cnp t (ctx : rctx) =
   let now = Engine.now t.engine in
   if Sim_time.diff now ctx.last_cnp >= t.cfg.cnp_interval then begin
     ctx.last_cnp <- now;
-    ctx.cnps_tx <- ctx.cnps_tx + 1;
     t.cnps_sent <- t.cnps_sent + 1;
     if Telemetry.enabled () then Telemetry.incr_counter "cnps_sent";
     transmit_control t
@@ -192,6 +138,33 @@ let unknown_qp t (pkt : Packet.t) =
     (Format.asprintf "Rnic %d: data for unknown QP %a" t.node Flow_id.pp
        pkt.Packet.conn)
 
+(* Entropy echo (REPS): the ACK/NACK carries the udp_sport and CE mark
+   of the data arrival that triggered it, so the source ToR can recycle
+   clean entropies. *)
+let echo (data : Packet.t) (ctl : Packet.t) =
+  ctl.Packet.entropy_echo <- data.Packet.udp_sport;
+  ctl.Packet.ecn_echo <- data.Packet.ecn = Headers.Ce;
+  ctl
+
+(* The receiver's reply to [pkt], built while [pkt] is still in hand.
+   Top-level, like [echo]: a local closure would allocate on every data
+   packet. *)
+let reply t ctx (pkt : Packet.t) = function
+  | Receiver.No_reply -> ()
+  | Receiver.Ack ->
+      transmit_control t
+        (echo pkt
+           (Packet_pool.ack ~conn:ctx.r_conn ~conn_id:ctx.r_conn_id
+              ~psn:(Psn.of_int (Receiver.epsn ctx.recv))
+              ~sport:ctx.r_sport ~birth:(Engine.now t.engine)))
+  | Receiver.Nack ->
+      t.nacks_sent <- t.nacks_sent + 1;
+      transmit_control t
+        (echo pkt
+           (Packet_pool.nack ~conn:ctx.r_conn ~conn_id:ctx.r_conn_id
+              ~epsn:(Psn.of_int (Receiver.epsn ctx.recv))
+              ~sport:ctx.r_sport ~birth:(Engine.now t.engine)))
+
 let on_data_packet t (pkt : Packet.t) psn payload last_of_msg =
   let id = pkt.Packet.conn_id in
   let ctx =
@@ -201,12 +174,8 @@ let on_data_packet t (pkt : Packet.t) psn payload last_of_msg =
     else unknown_qp t pkt
   in
   if pkt.Packet.ecn = Headers.Ce then maybe_cnp t ctx;
-  (* Stash the echo before on_data: ACK/NACK closures fire synchronously
-     inside it and must carry this packet's entropy. *)
-  ctx.last_entropy <- pkt.Packet.udp_sport;
-  ctx.last_ce <- pkt.Packet.ecn = Headers.Ce;
   let seq = Psn.unwrap ~near:(Receiver.epsn ctx.recv) psn in
-  Receiver.on_data ctx.recv ~seq ~payload ~last_of_msg
+  reply t ctx pkt (Receiver.on_data ctx.recv ~seq ~payload ~last_of_msg)
 
 (* ACK/NACK/CNP dispatch to the QP's sender.  A late control packet of
    a torn-down QP, or one whose id this NIC never registered, misses
@@ -265,9 +234,8 @@ let connect t ~dst =
       ~line_rate:t.cfg.line_rate
       ~transmit:(fun pkt -> transmit_data t pkt)
   in
-  Flow_id.Table.replace t.senders conn snd;
   t.senders_by_id <- set_slot t.senders_by_id (Sender.conn_id snd) snd;
-  ignore (register_receiver dst ~conn ~sport);
+  register_receiver dst ~conn ~sport;
   { nic = t; snd }
 
 let post_send qp ~bytes ~on_complete = Sender.post qp.snd ~bytes ~on_complete
@@ -277,31 +245,40 @@ let qp_sender qp = qp.snd
 
 (* --- Counters --------------------------------------------------------- *)
 
+(* Fold over the slots an array owns (slot [i] holds QP [i]; any other
+   slot is padding), in conn-id order. *)
+let fold_owned id_of f acc arr =
+  let acc = ref acc in
+  for i = 0 to Array.length arr - 1 do
+    let v = Array.unsafe_get arr i in
+    if id_of v = i then acc := f !acc v
+  done;
+  !acc
+
+let rctx_id ctx = ctx.r_conn_id
+
 let sum_senders t f =
-  Flow_id.Table.fold (fun _ s acc -> acc + f s) t.senders 0
+  fold_owned Sender.conn_id (fun acc s -> acc + f s) 0 t.senders_by_id
+
+let sum_receivers t f =
+  fold_owned rctx_id (fun acc ctx -> acc + f ctx.recv) 0 t.receivers_by_id
 
 let data_packets_sent t = sum_senders t Sender.data_packets_sent
 let retx_packets_sent t = sum_senders t Sender.retx_packets_sent
 let nacks_received t = sum_senders t Sender.nacks_received
 let nacks_sent t = t.nacks_sent
 let cnps_sent t = t.cnps_sent
+let delivered_bytes t = sum_receivers t Receiver.delivered_bytes
+let ooo_arrivals t = sum_receivers t Receiver.ooo_arrivals
 
-let delivered_bytes t =
-  Flow_id.Table.fold
-    (fun _ ctx acc -> acc + Receiver.delivered_bytes ctx.recv)
-    t.receivers 0
-
-let senders t = Flow_id.Table.fold (fun _ s acc -> s :: acc) t.senders []
+let senders t =
+  List.rev (fold_owned Sender.conn_id (fun acc s -> s :: acc) [] t.senders_by_id)
 
 let data_packets_received t = t.data_rx
 
-let receivers t =
-  Flow_id.Table.fold (fun conn ctx acc -> (conn, ctx.recv) :: acc) t.receivers []
-
-let ooo_arrivals t =
-  Flow_id.Table.fold
-    (fun _ ctx acc -> acc + Receiver.ooo_arrivals ctx.recv)
-    t.receivers 0
-
 let receiver t ~conn =
-  Option.map (fun ctx -> ctx.recv) (Flow_id.Table.find_opt t.receivers conn)
+  match Flow_id.lookup_interned conn with
+  | Some id when id < Array.length t.receivers_by_id ->
+      let ctx = t.receivers_by_id.(id) in
+      if ctx.r_conn_id = id then Some ctx.recv else None
+  | Some _ | None -> None

@@ -3,6 +3,10 @@
     The NIC owns the sending side ({!Sender.t} per QP, DCQCN-paced) and
     the receiving side ({!Receiver.t} per remote QP, plus ECN-triggered
     CNP generation), and dispatches arriving packets to the right one.
+    Each QP lives in one dense array per side, indexed by its interned
+    conn id ({!Flow_id.intern}).  On a data arrival the NIC sends the
+    ACK or NACK that {!Receiver.on_data} returns, with the arrival's
+    entropy and CE mark echoed on it.
 
     Transport generations:
     - [`Sr] — current commodity RNICs (NIC-SR reliable transport with
@@ -67,17 +71,17 @@ val nacks_sent : t -> int
 val cnps_sent : t -> int
 val delivered_bytes : t -> int
 val senders : t -> Sender.t list
+(** The send contexts of this NIC's QPs, in conn-id order. *)
 
 val data_packets_received : t -> int
 (** Every data packet the host link delivered to this NIC, including
     duplicates and out-of-order arrivals — the receive-side term of the
     fuzz harness's packet-conservation oracle. *)
 
-val receivers : t -> (Flow_id.t * Receiver.t) list
-(** Receive contexts hosted on this NIC (one per remote QP), for
-    end-of-run invariant checks (gapless ePSN, empty OOO buffer). *)
-
 val receiver : t -> conn:Flow_id.t -> Receiver.t option
+(** The receive context this NIC hosts for [conn], for end-of-run
+    invariant checks (gapless ePSN, empty OOO buffer).  Never assigns a
+    conn id ({!Flow_id.lookup_interned}). *)
 
 val ooo_arrivals : t -> int
 (** Sum of {!Receiver.ooo_arrivals} over every receive context on this

@@ -47,7 +47,6 @@ val build : params -> t
 val core : t -> Fabric_core.t
 (** The topology-independent part: switches, NICs, ports, Themis. *)
 
-val engine : t -> Engine.t
 val fat_tree : t -> Fat_tree.t
 val n_paths : t -> int
 (** [(k/2)^2]. *)

@@ -6,11 +6,6 @@ val cross_rack_groups : Leaf_spine.t -> int array array
     collective traffic crosses the fabric.  Returns [hosts_per_leaf]
     groups of [n_leaves] host node ids. *)
 
-val motivation_groups : Leaf_spine.t -> int array array
-(** The Fig. 1a pattern on the 2-leaf motivation fabric: two interleaved
-    groups whose ring neighbours always sit under the other ToR, so every
-    flow crosses the spine tier. *)
-
 val motivation_rings :
   Network.t -> bytes:int -> on_complete:(Rnic.qp -> Sim_time.t -> unit) ->
   Rnic.qp list

@@ -24,5 +24,4 @@ let release t size =
 
 let used t = t.used
 let capacity t = t.capacity
-let per_port_cap t = t.per_port_cap
 let high_watermark t = t.high

@@ -19,5 +19,4 @@ val release : t -> int -> unit
 
 val used : t -> int
 val capacity : t -> int
-val per_port_cap : t -> int
 val high_watermark : t -> int

@@ -50,6 +50,3 @@ val counters : unit -> (string * int) list
     0), [prime_bumps], [sprinkler_switches], [spritz_picks]. *)
 
 val note_spritz_pick : unit -> unit
-
-val stripe_quantum : int
-(** Base stripe size in bytes. *)

@@ -194,8 +194,6 @@ let compiled_path_weights t ~dst =
   ignore (candidate_ports t dst);
   t.next_weights.(dst)
 
-let lb_state t = t.lb_state
-
 let enqueue_on t port (pkt : Packet.t) =
   if
     Buffer_pool.try_admit t.pool ~port_bytes:(Port.queue_bytes port)

@@ -109,8 +109,3 @@ val compiled_path_weights : t -> dst:int -> int array
     with the port rows on wiring/routing changes, so after a link fails
     and routing recomputes, the weights track the surviving path
     counts. *)
-
-val lb_state : t -> Lb_state.t
-(** The switch's per-flow spraying state (REPS entropy cache, PRIME
-    adaptive parts, Sprinklers stripes) — exposed for invariant
-    tests. *)

@@ -63,7 +63,6 @@ let histogram t ?(labels = []) ?min_value ?max_value name =
 
 let incr c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n
-let value c = c.c
 let set g v = g.g <- v
 let observe h v = Histogram.record h v
 

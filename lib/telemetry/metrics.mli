@@ -31,7 +31,6 @@ val histogram :
 
 val incr : counter -> unit
 val add : counter -> int -> unit
-val value : counter -> int
 val set : gauge -> float -> unit
 val observe : Histogram.t -> float -> unit
 

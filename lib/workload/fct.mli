@@ -5,7 +5,6 @@
     retains every sample.  Classes: small [<= 10 kB], medium [<= 100 kB],
     large [<= 1 MB], huge [> 1 MB]. *)
 
-val n_classes : int
 val class_of_bytes : int -> int
 val class_name : int -> string
 
