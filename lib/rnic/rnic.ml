@@ -280,5 +280,5 @@ let receiver t ~conn =
   match Flow_id.lookup_interned conn with
   | Some id when id < Array.length t.receivers_by_id ->
       let ctx = t.receivers_by_id.(id) in
-      if ctx.r_conn_id = id then Some ctx.recv else None
+      if Flow_id.equal ctx.r_conn conn then Some ctx.recv else None
   | Some _ | None -> None

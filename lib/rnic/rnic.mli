@@ -80,8 +80,10 @@ val data_packets_received : t -> int
 
 val receiver : t -> conn:Flow_id.t -> Receiver.t option
 (** The receive context this NIC hosts for [conn], for end-of-run
-    invariant checks (gapless ePSN, empty OOO buffer).  Never assigns a
-    conn id ({!Flow_id.lookup_interned}). *)
+    invariant checks (gapless ePSN, empty OOO buffer).  Found by the
+    current interned id, which it never assigns
+    ({!Flow_id.lookup_interned}): once a later fabric build has reset
+    the interner, it may answer [None]. *)
 
 val ooo_arrivals : t -> int
 (** Sum of {!Receiver.ooo_arrivals} over every receive context on this

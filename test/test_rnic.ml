@@ -206,6 +206,22 @@ let test_unknown_qp_data () =
                ~payload:100 ~last_of_msg:false ~retransmission:false ~birth:0)))
     [ Flow_id.intern foreign; 100_000 ]
 
+(* [receiver] finds a context by the conn's current interned id and
+   answers only for that conn: after a later fabric build has reset the
+   interner, a conn whose new id is another QP's slot misses instead of
+   returning that QP's receiver. *)
+let test_receiver_lookup () =
+  let _, a, b, _, _ = wire () in
+  Flow_id.reset_interner ();
+  let c1 = Rnic.qp_conn (Rnic.connect a ~dst:b) in
+  let c2 = Rnic.qp_conn (Rnic.connect a ~dst:b) in
+  let found nic conn = Option.is_some (Rnic.receiver nic ~conn) in
+  Alcotest.(check bool) "responder hosts it" true (found b c1 && found b c2);
+  Alcotest.(check bool) "requester does not" false (found a c1);
+  Flow_id.reset_interner ();
+  Alcotest.(check int) "c2 takes c1's id" 0 (Flow_id.intern c2);
+  Alcotest.(check bool) "stale id misses" false (found b c2)
+
 let () =
   Alcotest.run "rnic"
     [
@@ -228,5 +244,6 @@ let () =
           Alcotest.test_case "foreign control dropped" `Quick
             test_foreign_control_dropped;
           Alcotest.test_case "unknown qp data" `Quick test_unknown_qp_data;
+          Alcotest.test_case "receiver lookup" `Quick test_receiver_lookup;
         ] );
     ]
